@@ -9,12 +9,14 @@ scaled child difference, the drift is the driver evaluated there,
 The purely quadratic driver nu*z^2 also has an exact recursion: the
 one-step value is a log-sum-exp of the children, which makes the solution
 an exponential moment in disguise and gives machine-precision references
-for convergence studies.  Every solve carries a step-monotonicity
-certificate, (mu + 2 nu max|Z|) sqrt(dt) <= 1, the sufficient condition
-under which comparison-type statements survive discretization.
+for convergence studies.  Every solve is one backward pass that records Z
+beside Y, and carries a step-monotonicity certificate derived from that Z,
+(mu + 2 nu max|Z|) sqrt(dt) <= 1, the sufficient condition under which
+comparison-type statements survive discretization.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,11 +32,10 @@ StepFn = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 class SolvedBSDE:
     """Solution pair with scheme metadata and the discretization certificate.
 
-    ``residuals`` recomputes the defining one-step recursion at every node;
-    it is identically zero up to rounding and exists so downstream checks
-    can assert the invariant rather than trust it.  ``monotone_step`` is the
-    certificate (mu + 2 nu max|Z|) sqrt(dt) <= 1; comparison and convexity
-    assertions should be gated on it.
+    Y and Z come from a single backward pass; nothing is recomputed to
+    check them.  ``monotone_step`` is the certificate
+    (mu + 2 nu max|Z|) sqrt(dt) <= 1; comparison and convexity assertions
+    should be gated on it.
     """
 
     Y: TreeProcess
@@ -42,7 +43,6 @@ class SolvedBSDE:
     scheme: str
     terminal: np.ndarray
     generator: Generator | None
-    residuals: TreeProcess
     step_bound: float
     monotone_step: bool
     warnings: tuple[str, ...]
@@ -92,18 +92,33 @@ def entropy_step(nu: float, tree: ScenarioTree) -> StepFn:
     return step
 
 
-def _certificate(tree: ScenarioTree, Z: TreeProcess, mu: float, nu: float):
-    max_z = Z.max_abs() if Z.values else 0.0
+def _solve(tree: ScenarioTree, xi: np.ndarray, step: StepFn):
+    """(Y, Z) in one backward pass: Z is taken, as in ``extract_z``, from the
+    same (down, up) child views the step receives, so no step runs twice."""
+    z_slices: list[np.ndarray] = [None] * tree.steps  # type: ignore[list-item]
+
+    def step_with_z(k, down, up):
+        z_slices[k] = (up - down) / (2.0 * tree.sqrt_dt)
+        return step(k, down, up)
+
+    Y = backward_reduce(tree, xi, step_with_z)
+    return Y, TreeProcess(tree, z_slices, copy=False)
+
+
+def _certificate(tree: ScenarioTree, Z: TreeProcess, mu: float, nu: float,
+                 detail: str = ""):
+    """(bound, bound <= 1, warnings); ``detail`` formats a failing finite bound.
+
+    A non-finite max|Z| means the scheme overflowed; the warning says so.
+    """
+    max_z = Z.max_abs()
     bound = (mu + 2.0 * nu * max_z) * tree.sqrt_dt
-    return bound, bound <= 1.0
-
-
-def _residuals(tree: ScenarioTree, Y: TreeProcess, step: StepFn) -> TreeProcess:
-    slices = []
-    for k in range(Y.last_depth):
-        down, up = tree.split_children(Y.values[k + 1])
-        slices.append(np.abs(Y.values[k] - step(k, down, up)))
-    return TreeProcess(tree, slices, copy=False)
+    if bound <= 1.0:
+        return bound, True, ()
+    if not math.isfinite(max_z):
+        detail = "max|Z| is not finite (the scheme overflowed)"
+    return bound, False, (
+        "step-monotonicity certificate fails: " + detail.format(bound=bound),)
 
 
 def solve_bsde(g: Generator, terminal, tree: ScenarioTree | None = None) -> SolvedBSDE:
@@ -117,16 +132,12 @@ def solve_bsde(g: Generator, terminal, tree: ScenarioTree | None = None) -> Solv
     tree, last, xi = _terminal_array(terminal, tree)
     if last != tree.steps:
         raise ValueError("terminal condition must sit at the horizon")
-    step = euler_step(g, tree)
-    Y = backward_reduce(tree, xi, step)
-    Z = extract_z(Y)
-    bound, ok = _certificate(tree, Z, g.mu, g.nu)
-    warnings = () if ok else (
-        f"step-monotonicity certificate fails: (mu + 2 nu max|Z|) sqrt(dt) = "
-        f"{bound:.6g} > 1; refine the grid before trusting comparison-type output",
-    )
-    return SolvedBSDE(Y, Z, "explicit", xi, g, _residuals(tree, Y, step),
-                      bound, ok, warnings)
+    Y, Z = _solve(tree, xi, euler_step(g, tree))
+    bound, ok, warnings = _certificate(
+        tree, Z, g.mu, g.nu,
+        "(mu + 2 nu max|Z|) sqrt(dt) = {bound:.6g} > 1; "
+        "refine the grid before trusting comparison-type output")
+    return SolvedBSDE(Y, Z, "explicit", xi, g, bound, ok, warnings)
 
 
 def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None) -> SolvedBSDE:
@@ -141,13 +152,10 @@ def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None) -> Solv
     tree, last, xi = _terminal_array(terminal, tree)
     if last != tree.steps:
         raise ValueError("terminal condition must sit at the horizon")
-    step = entropy_step(nu, tree)
-    Y = backward_reduce(tree, xi, step)
-    Z = extract_z(Y)
-    bound, _ = _certificate(tree, Z, 0.0, nu)
+    Y, Z = _solve(tree, xi, entropy_step(nu, tree))
+    bound = _certificate(tree, Z, 0.0, nu)[0]
     # The exact recursion is monotone for every step size (softmax weights).
-    return SolvedBSDE(Y, Z, "entropy_exact", xi, None, _residuals(tree, Y, step),
-                      bound, True, ())
+    return SolvedBSDE(Y, Z, "entropy_exact", xi, None, bound, True, ())
 
 
 def exp_transform_solve(mu: float, nu: float, terminal,
@@ -185,18 +193,8 @@ def exp_transform_solve(mu: float, nu: float, terminal,
             )
     Y = TreeProcess(tree, [(np.log(v) + shift) / two_nu for v in U.values], copy=False)
     Z = extract_z(Y)
-    bound, ok = _certificate(tree, Z, mu, nu)
-    # Residual of the defining recursion, mapped back to the Y scale through
-    # the local derivative of the transform.
-    res = []
-    for k in range(U.last_depth):
-        down, up = tree.split_children(U.values[k + 1])
-        res.append(np.abs(U.values[k] - u_step(k, down, up)) / (two_nu * U.values[k]))
-    warnings = () if ok else (
-        f"step-monotonicity certificate fails: bound = {bound:.6g} > 1",
-    )
-    return SolvedBSDE(Y, Z, "exp_transform", xi, None,
-                      TreeProcess(tree, res, copy=False), bound, ok, warnings)
+    bound, ok, warnings = _certificate(tree, Z, mu, nu, "bound = {bound:.6g} > 1")
+    return SolvedBSDE(Y, Z, "exp_transform", xi, None, bound, ok, warnings)
 
 
 def recover_generator(one_step: StepFn, t: float, z: float, tree: ScenarioTree) -> float:

@@ -24,7 +24,7 @@ from .dual import verify_duality
 from .generators import entropy as entropy_driver, make_builtin
 from .lattice import FULL, RECOMBINING, auto_layout, build_tree
 from .penalization import canonical_drift, doob_meyer
-from .reporting import render_csv, render_structured, rows_from_dicts
+from .reporting import render_csv, render_structured
 from .risk import (DynamicRiskMeasure, check_axioms, check_domination, entropic,
                    from_generator, represent, rho_solved)
 
@@ -219,7 +219,6 @@ def _run_solve(cfg: ScenarioConfig, report: RunReport) -> None:
         "scheme": solved.scheme,
         "monotone_step": solved.monotone_step,
         "step_bound": solved.step_bound,
-        "max_residual": solved.residuals.max_abs(),
         "warnings": list(solved.warnings),
     }
     header = ["depth", "time", "y_min", "y_max", "z_min", "z_max"]

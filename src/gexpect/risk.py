@@ -24,12 +24,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bsde import SolvedBSDE, StepFn, entropy_exact, entropy_step, euler_step, \
-    extract_z, recover_generator, solve_bsde
+from .bsde import SolvedBSDE, StepFn, _solve, entropy_exact, entropy_step, euler_step, \
+    recover_generator, solve_bsde
 from .claims import Claim, StoppingTime, sample_claims, stopped_values
 from .generators import CONVEX, DOMINATED, Generator, quadratic_lower, quadratic_upper
-from .lattice import FULL, ScenarioTree, TreeProcess, backward_reduce, build_tree, \
-    propagate, subtree_indicator
+from .lattice import FULL, ScenarioTree, TreeProcess, build_tree, propagate, \
+    subtree_indicator
 
 AXIOMS = (
     "monotonicity",
@@ -68,15 +68,10 @@ class DynamicRiskMeasure:
             return solve_bsde(self.generator, terminal, self.tree)
         if self.kind == "entropy":
             return entropy_exact(self.nu, terminal, self.tree)
-        Y = backward_reduce(self.tree, np.asarray(terminal, dtype=float), self.one_step)
-        Z = extract_z(Y)
+        Y, Z = _solve(self.tree, np.asarray(terminal, dtype=float), self.one_step)
         # Custom operators carry no growth data; certificate unknown, so the
         # inequality axioms run un-gated and report what they see.
-        return SolvedBSDE(Y, Z, "custom", Y.terminal, None,
-                          TreeProcess(self.tree, [np.zeros(self.tree.n_nodes(k))
-                                                  for k in range(self.tree.steps)],
-                                      copy=False),
-                          float("nan"), True, ())
+        return SolvedBSDE(Y, Z, "custom", Y.terminal, None, float("nan"), True, ())
 
     def rebind(self, tree: ScenarioTree) -> "DynamicRiskMeasure":
         if self.kind == "generator":

@@ -4,23 +4,27 @@ import math
 import numpy as np
 import pytest
 
+from gexpect import bsde
 from gexpect.bsde import (
     entropy_exact,
     entropy_step,
     euler_step,
     exp_transform_solve,
+    extract_z,
     recover_generator,
     solve_bsde,
 )
-from gexpect.claims import call, linear, path_maximum
+from gexpect.claims import call, linear, path_maximum, sample_claims
 from gexpect.generators import entropy, quadratic_upper, sublinear_interval
 from gexpect.lattice import (
     FULL,
     RECOMBINING,
+    backward_reduce,
     brownian,
     build_tree,
     cond_expect,
 )
+from gexpect.risk import custom
 
 
 def leaf_entropic(nu, xi, p=0.5):
@@ -111,7 +115,10 @@ class TestEulerScheme:
         s = solve_bsde(quadratic_upper(1.0, 2.0), 50 * linear(1.0).evaluate(tree), tree)
         assert not s.monotone_step
         assert s.step_bound > 1.0
-        assert any("certificate" in w for w in s.warnings)
+        assert s.warnings == (
+            "step-monotonicity certificate fails: (mu + 2 nu max|Z|) sqrt(dt) = "
+            f"{s.step_bound:.6g} > 1; refine the grid before trusting "
+            "comparison-type output",)
         ok = solve_bsde(quadratic_upper(1.0, 0.1), 0.1 * linear(1.0).evaluate(tree), tree)
         assert ok.monotone_step and ok.step_bound <= 1.0 and not ok.warnings
 
@@ -151,7 +158,8 @@ class TestExpTransform:
         tree = build_tree(1.0, 1, FULL)
         s = exp_transform_solve(3.0, 0.5, np.array([0.0, 1.0]), tree)
         assert not s.monotone_step
-        assert any("certificate" in w for w in s.warnings)
+        assert s.warnings == (
+            f"step-monotonicity certificate fails: bound = {s.step_bound:.6g} > 1",)
         assert all(np.all(np.isfinite(v)) for v in s.Y.values)
 
 
@@ -174,3 +182,119 @@ class TestRecoverGenerator:
         assert got == pytest.approx(exact, abs=1e-12)
         # first order in dt away from nu z^2
         assert abs(got - nu * z * z) <= 2 * (nu * z) ** 4 * tree.dt
+
+
+def overflowing_claim():
+    """The theta=0.9 stretched leaf claim of check_domination on a full N=14
+    tree; the explicit scheme for quadratic_upper(0.3, 0.5) overflows on it."""
+    tree = build_tree(1.0, 14, FULL)
+    xs = [c.evaluate(tree) for c in sample_claims(tree, 10, 0, "leaf", scale_to=0.5)]
+    return tree, -((xs[0] - 0.9 * xs[1]) / (1.0 - 0.9))
+
+
+def reference_solve(tree, xi, step, mu, nu):
+    """Two-pass solve: reduce, then extract Z, then certify from max|Z|."""
+    Y = backward_reduce(tree, xi, step)
+    Z = extract_z(Y)
+    bound = (mu + 2.0 * nu * Z.max_abs()) * tree.sqrt_dt
+    return Y, Z, bound, bound <= 1.0
+
+
+def assert_bitwise(a, b):
+    assert len(a.values) == len(b.values)
+    for x, y in zip(a.values, b.values):
+        assert x.tobytes() == y.tobytes()
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestOnePass:
+    CASES = [(FULL, 10), (RECOMBINING, 400)]
+
+    @pytest.mark.parametrize("layout,N", CASES)
+    def test_explicit_matches_two_pass(self, layout, N):
+        tree = build_tree(1.0, N, layout)
+        for g in (quadratic_upper(0.3, 0.5), quadratic_upper(1.0, 2.0)):
+            for xi in (call(0.1).evaluate(tree), 50 * linear(1.0).evaluate(tree)):
+                with np.errstate(all="ignore"):  # the large claim overflows at N=400
+                    s = solve_bsde(g, xi, tree)
+                    Y, Z, bound, ok = reference_solve(tree, xi, euler_step(g, tree),
+                                                      g.mu, g.nu)
+                assert_bitwise(s.Y, Y)
+                assert_bitwise(s.Z, Z)
+                assert same_float(s.step_bound, bound)
+                assert s.monotone_step == ok
+
+    @pytest.mark.parametrize("layout,N", CASES)
+    def test_entropy_exact_matches_two_pass(self, layout, N):
+        tree = build_tree(1.0, N, layout)
+        xi = 3.0 * call(-0.2).evaluate(tree)
+        s = entropy_exact(0.5, xi, tree)
+        Y, Z, bound, _ = reference_solve(tree, xi, entropy_step(0.5, tree), 0.0, 0.5)
+        assert_bitwise(s.Y, Y)
+        assert_bitwise(s.Z, Z)
+        assert same_float(s.step_bound, bound)
+        assert s.monotone_step
+
+    @pytest.mark.parametrize("layout,N", CASES)
+    def test_custom_matches_two_pass(self, layout, N):
+        tree = build_tree(1.0, N, layout)
+        step = euler_step(quadratic_upper(0.3, 0.5), tree)
+        xi = call(0.0).evaluate(tree)
+        s = custom(step, tree).solve_terminal(xi)
+        Y, Z, _, _ = reference_solve(tree, xi, step, 0.0, 0.0)
+        assert_bitwise(s.Y, Y)
+        assert_bitwise(s.Z, Z)
+        assert math.isnan(s.step_bound) and s.monotone_step and not s.warnings
+
+    def test_overflow_matches_two_pass(self):
+        tree, xi = overflowing_claim()
+        g = quadratic_upper(0.3, 0.5)
+        with np.errstate(all="ignore"):
+            s = solve_bsde(g, xi, tree)
+            Y, Z, bound, ok = reference_solve(tree, xi, euler_step(g, tree), g.mu, g.nu)
+        assert sum(np.count_nonzero(np.isnan(v)) for v in s.Y.values) > 0
+        assert_bitwise(s.Y, Y)
+        assert_bitwise(s.Z, Z)
+        assert math.isnan(s.step_bound) and math.isnan(bound)
+        assert s.monotone_step is ok is False
+
+    @pytest.mark.parametrize("solve", ["explicit", "entropy", "custom"])
+    def test_each_step_runs_once(self, solve, monkeypatch):
+        N = 50
+        tree = build_tree(1.0, N, RECOMBINING)
+        xi = call(0.0).evaluate(tree)
+        calls = []
+
+        def counted(step):
+            def wrapper(k, down, up):
+                calls.append(k)
+                return step(k, down, up)
+            return wrapper
+
+        if solve == "explicit":
+            monkeypatch.setattr(bsde, "euler_step", lambda g, t: counted(euler_step(g, t)))
+            solve_bsde(entropy(0.5), xi, tree)
+        elif solve == "entropy":
+            monkeypatch.setattr(bsde, "entropy_step",
+                                lambda nu, t: counted(entropy_step(nu, t)))
+            entropy_exact(0.5, xi, tree)
+        else:
+            custom(counted(entropy_step(0.5, tree)), tree).solve_terminal(xi)
+        assert sorted(calls) == list(range(N))
+
+    def test_nonfinite_certificate_message(self):
+        tree, xi = overflowing_claim()
+        with np.errstate(all="ignore"):
+            s = solve_bsde(quadratic_upper(0.3, 0.5), xi, tree)
+        assert not s.monotone_step
+        assert s.warnings == ("step-monotonicity certificate fails: max|Z| is not "
+                              "finite (the scheme overflowed)",)
+        # Y spans ~3.7e302 over one step of a tiny horizon: Z overflows to inf.
+        with np.errstate(all="ignore"):
+            t = exp_transform_solve(0.0, 1e-300, np.array([0.0, 3.7e302]),
+                                    build_tree(1e-20, 1, FULL))
+        assert math.isinf(t.Z.max_abs()) and not t.monotone_step
+        assert t.warnings == s.warnings

@@ -3,7 +3,10 @@ import json
 
 import pytest
 
-from gexpect.cli import ConfigError, main, parse_config
+from gexpect.bsde import entropy_exact
+from gexpect.claims import call
+from gexpect.cli import ConfigError, main, parse_config, run
+from gexpect.lattice import build_tree
 
 BASE = {
     "tree": {"horizon": 1.0, "steps": 64, "layout": "recombining"},
@@ -100,6 +103,20 @@ class TestMain:
         reports = list(out.glob("*.report.txt"))
         assert len(reports) == 1
         assert "elapsed" not in reports[0].read_text()
+
+    def test_solve_report_fields(self):
+        report = run(parse_config(json.dumps(BASE)))
+        assert list(report.results) == ["rho_root", "scheme", "monotone_step",
+                                        "step_bound", "warnings"]
+        tree = build_tree(1.0, 64, "recombining")
+        s = entropy_exact(0.5, -call(0.0).evaluate(tree), tree)
+        header, rows = report.tables["profile"]
+        assert header == ["depth", "time", "y_min", "y_max", "z_min", "z_max"]
+        expected = [[k, k * tree.dt, float(y.min()), float(y.max()),
+                     float(s.Z.values[k].min()) if k < 64 else "",
+                     float(s.Z.values[k].max()) if k < 64 else ""]
+                    for k, y in enumerate(s.Y.values)]
+        assert rows == expected
 
     def test_deterministic_output_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path, task="dual",
