@@ -70,8 +70,7 @@ from .bsde import (
 )
 from .risk import (
     AXIOMS,
-    AxiomReport,
-    DominationReport,
+    CheckReport,
     DynamicRiskMeasure,
     check_axioms,
     check_domination,

@@ -10,6 +10,7 @@ Claims evaluated from the terminal level alone are flagged
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -129,20 +130,22 @@ def scale(c: Claim, factor: float) -> Claim:
     return Claim(label, False, path_fn=lambda m: s * fn(m))
 
 
-_FAMILIES = {
-    "constant": lambda p: constant(p.get("value", 0.0)),
-    "linear": lambda p: linear(p.get("coef", 1.0)),
-    "call": lambda p: call(p.get("strike", 0.0), p.get("coef", 1.0)),
-    "indicator": lambda p: indicator(p.get("threshold", 0.0)),
-    "path_max": lambda p: path_maximum(),
+# Named families of the command line: each kind maps to its builder, with the
+# defaults a config may leave out bound as keywords.
+FAMILIES = {
+    "constant": partial(constant, value=0.0),
+    "linear": partial(linear, coef=1.0),
+    "call": partial(call, strike=0.0),
+    "indicator": partial(indicator, threshold=0.0),
+    "path_max": path_maximum,
 }
 
 
 def from_spec(kind: str, params: dict | None = None) -> Claim:
     """Build a claim from a named family, as used by the command line."""
-    if kind not in _FAMILIES:
-        raise ValueError(f"unknown claim family {kind!r}; known: {sorted(_FAMILIES)}")
-    return _FAMILIES[kind](params or {})
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown claim family {kind!r}; known: {sorted(FAMILIES)}")
+    return FAMILIES[kind](**(params or {}))
 
 
 def sample_claims(
@@ -174,12 +177,6 @@ def sample_claims(
             terminal = claim.evaluate(tree)
             bound = max(1.0, float(np.max(np.abs(terminal))))
             out.append(scale(claim, scale_to / bound))
-        elif kind == "smooth_mixture":
-            # No indicator component: terminal Lipschitz constant <= |b| + |c|.
-            a = rng.uniform(-1.0, 1.0)
-            b, c = rng.uniform(-0.75, 0.75, 2)
-            strike = rng.uniform(-1.0, 1.0)
-            out.append(constant(a) + linear(b) + call(strike, c))
         else:
             raise ValueError(f"unknown sample kind {kind!r}")
     return out

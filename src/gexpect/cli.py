@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -19,33 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from .bsde import entropy_exact, solve_bsde
-from .claims import Claim, from_spec, sample_claims
+from .claims import FAMILIES, Claim, from_spec, sample_claims
 from .dual import verify_duality
-from .generators import entropy as entropy_driver, make_builtin
+from .generators import BUILTINS, entropy as entropy_driver, make_builtin
 from .lattice import FULL, RECOMBINING, auto_layout, build_tree
 from .penalization import canonical_drift, doob_meyer
 from .reporting import render_csv, render_structured
-from .risk import (DynamicRiskMeasure, check_axioms, check_domination, entropic,
-                   from_generator, represent, rho_solved)
+from .risk import (CheckReport, DynamicRiskMeasure, check_axioms, check_domination,
+                   entropic, from_generator, represent, rho_solved)
 
 TASKS = ("solve", "axioms", "domination", "dual", "penalize", "represent", "converge")
-
-_CLAIM_PARAMS = {
-    "constant": {"value"},
-    "linear": {"coef"},
-    "call": {"strike", "coef"},
-    "indicator": {"threshold"},
-    "path_max": set(),
-}
-
-_MEASURE_PARAMS = {
-    "entropic": {"nu"},
-    "entropy": {"nu"},
-    "quadratic_upper": {"mu", "nu"},
-    "quadratic_lower": {"mu", "nu"},
-    "sublinear_interval": {"lo", "hi"},
-    "scaled_abs": {"mu"},
-}
 
 _TASK_PARAMS = {
     "solve": set(),
@@ -74,6 +58,15 @@ def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing key {key!r} in {where}")
     return section[key]
+
+
+def _check_kind_params(section: dict, builder, where: str) -> None:
+    """Accept exactly the builder's parameters; those without a default are required."""
+    params = inspect.signature(builder).parameters
+    _reject_unknown(section, set(params) | {"kind"}, where)
+    for name, param in params.items():
+        if param.default is param.empty:
+            _require(section, name, where)
 
 
 @dataclass
@@ -124,18 +117,22 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
 
     measure = _require(raw, "measure", "config")
     kind = _require(measure, "kind", "config.measure")
-    if kind not in _MEASURE_PARAMS:
+    # "entropic" is the exact recursion of the risk layer, not a generator kind.
+    if kind == "entropic":
+        _reject_unknown(measure, {"kind", "nu"}, "config.measure")
+    elif kind in BUILTINS:
+        _check_kind_params(measure, BUILTINS[kind], "config.measure")
+    else:
         raise ConfigError(
-            f"unknown measure kind {kind!r}; known: {sorted(_MEASURE_PARAMS)}")
-    _reject_unknown(measure, _MEASURE_PARAMS[kind] | {"kind"}, "config.measure")
+            f"unknown measure kind {kind!r}; known: {sorted({'entropic', *BUILTINS})}")
 
     claim = raw.get("claim")
     if claim is not None:
         ckind = _require(claim, "kind", "config.claim")
-        if ckind not in _CLAIM_PARAMS:
+        if ckind not in FAMILIES:
             raise ConfigError(
-                f"unknown claim family {ckind!r}; known: {sorted(_CLAIM_PARAMS)}")
-        _reject_unknown(claim, _CLAIM_PARAMS[ckind] | {"kind"}, "config.claim")
+                f"unknown claim family {ckind!r}; known: {sorted(FAMILIES)}")
+        _check_kind_params(claim, FAMILIES[ckind], "config.claim")
 
     task = _require(raw, "task", "config")
     if task not in TASKS:
@@ -234,55 +231,51 @@ def _run_solve(cfg: ScenarioConfig, report: RunReport) -> None:
                            "passed": not solved.warnings})
 
 
-def _run_axioms(cfg: ScenarioConfig, report: RunReport) -> None:
-    tree = _build_tree(cfg, None)
-    drm = _build_measure(cfg, tree)
-    p = cfg.params
-    claims = sample_claims(tree, int(p.get("n_claims", 10)), cfg.seed,
-                           kind=p.get("claim_kind", "leaf"),
-                           scale_to=float(p.get("scale", 0.5)))
-    depths = tuple(p["depths"]) if "depths" in p else None
-    rep = check_axioms(drm, claims, seed=cfg.seed, depths=depths,
-                       tol=float(p.get("tol", 1e-10)))
-    expect_fail = set(p.get("expect_fail", []))
-    header = ["axiom", "status", "max_gap", "tol", "comparisons"]
+def _record_suite(report: RunReport, table: str, prefix: str, rep: CheckReport,
+                  expect_fail=()) -> None:
+    """Table, results and one summary line per check of a check suite."""
+    header = [rep.name_key, "status", "max_gap", "tol", "comparisons"]
     rows = [[c.name, c.status, c.max_gap, c.tol, c.comparisons]
             for c in rep.checks.values()]
-    report.tables["axioms"] = (header, rows)
+    report.tables[table] = (header, rows)
     report.results = rep.as_report()
     for c in rep.checks.values():
         if c.name in expect_fail:
-            ok = c.status == "fail"
-            label = f"axiom_{c.name}_fails_as_expected"
+            report.summary.append({"check": f"{prefix}_{c.name}_fails_as_expected",
+                                   "passed": c.status == "fail"})
         else:
-            ok = c.status != "fail"
-            label = f"axiom_{c.name}"
-        report.summary.append({"check": label, "passed": ok})
+            report.summary.append({"check": f"{prefix}_{c.name}",
+                                   "passed": c.status != "fail"})
 
 
-def _run_domination(cfg: ScenarioConfig, report: RunReport) -> None:
+def _suite_inputs(cfg: ScenarioConfig, claim_kind: str):
+    """Measure and seeded claim suite of an axioms or domination run."""
     tree = _build_tree(cfg, None)
     drm = _build_measure(cfg, tree)
     p = cfg.params
+    claims = sample_claims(tree, int(p.get("n_claims", 10)), cfg.seed,
+                           kind=claim_kind, scale_to=float(p.get("scale", 0.5)))
+    return drm, claims
+
+
+def _run_axioms(cfg: ScenarioConfig, report: RunReport) -> None:
+    p = cfg.params
+    drm, claims = _suite_inputs(cfg, p.get("claim_kind", "leaf"))
+    depths = tuple(p["depths"]) if "depths" in p else None
+    rep = check_axioms(drm, claims, seed=cfg.seed, depths=depths,
+                       tol=float(p.get("tol", 1e-10)))
+    _record_suite(report, "axioms", "axiom", rep, p.get("expect_fail", ()))
+
+
+def _run_domination(cfg: ScenarioConfig, report: RunReport) -> None:
+    p = cfg.params
+    drm, claims = _suite_inputs(cfg, "mixture")
     mu = float(p.get("mu", drm.bounds[0]))
     nu = float(p.get("nu", drm.bounds[1]))
-    claims = sample_claims(tree, int(p.get("n_claims", 10)), cfg.seed,
-                           scale_to=float(p.get("scale", 0.5)))
-    kwargs = {}
-    if "thetas" in p:
-        kwargs["thetas"] = tuple(float(v) for v in p["thetas"])
-    if "z_grid" in p:
-        kwargs["z_grid"] = tuple(float(v) for v in p["z_grid"])
+    grids = {k: tuple(float(v) for v in p[k]) for k in ("thetas", "z_grid") if k in p}
     rep = check_domination(drm, mu, nu, claims, seed=cfg.seed,
-                           tol=float(p.get("tol", 1e-10)), **kwargs)
-    header = ["check", "status", "max_gap", "tol", "comparisons"]
-    rows = [[c.name, c.status, c.max_gap, c.tol, c.comparisons]
-            for c in rep.checks.values()]
-    report.tables["domination"] = (header, rows)
-    report.results = rep.as_report()
-    for c in rep.checks.values():
-        report.summary.append({"check": f"domination_{c.name}",
-                               "passed": c.status != "fail"})
+                           tol=float(p.get("tol", 1e-10)), **grids)
+    _record_suite(report, "domination", "domination", rep)
 
 
 def _run_dual(cfg: ScenarioConfig, report: RunReport) -> None:
@@ -470,9 +463,6 @@ def main(argv=None) -> int:
                         default="structured")
         tp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-        tp.add_argument("--jobs", type=int, default=1,
-                        help="reserved for concurrent configs; single runs "
-                             "are vectorized internally")
     args = parser.parse_args(argv)
 
     try:

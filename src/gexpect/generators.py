@@ -178,23 +178,21 @@ def scaled_abs(mu: float) -> Generator:
                      g.conjugate_fn, g.subdiff_fn)
 
 
-_BUILTINS = {
-    "quadratic_upper": lambda p: quadratic_upper(p["mu"], p["nu"]),
-    "quadratic_lower": lambda p: quadratic_lower(p["mu"], p["nu"]),
-    "entropy": lambda p: entropy(p["nu"]),
-    "sublinear_interval": lambda p: sublinear_interval(p["lo"], p["hi"]),
-    "scaled_abs": lambda p: scaled_abs(p["mu"]),
+# Built-in kinds by name; a kind's parameters are those of its builder.
+BUILTINS = {
+    "quadratic_upper": quadratic_upper,
+    "quadratic_lower": quadratic_lower,
+    "entropy": entropy,
+    "sublinear_interval": sublinear_interval,
+    "scaled_abs": scaled_abs,
 }
 
 
 def make_builtin(kind: str, **params) -> Generator:
     """Construct a built-in driver by name; see module docstring for the menu."""
-    if kind not in _BUILTINS:
-        raise ValueError(f"unknown generator kind {kind!r}; known: {sorted(_BUILTINS)}")
-    try:
-        return _BUILTINS[kind](params)
-    except KeyError as exc:
-        raise ValueError(f"missing parameter {exc} for generator {kind!r}") from None
+    if kind not in BUILTINS:
+        raise ValueError(f"unknown generator kind {kind!r}; known: {sorted(BUILTINS)}")
+    return BUILTINS[kind](**params)
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,3 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
         writer.writerow([_scalar(to_plain(v)) for v in row])
     return out.getvalue()
 
-
-def rows_from_dicts(header: Sequence[str], items: Iterable[Mapping]) -> list[list]:
-    """Project a list of dicts onto a fixed column order (missing -> empty)."""
-    return [[item.get(col, "") for col in header] for item in items]

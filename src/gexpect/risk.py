@@ -19,8 +19,8 @@ failed) when the certificate is violated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -41,10 +41,6 @@ AXIOMS = (
     "translation_invariance",
     "regularity",
 )
-
-# Axioms whose node-wise discrete form is only guaranteed under the
-# step-monotonicity certificate (inequalities propagated by comparison).
-_GATED = {"monotonicity", "convexity", "subadditivity"}
 
 
 class DynamicRiskMeasure:
@@ -130,7 +126,7 @@ def rho(drm: DynamicRiskMeasure, xi, depth: int | None = None) -> TreeProcess:
 
 
 # ---------------------------------------------------------------------------
-# Axiom checks
+# Check suites: axioms and domination share one skeleton
 
 
 @dataclass
@@ -145,64 +141,87 @@ class AxiomCheck:
 
 
 @dataclass
-class AxiomReport:
+class CheckReport:
+    """Verdicts of one check suite.
+
+    ``name_key`` is the key each check's name goes under in the report
+    (``"axiom"`` or ``"check"``); ``echo`` holds the suite inputs printed
+    before the verdict.
+    """
+
     label: str
     checks: dict
+    name_key: str
+    echo: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return not any(c.status == "fail" for c in self.checks.values())
+        return not self.failing()
 
     def failing(self) -> list[str]:
         return [n for n, c in self.checks.items() if c.status == "fail"]
 
     def as_report(self) -> dict:
         return {
-            "source": self.label,
+            "source": self.label, **self.echo,
             "passed": self.passed,
             "checks": [
-                {
-                    "axiom": c.name, "status": c.status, "max_gap": c.max_gap,
-                    "tol": c.tol, "comparisons": c.comparisons,
-                    **({f"witness_{k}": v for k, v in c.witness.items()} if c.witness else {}),
-                }
+                {self.name_key: c.name, "status": c.status, "max_gap": c.max_gap,
+                 "tol": c.tol, "comparisons": c.comparisons,
+                 **({f"witness_{k}": v for k, v in c.witness.items()} if c.witness else {})}
                 for c in self.checks.values()
             ],
         }
 
 
 class _GapTracker:
-    def __init__(self):
+    """Worst gap of one check over all its node-wise comparisons."""
+
+    def __init__(self, tree: ScenarioTree):
+        self.tree = tree
         self.gap = 0.0
         self.witness = None
         self.count = 0
 
-    def update(self, values: np.ndarray, witness: Callable[[int, int], dict],
-               depth_offset: int = 0):
-        """Track the largest entry over (depth, node) stacked slices."""
+    def update(self, values: np.ndarray, depth: int, tag: dict):
+        """Fold in the gaps of one depth slice; the first maximum is the witness."""
         self.count += values.size
         i = int(np.argmax(values))
-        if values.flat[i] > self.gap:
-            self.gap = float(values.flat[i])
-            self.witness = witness(depth_offset, i)
+        if values[i] > self.gap:
+            self.gap = float(values[i])
+            self.witness = {**tag, "depth": depth,
+                            "node": self.tree.node_label(depth, i), "gap": self.gap}
 
     def update_process(self, proc: TreeProcess, tag: dict):
         for k, slice_ in enumerate(proc.values):
-            self.count += slice_.size
-            i = int(np.argmax(slice_))
-            if slice_[i] > self.gap:
-                self.gap = float(slice_[i])
-                self.witness = {**tag, "depth": k,
-                                "node": proc.tree.node_label(k, i),
-                                "gap": float(slice_[i])}
+            self.update(slice_, k, tag)
+
+    def verdict(self, name: str, atol: float, certified: bool = True,
+                note: str = "step certificate violated; refine dt") -> AxiomCheck:
+        """``skipped`` without the certificate, else pass iff the gap is within atol."""
+        if not certified:
+            return AxiomCheck(name, "skipped", float("nan"), atol, 0, note=note)
+        status = "pass" if self.gap <= atol else "fail"
+        return AxiomCheck(name, status, self.gap, atol, self.count, self.witness)
 
 
-def _diff_process(a: TreeProcess, b: TreeProcess) -> TreeProcess:
-    return TreeProcess(a.tree, [x - y for x, y in zip(a.values, b.values)], copy=False)
+def _suite_setup(drm: DynamicRiskMeasure, claims: Sequence[Claim] | None,
+                 seed: int, tol: float):
+    """Terminal slices, labels, base solves, atol and claim pairs of a suite.
 
-
-def _abs_process(a: TreeProcess) -> TreeProcess:
-    return a.map(np.abs)
+    The default suite is 10 leaf claims on full trees, mixtures otherwise.
+    """
+    tree = drm.tree
+    if claims is None:
+        claims = sample_claims(tree, 10, seed,
+                               "leaf" if tree.layout == FULL else "mixture",
+                               scale_to=0.5)
+    xs = [_terminal_of(drm, c) for c in claims]
+    labels = [c.label for c in claims]
+    solved = [drm.solve_terminal(-x) for x in xs]
+    scale = max(1.0, max(float(np.max(np.abs(x))) for x in xs))
+    pairs = list(zip(range(0, len(xs) - 1, 2), range(1, len(xs), 2)))
+    return xs, labels, solved, tol * scale, pairs
 
 
 def check_axioms(
@@ -213,129 +232,105 @@ def check_axioms(
     thetas: Sequence[float] = (0.25, 0.5, 0.75),
     lambdas: Sequence[float] = (0.0, 0.5, 2.0, 3.0),
     tol: float = 1e-10,
-) -> AxiomReport:
+) -> CheckReport:
     """Run the eight axiom checks node by node on a seeded claim suite.
 
     Requires the full layout (several checks build subtree-measurable data).
     Every check reports its worst gap; failures carry a witness with the
     claim labels, depth, node identifier and the offending values, enough to
-    reproduce the violation by direct evaluation.
+    reproduce the violation by direct evaluation.  Monotonicity, convexity
+    and subadditivity are skipped when a solve breaks the step certificate.
     """
     tree = drm.tree
     if tree.layout != FULL:
         raise ValueError("axiom checks need the full layout")
     n = tree.steps
-    if claims is None:
-        claims = sample_claims(tree, 10, seed, "leaf", scale_to=0.5)
-    xs = [_terminal_of(drm, c) for c in claims]
-    labels = [c.label for c in claims]
-    solved = [drm.solve_terminal(-x) for x in xs]
-    scale = max(1.0, max(float(np.max(np.abs(x))) for x in xs))
-    atol = tol * scale
+    xs, labels, solved, atol, pairs = _suite_setup(drm, claims, seed, tol)
     certified = all(s.monotone_step for s in solved)
     if depths is None:
         depths = sorted({0, n // 3, (2 * n) // 3})
-    pairs = [(i, j) for i, j in zip(range(0, len(xs) - 1, 2), range(1, len(xs), 2))]
     checks: dict = {}
 
-    def gated(name: str, tracker: _GapTracker, extra_cert: bool = True, note: str = ""):
-        if name in _GATED and not (certified and extra_cert):
-            checks[name] = AxiomCheck(name, "skipped", float("nan"), atol, 0,
-                                      note="step certificate violated; refine dt")
-            return
-        status = "pass" if tracker.gap <= atol else "fail"
-        checks[name] = AxiomCheck(name, status, tracker.gap, atol,
-                                  tracker.count, tracker.witness, note)
-
     # Monotonicity: xi >= eta pointwise implies rho(xi) <= rho(eta).
-    tr = _GapTracker()
-    mono_cert = True
+    tr = _GapTracker(tree)
+    cert = certified
     for i, j in pairs:
         eta = xs[i] - np.abs(xs[j])
         s_eta = drm.solve_terminal(-eta)
-        mono_cert &= s_eta.monotone_step
-        tr.update_process(_diff_process(solved[i].Y, s_eta.Y),
-                          {"claim": labels[i], "minus": labels[j]})
-    gated("monotonicity", tr, mono_cert)
+        cert &= s_eta.monotone_step
+        tr.update_process(solved[i].Y - s_eta.Y, {"claim": labels[i], "minus": labels[j]})
+    checks["monotonicity"] = tr.verdict("monotonicity", atol, cert)
 
     # Time consistency: rho_s(-rho_t(xi)) = rho_s(xi) for s <= t.
-    tr = _GapTracker()
+    tr = _GapTracker(tree)
     for i, s_i in enumerate(solved):
         for t in depths:
             inner = propagate(tree, t, s_i.Y.values[t]).terminal
             outer = drm.solve_terminal(inner).Y
             for s in range(t + 1):
-                gap = np.abs(outer.values[s] - s_i.Y.values[s])
-                tr.update(gap, lambda off, idx, s=s, t=t, i=i: {
-                    "claim": labels[i], "restart_depth": t, "depth": s,
-                    "node": tree.node_label(s, idx), "gap": float(gap[idx])})
-    gated("time_consistency", tr)
+                tr.update(np.abs(outer.values[s] - s_i.Y.values[s]), s,
+                          {"claim": labels[i], "restart_depth": t})
+    checks["time_consistency"] = tr.verdict("time_consistency", atol)
 
     # Preservation of known values: rho_t(xi) = -xi for F_t-measurable xi.
-    tr = _GapTracker()
+    tr = _GapTracker(tree)
     for t in depths:
         level = tree.brownian_slice(t)
         for vals, tag in ((level * level, "squared_level"), (np.full(tree.n_nodes(t), 0.3), "constant")):
             known = propagate(tree, t, vals)
             R = drm.solve_terminal(-known.terminal).Y
             for s in range(t, n + 1):
-                gap = np.abs(R.values[s] + known.values[s])
-                tr.update(gap, lambda off, idx, s=s, t=t, tag=tag: {
-                    "claim": tag, "measurable_at": t, "depth": s,
-                    "node": tree.node_label(s, idx), "gap": float(gap[idx])})
-    gated("constant_preservation", tr)
+                tr.update(np.abs(R.values[s] + known.values[s]), s,
+                          {"claim": tag, "measurable_at": t})
+    checks["constant_preservation"] = tr.verdict("constant_preservation", atol)
 
     # Convexity in the claim.
-    tr = _GapTracker()
-    conv_cert = True
+    tr = _GapTracker(tree)
+    cert = certified
     for i, j in pairs:
         for th in thetas:
             mix = drm.solve_terminal(-(th * xs[i] + (1.0 - th) * xs[j]))
-            conv_cert &= mix.monotone_step
-            upper = TreeProcess(tree, [th * a + (1.0 - th) * b
-                                       for a, b in zip(solved[i].Y.values, solved[j].Y.values)],
-                                copy=False)
-            tr.update_process(_diff_process(mix.Y, upper),
+            cert &= mix.monotone_step
+            # Built slice by slice: process arithmetic would make four
+            # TreeProcess objects per theta where this makes one.
+            gap = [m - (th * a + (1.0 - th) * b) for m, a, b in
+                   zip(mix.Y.values, solved[i].Y.values, solved[j].Y.values)]
+            tr.update_process(TreeProcess(tree, gap, copy=False),
                               {"claims": f"{labels[i]}|{labels[j]}", "theta": th})
-    gated("convexity", tr, conv_cert)
+    checks["convexity"] = tr.verdict("convexity", atol, cert)
 
     # Subadditivity.
-    tr = _GapTracker()
-    sub_cert = True
+    tr = _GapTracker(tree)
+    cert = certified
     for i, j in pairs:
         s_sum = drm.solve_terminal(-(xs[i] + xs[j]))
-        sub_cert &= s_sum.monotone_step
-        upper = TreeProcess(tree, [a + b for a, b in zip(solved[i].Y.values, solved[j].Y.values)],
-                            copy=False)
-        tr.update_process(_diff_process(s_sum.Y, upper),
+        cert &= s_sum.monotone_step
+        tr.update_process(s_sum.Y - (solved[i].Y + solved[j].Y),
                           {"claims": f"{labels[i]}|{labels[j]}"})
-    gated("subadditivity", tr, sub_cert)
+    checks["subadditivity"] = tr.verdict("subadditivity", atol, cert)
 
     # Positive homogeneity: rho(lambda xi) = lambda rho(xi), lambda >= 0.
-    tr = _GapTracker()
+    tr = _GapTracker(tree)
     for i, s_i in enumerate(solved):
         for lam in lambdas:
             s_lam = drm.solve_terminal(-(lam * xs[i]))
-            tr.update_process(
-                _abs_process(_diff_process(s_lam.Y, s_i.Y.map(lambda v: lam * v))),
-                {"claim": labels[i], "lambda": lam})
-    gated("positive_homogeneity", tr)
+            tr.update_process((s_lam.Y - s_i.Y * lam).map(np.abs),
+                              {"claim": labels[i], "lambda": lam})
+    checks["positive_homogeneity"] = tr.verdict("positive_homogeneity", atol)
 
     # Translation invariance: rho_t(xi + zeta) = rho_t(xi) - zeta, zeta in F_t.
-    tr = _GapTracker()
+    tr = _GapTracker(tree)
     for i, s_i in enumerate(solved[: max(2, len(solved) // 2)]):
         for t in depths:
             zeta = propagate(tree, t, 0.5 * np.cos(tree.brownian_slice(t)))
             shifted = drm.solve_terminal(-(xs[i] + zeta.terminal)).Y
             for s in range(t, n + 1):
-                gap = np.abs(shifted.values[s] - (s_i.Y.values[s] - zeta.values[s]))
-                tr.update(gap, lambda off, idx, s=s, t=t, i=i: {
-                    "claim": labels[i], "shift_depth": t, "depth": s,
-                    "node": tree.node_label(s, idx), "gap": float(gap[idx])})
-    gated("translation_invariance", tr)
+                tr.update(np.abs(shifted.values[s] - (s_i.Y.values[s] - zeta.values[s])), s,
+                          {"claim": labels[i], "shift_depth": t})
+    checks["translation_invariance"] = tr.verdict("translation_invariance", atol)
 
     # Regularity (locality): rho_t(1_A xi) = 1_A rho_t(xi) on depth-t subtrees.
-    tr = _GapTracker()
+    tr = _GapTracker(tree)
     rng = np.random.default_rng(seed + 1)
     for i, s_i in enumerate(solved[: max(2, len(solved) // 2)]):
         for t in (d for d in depths if d > 0):
@@ -344,41 +339,11 @@ def check_axioms(
             masked = drm.solve_terminal(-(xs[i] * ind_term)).Y
             ind_t = np.zeros(tree.n_nodes(t))
             ind_t[node] = 1.0
-            gap = np.abs(masked.values[t] - ind_t * s_i.Y.values[t])
-            tr.update(gap, lambda off, idx, t=t, i=i, node=node: {
-                "claim": labels[i], "event_node": tree.node_label(t, node),
-                "depth": t, "node": tree.node_label(t, idx), "gap": float(gap[idx])})
-    gated("regularity", tr)
+            tr.update(np.abs(masked.values[t] - ind_t * s_i.Y.values[t]), t,
+                      {"claim": labels[i], "event_node": tree.node_label(t, node)})
+    checks["regularity"] = tr.verdict("regularity", atol)
 
-    return AxiomReport(drm.label, checks)
-
-
-# ---------------------------------------------------------------------------
-# Domination
-
-
-@dataclass
-class DominationReport:
-    label: str
-    mu: float
-    nu: float
-    checks: dict
-
-    @property
-    def passed(self) -> bool:
-        return not any(c.status == "fail" for c in self.checks.values())
-
-    def as_report(self) -> dict:
-        return {
-            "source": self.label, "mu": self.mu, "nu": self.nu,
-            "passed": self.passed,
-            "checks": [
-                {"check": c.name, "status": c.status, "max_gap": c.max_gap,
-                 "tol": c.tol, "comparisons": c.comparisons,
-                 **({f"witness_{k}": v for k, v in c.witness.items()} if c.witness else {})}
-                for c in self.checks.values()
-            ],
-        }
+    return CheckReport(drm.label, checks, "axiom")
 
 
 def check_domination(
@@ -390,7 +355,7 @@ def check_domination(
     thetas: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
     z_grid: Sequence[float] = (-1.0, 0.0, 1.0),
     tol: float = 1e-10,
-) -> DominationReport:
+) -> CheckReport:
     """Domination diagnostics for a candidate (mu, nu) pair.
 
     Three families, all node-wise: the two-sided envelope (solutions of the
@@ -399,63 +364,42 @@ def check_domination(
     bound for claims differing by a multiple of the terminal noise.
     """
     tree = drm.tree
-    if claims is None:
-        claims = sample_claims(tree, 10, seed,
-                               "leaf" if tree.layout == FULL else "mixture",
-                               scale_to=0.5)
-    xs = [_terminal_of(drm, c) for c in claims]
-    labels = [c.label for c in claims]
-    solved = [drm.solve_terminal(-x) for x in xs]
-    scale = max(1.0, max(float(np.max(np.abs(x))) for x in xs))
-    atol = tol * scale
+    xs, labels, solved, atol, pairs = _suite_setup(drm, claims, seed, tol)
     g_up, g_lo = quadratic_upper(mu, nu), quadratic_lower(mu, nu)
     checks: dict = {}
 
-    tr = _GapTracker()
-    envelope_cert = True
+    tr = _GapTracker(tree)
+    cert = True
     for i, s_i in enumerate(solved):
         s_up = solve_bsde(g_up, -xs[i], tree)
         s_lo = solve_bsde(g_lo, -xs[i], tree)
-        envelope_cert &= s_up.monotone_step and s_lo.monotone_step
-        tr.update_process(_diff_process(s_i.Y, s_up.Y), {"claim": labels[i], "side": "upper"})
-        tr.update_process(_diff_process(s_lo.Y, s_i.Y), {"claim": labels[i], "side": "lower"})
-    if envelope_cert:
-        status = "pass" if tr.gap <= atol else "fail"
-        checks["two_sided_envelope"] = AxiomCheck("two_sided_envelope", status,
-                                                  tr.gap, atol, tr.count, tr.witness)
-    else:
-        checks["two_sided_envelope"] = AxiomCheck(
-            "two_sided_envelope", "skipped", float("nan"), atol, 0,
-            note="envelope solver certificate violated; refine dt")
+        cert &= s_up.monotone_step and s_lo.monotone_step
+        tr.update_process(s_i.Y - s_up.Y, {"claim": labels[i], "side": "upper"})
+        tr.update_process(s_lo.Y - s_i.Y, {"claim": labels[i], "side": "lower"})
+    checks["two_sided_envelope"] = tr.verdict(
+        "two_sided_envelope", atol, cert,
+        note="envelope solver certificate violated; refine dt")
 
-    tr = _GapTracker()
-    pairs = [(i, j) for i, j in zip(range(0, len(xs) - 1, 2), range(1, len(xs), 2))]
+    tr = _GapTracker(tree)
     for i, j in pairs:
         for th in thetas:
             stretched = drm.solve_terminal(-((xs[i] - th * xs[j]) / (1.0 - th))).Y
-            bound = TreeProcess(tree, [(1.0 - th) * v for v in stretched.values], copy=False)
-            lhs = TreeProcess(tree, [a - th * b for a, b in
-                                     zip(solved[i].Y.values, solved[j].Y.values)], copy=False)
-            tr.update_process(_diff_process(lhs, bound),
+            tr.update_process((solved[i].Y - th * solved[j].Y) - (1.0 - th) * stretched,
                               {"claims": f"{labels[i]}|{labels[j]}", "theta": th})
-    status = "pass" if tr.gap <= atol else "fail"
-    checks["theta_domination"] = AxiomCheck("theta_domination", status, tr.gap,
-                                            atol, tr.count, tr.witness)
+    checks["theta_domination"] = tr.verdict("theta_domination", atol)
 
-    tr = _GapTracker()
+    tr = _GapTracker(tree)
     B_T = tree.brownian_slice(tree.steps)
     for i, j in pairs:
         sup_diff = float(np.max(np.abs(xs[i] - xs[j])))
         for z in z_grid:
             a = drm.solve_terminal(-(xs[i] - z * B_T)).Y
             b = drm.solve_terminal(-(xs[j] - z * B_T)).Y
-            gap_proc = _abs_process(_diff_process(a, b)).map(lambda v: v - sup_diff)
-            tr.update_process(gap_proc, {"claims": f"{labels[i]}|{labels[j]}", "z": z})
-    status = "pass" if tr.gap <= atol else "fail"
-    checks["sup_norm_bound"] = AxiomCheck("sup_norm_bound", status, tr.gap,
-                                          atol, tr.count, tr.witness)
+            tr.update_process((a - b).map(np.abs) - sup_diff,
+                              {"claims": f"{labels[i]}|{labels[j]}", "z": z})
+    checks["sup_norm_bound"] = tr.verdict("sup_norm_bound", atol)
 
-    return DominationReport(drm.label, mu, nu, checks)
+    return CheckReport(drm.label, checks, "check", {"mu": mu, "nu": nu})
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +426,11 @@ class StoppingCheck:
 
 def supermartingale_gap(drm: DynamicRiskMeasure, W: TreeProcess) -> tuple[float, dict | None]:
     """Worst one-step violation of rho_k(-W_{k+1}) <= W_k over all nodes."""
-    tree = drm.tree
-    worst, witness = 0.0, None
+    tr = _GapTracker(drm.tree)
     for k in range(W.last_depth):
-        down, up = tree.split_children(W.values[k + 1])
-        gap = drm.one_step(k, down, up) - W.values[k]
-        i = int(np.argmax(gap))
-        if gap[i] > worst:
-            worst = float(gap[i])
-            witness = {"depth": k, "node": tree.node_label(k, i), "gap": worst}
-    return worst, witness
+        down, up = drm.tree.split_children(W.values[k + 1])
+        tr.update(drm.one_step(k, down, up) - W.values[k], k, {})
+    return tr.gap, tr.witness
 
 
 def optional_stopping_check(
@@ -590,7 +529,7 @@ def represent(
                 f"witness: {report.checks[bad[0]].witness}")
         dom = check_domination(check_drm, mu_bar, nu_bar, suite, seed=seed)
         if not dom.passed:
-            name = [n for n, c in dom.checks.items() if c.status == "fail"][0]
+            name = dom.failing()[0]
             raise ValueError(
                 f"{drm.label} violates domination with bounds ({mu_bar}, {nu_bar}); "
                 f"witness: {dom.checks[name].witness}")

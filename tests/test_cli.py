@@ -58,6 +58,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mu"):
             parse_config(json.dumps(bad))
 
+    def test_missing_measure_param(self):
+        bad = dict(BASE, measure={"kind": "quadratic_upper", "mu": 0.3})
+        with pytest.raises(ConfigError, match="missing key 'nu' in config.measure"):
+            parse_config(json.dumps(bad))
+
+    def test_claim_params_read_from_the_family(self):
+        ok = dict(BASE, claim={"kind": "call", "strike": 0.1, "coef": 2.0})
+        parse_config(json.dumps(ok))
+        bad = dict(BASE, claim={"kind": "call", "threshold": 0.1})
+        with pytest.raises(ConfigError, match="threshold"):
+            parse_config(json.dumps(bad))
+
     def test_unknown_claim_kind(self):
         bad = dict(BASE, claim={"kind": "swaption"})
         with pytest.raises(ConfigError, match="swaption"):
@@ -149,6 +161,11 @@ class TestMain:
                      "--out", str(tmp_path)]) == 2
         assert main(["solve", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path)]) == 2
+
+    def test_missing_measure_param_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, measure={"kind": "quadratic_upper", "mu": 0.3})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "missing key 'nu'" in capsys.readouterr().err
 
     def test_task_flag_must_match_config(self, tmp_path):
         cfg = write_cfg(tmp_path)  # task: solve

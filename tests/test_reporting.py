@@ -5,7 +5,6 @@ from gexpect.reporting import (
     format_number,
     render_csv,
     render_structured,
-    rows_from_dicts,
     to_plain,
 )
 
@@ -66,7 +65,3 @@ class TestCsv:
     def test_exact_bytes(self):
         text = render_csv(["n", "v"], [[2, 0.5], [4, 1 / 3]])
         assert text == "n,v\n2,0.5\n4,0.33333333333333331\n"
-
-    def test_rows_from_dicts(self):
-        rows = rows_from_dicts(["a", "b"], [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
-        assert rows == [[1, 2], [3, 4]]
