@@ -207,9 +207,10 @@ def recover_generator(one_step: StepFn, t: float, z: float, tree: ScenarioTree) 
     exact quadratic recursion yields log cosh(2 nu z sqrt(dt)) / (2 nu dt).
     """
     k = min(max(int(round(t / tree.dt)), 0), tree.steps - 1)
-    width = tree.n_nodes(k)
-    spread = float(z) * tree.sqrt_dt
-    down = np.full(width, -spread)
-    up = np.full(width, spread)
-    parent = np.asarray(one_step(k, down, up), dtype=float)
-    return float(parent[0]) / tree.dt
+    return noise_step(one_step, k, z, tree) / tree.dt
+
+
+def noise_step(one_step: StepFn, k: int, z: float, tree: ScenarioTree) -> float:
+    """Depth-k value of ``one_step`` on the children (-z sqrt(dt), z sqrt(dt))."""
+    spread = np.full(tree.n_nodes(k), float(z) * tree.sqrt_dt)
+    return float(np.asarray(one_step(k, -spread, spread), dtype=float)[0])

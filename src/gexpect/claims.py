@@ -148,6 +148,10 @@ def from_spec(kind: str, params: dict | None = None) -> Claim:
     return FAMILIES[kind](**(params or {}))
 
 
+# Suite kinds of sample_claims; the command line checks claim_kind against it.
+SAMPLE_KINDS = ("leaf", "mixture")
+
+
 def sample_claims(
     tree: ScenarioTree,
     count: int,
@@ -162,13 +166,15 @@ def sample_claims(
     draws bounded combinations a + b*B_T + c*(B_T-K)+ + d*1{B_T>=L}, which
     stay path independent.  Values are rescaled into [-scale_to, scale_to].
     """
+    if kind not in SAMPLE_KINDS:
+        raise ValueError(f"unknown sample kind {kind!r}")
     rng = np.random.default_rng(seed)
     out: list[Claim] = []
     for i in range(count):
         if kind == "leaf":
             vals = rng.uniform(-1.0, 1.0, tree.n_nodes(tree.steps))
             out.append(from_leaf_values(scale_to * vals, f"leaf[seed={seed},{i}]"))
-        elif kind == "mixture":
+        else:
             a, b, c, d = rng.uniform(-1.0, 1.0, 4)
             strike = rng.uniform(-1.0, 1.0)
             level = rng.uniform(-1.0, 1.0)
@@ -177,8 +183,6 @@ def sample_claims(
             terminal = claim.evaluate(tree)
             bound = max(1.0, float(np.max(np.abs(terminal))))
             out.append(scale(claim, scale_to / bound))
-        else:
-            raise ValueError(f"unknown sample kind {kind!r}")
     return out
 
 

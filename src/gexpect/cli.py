@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .bsde import entropy_exact, solve_bsde
-from .claims import FAMILIES, Claim, from_spec, sample_claims
+from .claims import FAMILIES, SAMPLE_KINDS, Claim, from_spec, sample_claims
 from .dual import verify_duality
 from .generators import BUILTINS, entropy as entropy_driver, make_builtin
 from .lattice import FULL, RECOMBINING, auto_layout, build_tree
-from .penalization import canonical_drift, doob_meyer
+from .penalization import DRIFTS, canonical_drift, doob_meyer
 from .reporting import render_csv, render_structured
 from .risk import (CheckReport, DynamicRiskMeasure, check_axioms, check_domination,
                    entropic, from_generator, represent, rho_solved)
@@ -41,6 +41,9 @@ _TASK_PARAMS = {
     "represent": {"z_lo", "z_hi", "z_count", "t_grid", "precheck", "rel_tol"},
     "converge": {"n_values", "ratio_tol"},
 }
+
+# Per task, the parameter that names one of a module's conventions.
+_TASK_CHOICES = {"axioms": ("claim_kind", SAMPLE_KINDS), "penalize": ("drift", DRIFTS)}
 
 
 class ConfigError(Exception):
@@ -139,6 +142,10 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
         raise ConfigError(f"unknown task {task!r}; known: {list(TASKS)}")
     params = raw.get("params", {})
     _reject_unknown(params, _TASK_PARAMS[task], f"config.params ({task})")
+    key, allowed = _TASK_CHOICES.get(task, (None, ()))
+    if key in params and params[key] not in allowed:
+        raise ConfigError(
+            f"config.params.{key} must be one of {list(allowed)}, got {params[key]!r}")
 
     return ScenarioConfig(
         horizon=float(tree_sec.get("horizon", 1.0)),

@@ -25,7 +25,7 @@ from .bsde import SolvedBSDE
 from .claims import Claim
 from .generators import CONVEX, Generator, conjugate_values, entropy as entropy_driver, \
     subdifferential_slices
-from .lattice import FULL, ScenarioTree, TreeProcess, expectation
+from .lattice import FULL, ScenarioTree, TreeProcess, backward_reduce, expectation
 from .risk import DynamicRiskMeasure, rho_solved
 
 DEFAULT_ADMISSIBILITY_MARGIN = 1e-6
@@ -137,22 +137,20 @@ class EntropyEstimates:
 
 def relative_entropy(m: TiltedMeasure) -> EntropyEstimates:
     tree = m.tree
-    n = tree.steps
-    sdt = tree.sqrt_dt
-    disc = [None] * (n + 1)
-    cont = [None] * (n + 1)
-    disc[n] = np.zeros(tree.n_nodes(n))
-    cont[n] = np.zeros(tree.n_nodes(n))
-    for k in range(n - 1, -1, -1):
-        q = m.density.q.values[k]
-        p = m.p_up(k)
-        d_down, d_up = tree.split_children(disc[k + 1])
-        c_down, c_up = tree.split_children(cont[k + 1])
-        disc[k] = ((1.0 - p) * (d_down + np.log1p(-q * sdt))
-                   + p * (d_up + np.log1p(q * sdt)))
-        cont[k] = (1.0 - p) * c_down + p * c_up + 0.5 * q * q * tree.dt
-    return EntropyEstimates(TreeProcess(tree, disc, copy=False),
-                            TreeProcess(tree, cont, copy=False))
+    q, p_up = m.density.q.values, m.p_up
+
+    def discrete(k, down, up):
+        p = p_up(k)
+        return ((1.0 - p) * (down + np.log1p(-q[k] * tree.sqrt_dt))
+                + p * (up + np.log1p(q[k] * tree.sqrt_dt)))
+
+    def continuum(k, down, up):
+        p = p_up(k)
+        return (1.0 - p) * down + p * up + 0.5 * q[k] * q[k] * tree.dt
+
+    zero = np.zeros(tree.n_nodes(tree.steps))
+    return EntropyEstimates(backward_reduce(tree, zero, discrete),
+                            backward_reduce(tree, zero, continuum))
 
 
 @dataclass
@@ -184,22 +182,19 @@ def dual_value(m: TiltedMeasure, xi, penalty, tree: ScenarioTree | None = None) 
     if isinstance(xi, Claim):
         xi = xi.evaluate(tree)
     xi = np.asarray(xi, dtype=float)
+    penalty_fn: Callable = penalty
     if isinstance(penalty, Generator):
-        g = penalty
-        penalty_fn: Callable = lambda t, x: conjugate_values(g, t, x)
-    else:
-        penalty_fn = penalty
-    n = tree.steps
-    slices = [None] * (n + 1)
-    slices[n] = -xi
+        penalty_fn = lambda t, x: conjugate_values(penalty, t, x)
     bad = 0
-    for k in range(n - 1, -1, -1):
+
+    def step(k, down, up):
+        nonlocal bad
         p = m.p_up(k)
-        down, up = tree.split_children(slices[k + 1])
         cost = np.asarray(penalty_fn(k * tree.dt, m.density.q.values[k]), dtype=float)
         bad += int(np.sum(np.isinf(cost)))
-        slices[k] = (1.0 - p) * down + p * up - cost * tree.dt
-    proc = TreeProcess(tree, slices, copy=False)
+        return (1.0 - p) * down + p * up - cost * tree.dt
+
+    proc = backward_reduce(tree, -xi, step)
     return DualValue(proc, bool(np.isfinite(proc.root())), bad)
 
 
@@ -251,19 +246,17 @@ def gibbs_density(nu: float, xi, tree: ScenarioTree) -> DensityProcess:
     if isinstance(xi, Claim):
         xi = xi.evaluate(tree)
     log_w = -2.0 * float(nu) * np.asarray(xi, dtype=float)
-    n = tree.steps
-    partition = [None] * (n + 1)
-    partition[n] = log_w
-    for k in range(n - 1, -1, -1):
-        down, up = tree.split_children(partition[k + 1])
-        partition[k] = np.logaddexp(down, up)
-    q_slices = []
-    for k in range(n):
-        down, up = tree.split_children(partition[k + 1])
-        p_up = np.exp(up - partition[k])
-        q_slices.append((2.0 * p_up - 1.0) / tree.sqrt_dt)
+    q_slices: list[np.ndarray] = [None] * tree.steps  # type: ignore[list-item]
+
+    def partition(k, down, up):
+        # q is read off the same child sums the parent's sum is formed from.
+        log_z = np.logaddexp(down, up)
+        q_slices[k] = (2.0 * np.exp(up - log_z) - 1.0) / tree.sqrt_dt
+        return log_z
+
+    backward_reduce(tree, log_w, partition)
     q = TreeProcess(tree, q_slices, copy=False)
-    margin = 1.0 - max(float(np.max(np.abs(s))) for s in q.values) * tree.sqrt_dt
+    margin = 1.0 - q.max_abs() * tree.sqrt_dt
     if margin <= 0.0:
         raise ValueError("degenerate Gibbs tilt: a one-step probability hit 0 or 1")
     return DensityProcess(q, min(DEFAULT_ADMISSIBILITY_MARGIN, 0.5 * margin))

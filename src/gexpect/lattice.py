@@ -255,7 +255,8 @@ class TreeProcess:
         )
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(v))) for v in self.values)
+        """Largest |value| over all depths; NaN when any slice holds NaN."""
+        return float(np.max([np.max(np.abs(v)) for v in self.values]))
 
     @classmethod
     def constant(cls, tree: ScenarioTree, value: float, last_depth: int | None = None):
@@ -308,25 +309,29 @@ def backward_reduce(
 
     The terminal slice sits at ``last_depth`` (default N).  This is the
     single reduction primitive shared by conditional expectations, BSDE
-    schemes and risk-measure composition, so iteration order (depth-major,
-    lexicographic) is fixed here once.
+    schemes, risk-measure composition, duality and penalization, so
+    iteration order (depth-major, lexicographic) is fixed here once.
     """
     n = tree.steps if last_depth is None else last_depth
-    slices: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    slices[n] = np.asarray(terminal, dtype=float)
-    if slices[n].shape != (tree.n_nodes(n),):
+    terminal = np.asarray(terminal, dtype=float)
+    if terminal.shape != (tree.n_nodes(n),):
         raise ValueError("terminal slice does not match the tree layout")
+    slices: list[np.ndarray] = [None] * n + [terminal]  # type: ignore[list-item]
     for k in range(n - 1, -1, -1):
         down, up = tree.split_children(slices[k + 1])
         parent = np.asarray(step(k, down, up), dtype=float)
-        if parent.shape != (tree.n_nodes(k),):
+        if parent.shape != down.shape:  # down has the depth-k width in both layouts
             raise ValueError(f"step returned wrong shape at depth {k}")
         slices[k] = parent
     return TreeProcess(tree, slices, copy=False)
 
 
-def propagate(tree: ScenarioTree, depth: int, values: np.ndarray,
-              to_depth: int | None = None) -> TreeProcess:
+def _average(k, down, up):
+    """One-step conditional expectation under the reference measure."""
+    return 0.5 * (down + up)
+
+
+def propagate(tree: ScenarioTree, depth: int, values: np.ndarray) -> TreeProcess:
     """Extend an F_depth-measurable slice to deeper slices, constant on subtrees.
 
     Full layout only: a subtree-constant function is not a function of the
@@ -334,19 +339,11 @@ def propagate(tree: ScenarioTree, depth: int, values: np.ndarray,
     """
     if tree.layout != FULL:
         raise ValueError("propagation below a depth requires the full layout")
-    tree.check_depth(depth)
-    n = tree.steps if to_depth is None else to_depth
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (tree.n_nodes(depth),):
-        raise ValueError("slice does not match the requested depth")
-    filled = [arr]
-    for _ in range(depth, n):
-        filled.append(np.repeat(filled[-1], 2))
     # Depths above `depth` hold exact conditional expectations so the result
     # is a well-defined process at every depth.
-    for _ in range(depth):
-        down, up = tree.split_children(filled[0])
-        filled.insert(0, 0.5 * (down + up))
+    filled = list(backward_reduce(tree, values, _average, last_depth=depth).values)
+    for _ in range(depth, tree.steps):
+        filled.append(np.repeat(filled[-1], 2))
     return TreeProcess(tree, filled, copy=False)
 
 
@@ -369,8 +366,7 @@ def cond_expect(proc, depth: int, measure=None, tree: ScenarioTree | None = None
         raise ValueError(f"depth {depth} outside [0, {last}]")
 
     if measure is None:
-        def step(k, down, up):
-            return 0.5 * (down + up)
+        step = _average
     else:
         def step(k, down, up):
             p = measure.p_up(k)

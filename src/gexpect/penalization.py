@@ -22,10 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import FULL, ScenarioTree, TreeProcess, brownian
-from .risk import DynamicRiskMeasure, supermartingale_gap
+from .bsde import noise_step
+from .lattice import FULL, ScenarioTree, TreeProcess, backward_reduce, brownian
+from .risk import DynamicRiskMeasure, one_step_defects, supermartingale_gap
 
 DEFAULT_SCHEDULE = tuple(2 ** j for j in range(1, 15))
+# Drift conventions of canonical_drift; the command line checks drift against it.
+DRIFTS = ("continuum", "exact")
 CONVERGENCE_RTOL = 1e-8
 
 
@@ -70,14 +73,9 @@ class Decomposition:
 
 
 def _one_step_gap(drm: DynamicRiskMeasure, M: TreeProcess) -> float:
-    """Worst absolute one-step martingale defect |rho_k(-M_{k+1}) - M_k|."""
-    tree = drm.tree
-    worst = 0.0
-    for k in range(M.last_depth):
-        down, up = tree.split_children(M.values[k + 1])
-        gap = np.abs(drm.one_step(k, down, up) - M.values[k])
-        worst = max(worst, float(np.max(gap)))
-    return worst
+    """Worst one-step martingale defect |rho_k(-M_{k+1}) - M_k|; NaN if any is NaN."""
+    return float(np.max([np.max(np.abs(d)) for _, d in one_step_defects(drm, M)],
+                        initial=0.0))
 
 
 def _accumulate(tree: ScenarioTree, increments: list[np.ndarray]) -> TreeProcess:
@@ -134,16 +132,15 @@ def solve_penalized(
                 f"input is not a rho-supermartingale: one-step violation "
                 f"{worst:.3g} at {witness['node']} (depth {witness['depth']})")
 
-    dt, sdt = tree.dt, tree.sqrt_dt
-    n_dt = n * dt
+    n_dt = n * tree.dt
     N = tree.steps
-    y = [None] * (N + 1)
-    y[N] = Y.values[N].copy()
-    for k in range(N - 1, -1, -1):
-        down, up = tree.split_children(y[k + 1])
-        phi = drm.one_step(k, down - z * sdt, up + z * sdt)
-        y[k] = (phi + n_dt * Y.values[k]) / (1.0 + n_dt)
-    y_proc = TreeProcess(tree, y, copy=False)
+
+    def implicit_step(k, down, up):
+        phi = drm.one_step(k, down - z * tree.sqrt_dt, up + z * tree.sqrt_dt)
+        return (phi + n_dt * Y.values[k]) / (1.0 + n_dt)
+
+    y_proc = backward_reduce(tree, Y.values[N], implicit_step)
+    y = y_proc.values
 
     increments = [n_dt * (Y.values[k] - y[k]) for k in range(N)]
     A = _accumulate(tree, increments)
@@ -235,21 +232,16 @@ def canonical_drift(
     """
     if mu_bar < 0 or nu_bar < 0:
         raise ValueError("growth bounds must be nonnegative")
+    if drift not in DRIFTS:
+        raise ValueError(f"unknown drift convention {drift!r}")
     z = float(z)
     if drift == "continuum":
         rate = mu_bar * abs(z) + nu_bar * z * z
         per_step = [rate * tree.dt] * tree.steps
-    elif drift == "exact":
+    else:
         if drm is None or drm.tree != tree:
             raise ValueError("exact drift needs a measure bound to this tree")
-        per_step = []
-        for k in range(tree.steps):
-            width = tree.n_nodes(k)
-            delta = drm.one_step(k, np.full(width, -z * tree.sqrt_dt),
-                                 np.full(width, z * tree.sqrt_dt))
-            per_step.append(float(delta[0]))
-    else:
-        raise ValueError(f"unknown drift convention {drift!r}")
+        per_step = [noise_step(drm.one_step, k, z, tree) for k in range(tree.steps)]
     running = np.concatenate([[0.0], np.cumsum(per_step)])
     return TreeProcess(tree, [np.full(tree.n_nodes(k), -running[k])
                               for k in range(tree.steps + 1)], copy=False)

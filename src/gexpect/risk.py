@@ -424,12 +424,17 @@ class StoppingCheck:
         return out
 
 
+def one_step_defects(drm: DynamicRiskMeasure, W: TreeProcess):
+    """Yield (k, rho_k(-W_{k+1}) - W_k) for each depth k below W's last."""
+    for k in range(W.last_depth):
+        yield k, drm.one_step(k, *drm.tree.split_children(W.values[k + 1])) - W.values[k]
+
+
 def supermartingale_gap(drm: DynamicRiskMeasure, W: TreeProcess) -> tuple[float, dict | None]:
     """Worst one-step violation of rho_k(-W_{k+1}) <= W_k over all nodes."""
     tr = _GapTracker(drm.tree)
-    for k in range(W.last_depth):
-        down, up = drm.tree.split_children(W.values[k + 1])
-        tr.update(drm.one_step(k, down, up) - W.values[k], k, {})
+    for k, defect in one_step_defects(drm, W):
+        tr.update(defect, k, {})
     return tr.gap, tr.witness
 
 

@@ -1,6 +1,7 @@
 """Configuration parsing and the task runner's exit discipline."""
 import json
 
+import numpy as np
 import pytest
 
 from gexpect.bsde import entropy_exact
@@ -98,6 +99,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_values"):
             parse_config(json.dumps(bad))
 
+    @pytest.mark.parametrize("task,params,match", [
+        ("axioms", {"claim_kind": "smooth"}, "claim_kind must be one of"),
+        ("penalize", {"drift": "bogus"}, "drift must be one of"),
+    ])
+    def test_bad_task_param_value(self, task, params, match):
+        bad = dict(BASE, task=task, params=params)
+        with pytest.raises(ConfigError, match=match):
+            parse_config(json.dumps(bad))
+
     def test_bad_layout(self):
         bad = dict(BASE, tree={"steps": 8, "layout": "trinomial"})
         with pytest.raises(ConfigError, match="layout"):
@@ -166,6 +176,35 @@ class TestMain:
         cfg = write_cfg(tmp_path, measure={"kind": "quadratic_upper", "mu": 0.3})
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "missing key 'nu'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task,params", [
+        ("axioms", {"claim_kind": "smooth"}),
+        ("penalize", {"drift": "bogus"}),
+    ])
+    def test_bad_task_param_value_exits_two(self, tmp_path, capsys, task, params):
+        cfg = write_cfg(tmp_path, task=task, claim=None, params=params,
+                        tree={"steps": 6, "layout": "full"})
+        assert main([task, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "must be one of" in capsys.readouterr().err
+
+    def test_penalize_reports_nan_defect(self, tmp_path, capsys):
+        # z = 1e155 overflows the explicit scheme: the one-step defects of
+        # y + zB + A are NaN and must not read as a zero martingale gap
+        cfg = write_cfg(
+            tmp_path, task="penalize", claim=None,
+            tree={"steps": 8, "layout": "recombining"},
+            measure={"kind": "quadratic_upper", "mu": 0.3, "nu": 0.5},
+            params={"z": 1e155, "mu_bar": 0.3, "nu_bar": 0.5})
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["penalize", "--config", str(cfg), "--out", str(out),
+                         "--format", "both"])
+        assert code == 1
+        assert "martingale_gap_nonincreasing: FAIL" in capsys.readouterr().out
+        report = next(out.glob("*.report.txt")).read_text()
+        assert "    martingale_gap: nan\n" in report
+        rows = next(out.glob("*.schedule.csv")).read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[1] == "nan" for row in rows)
 
     def test_task_flag_must_match_config(self, tmp_path):
         cfg = write_cfg(tmp_path)  # task: solve

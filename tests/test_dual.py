@@ -16,6 +16,7 @@ from gexpect.dual import (
     verify_duality,
 )
 from gexpect.generators import (
+    conjugate_values,
     entropy,
     quadratic_lower,
     quadratic_upper,
@@ -242,3 +243,112 @@ class TestVerifyDuality:
         drm = from_generator(quadratic_lower(1.0, 0.5), tree)
         with pytest.raises(ValueError, match="convex"):
             verify_duality(drm, call(0.0).evaluate(tree))
+
+
+def reference_relative_entropy(m):
+    """Hand-rolled backward loop over both estimates (the pre-reduction form)."""
+    tree = m.tree
+    n = tree.steps
+    sdt = tree.sqrt_dt
+    disc = [None] * (n + 1)
+    cont = [None] * (n + 1)
+    disc[n] = np.zeros(tree.n_nodes(n))
+    cont[n] = np.zeros(tree.n_nodes(n))
+    for k in range(n - 1, -1, -1):
+        q = m.density.q.values[k]
+        p = m.p_up(k)
+        d_down, d_up = tree.split_children(disc[k + 1])
+        c_down, c_up = tree.split_children(cont[k + 1])
+        disc[k] = ((1.0 - p) * (d_down + np.log1p(-q * sdt))
+                   + p * (d_up + np.log1p(q * sdt)))
+        cont[k] = (1.0 - p) * c_down + p * c_up + 0.5 * q * q * tree.dt
+    return disc, cont
+
+
+def reference_dual_value(m, xi, penalty_fn):
+    """Hand-rolled backward loop of the penalized tilted expectation."""
+    tree = m.tree
+    n = tree.steps
+    slices = [None] * (n + 1)
+    slices[n] = -np.asarray(xi, dtype=float)
+    bad = 0
+    for k in range(n - 1, -1, -1):
+        p = m.p_up(k)
+        down, up = tree.split_children(slices[k + 1])
+        cost = np.asarray(penalty_fn(k * tree.dt, m.density.q.values[k]), dtype=float)
+        bad += int(np.sum(np.isinf(cost)))
+        slices[k] = (1.0 - p) * down + p * up - cost * tree.dt
+    return slices, bad
+
+
+def reference_gibbs_q(nu, xi, tree):
+    """Hand-rolled partition-sum loop of the Gibbs tilt rates."""
+    log_w = -2.0 * float(nu) * np.asarray(xi, dtype=float)
+    n = tree.steps
+    partition = [None] * (n + 1)
+    partition[n] = log_w
+    for k in range(n - 1, -1, -1):
+        down, up = tree.split_children(partition[k + 1])
+        partition[k] = np.logaddexp(down, up)
+    q_slices = []
+    for k in range(n):
+        down, up = tree.split_children(partition[k + 1])
+        p_up = np.exp(up - partition[k])
+        q_slices.append((2.0 * p_up - 1.0) / tree.sqrt_dt)
+    return q_slices
+
+
+def assert_slices_bitwise(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def adapted_tilts(tree, seed=4):
+    """A constant tilt and a seeded adapted one, both admissible."""
+    rng = np.random.default_rng(seed)
+    cap = min(2.0, 0.9 / tree.sqrt_dt)
+    q = [rng.uniform(-cap, cap, tree.n_nodes(k)) for k in range(tree.steps)]
+    return [tilt(0.7, tree), tilt(q, tree)]
+
+
+class TestOnReduction:
+    """The dual recursions run on backward_reduce with the loops' arithmetic."""
+
+    CASES = [(FULL, 10), (RECOMBINING, 300)]
+
+    @pytest.mark.parametrize("layout,N", CASES)
+    def test_relative_entropy_matches_loop(self, layout, N):
+        tree = build_tree(1.0, N, layout)
+        for m in adapted_tilts(tree):
+            est = relative_entropy(m)
+            disc, cont = reference_relative_entropy(m)
+            assert_slices_bitwise(est.discrete.values, disc)
+            assert_slices_bitwise(est.continuum.values, cont)
+
+    @pytest.mark.parametrize("layout,N", CASES)
+    def test_dual_value_matches_loop(self, layout, N):
+        tree = build_tree(1.0, N, layout)
+        xi = call(0.0).evaluate(tree)
+        for g in (quadratic_upper(0.3, 0.5), sublinear_interval(-1.0, 1.0)):
+            for m in adapted_tilts(tree):
+                dv = dual_value(m, xi, g, tree)
+                slices, bad = reference_dual_value(
+                    m, xi, lambda t, x: conjugate_values(g, t, x))
+                assert_slices_bitwise(dv.process.values, slices)
+                assert dv.infeasible_nodes == bad
+                assert dv.feasible == bool(np.isfinite(slices[0][0]))
+        # the interval driver charges +inf outside its slopes: counted nodes
+        assert bad > 0
+
+    def test_gibbs_density_matches_loop(self):
+        tree = build_tree(1.0, 10, FULL)
+        for claim in sample_claims(tree, 3, seed=2, kind="leaf", scale_to=1.0):
+            xi = claim.evaluate(tree)
+            assert_slices_bitwise(gibbs_density(0.5, xi, tree).q.values,
+                                  reference_gibbs_q(0.5, xi, tree))
+
+    def test_dual_value_rejects_wrong_shaped_claim(self):
+        tree = build_tree(1.0, 4, FULL)
+        with pytest.raises(ValueError, match="terminal slice"):
+            dual_value(tilt(0.3, tree), np.zeros(8), quadratic_upper(0.3, 0.5), tree)

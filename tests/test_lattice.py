@@ -131,6 +131,14 @@ class TestTreeProcess:
         f = deterministic(tree, lambda t: t * t)
         assert f.at(2)[0] == pytest.approx(1.0)
 
+    def test_max_abs_propagates_nan_from_any_depth(self):
+        tree = build_tree(1.0, 2, FULL)
+        for depth in range(3):
+            slices = [np.ones(tree.n_nodes(k)) for k in range(3)]
+            slices[depth] = np.full(tree.n_nodes(depth), np.nan)
+            assert np.isnan(TreeProcess(tree, slices).max_abs())
+        assert TreeProcess.constant(tree, -2.0).max_abs() == 2.0
+
     def test_wrong_shape_rejected(self):
         tree = build_tree(1.0, 3, FULL)
         with pytest.raises(ValueError):
@@ -186,6 +194,17 @@ class TestConditionalExpectation:
             assert e_full == pytest.approx(e_rec, abs=1e-12)
 
 
+def reference_propagate(tree, depth, values):
+    """Hand-rolled repeat-down and average-up loops (the pre-reduction form)."""
+    filled = [np.asarray(values, dtype=float)]
+    for _ in range(depth, tree.steps):
+        filled.append(np.repeat(filled[-1], 2))
+    for _ in range(depth):
+        down, up = tree.split_children(filled[0])
+        filled.insert(0, 0.5 * (down + up))
+    return filled
+
+
 class TestPropagate:
     def test_subtree_constant_below_and_tower_above(self):
         tree = build_tree(1.0, 5, FULL)
@@ -200,6 +219,24 @@ class TestPropagate:
         tree = build_tree(1.0, 5, RECOMBINING)
         with pytest.raises(ValueError):
             propagate(tree, 2, np.arange(3.0))
+
+    def test_bad_depth_or_shape_rejected(self):
+        tree = build_tree(1.0, 5, FULL)
+        for depth in (-1, 6):
+            with pytest.raises(ValueError, match="outside"):
+                propagate(tree, depth, np.zeros(1))
+        with pytest.raises(ValueError, match="does not match"):
+            propagate(tree, 2, np.zeros(3))
+
+    @pytest.mark.parametrize("depth", [0, 4, 10])
+    def test_matches_loop(self, depth):
+        tree = build_tree(1.0, 10, FULL)
+        vals = np.random.default_rng(depth).normal(size=tree.n_nodes(depth))
+        got = propagate(tree, depth, vals)
+        want = reference_propagate(tree, depth, vals)
+        assert len(got.values) == len(want)
+        for a, b in zip(got.values, want):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestIntegrals:
@@ -291,3 +328,11 @@ class TestBackwardReduceProperties:
         ey = cond_expect(y, 2, tree=tree).at(2)
         assert (ex <= ey + 1e-12).all()
         assert expectation(x, tree=tree) == pytest.approx(x.mean(), abs=1e-12)
+
+    @pytest.mark.parametrize("layout", [FULL, RECOMBINING])
+    def test_shapes_checked(self, layout):
+        tree = build_tree(1.0, 4, layout)
+        with pytest.raises(ValueError, match="terminal slice"):
+            backward_reduce(tree, np.zeros(tree.n_nodes(3)), lambda k, d, u: d)
+        with pytest.raises(ValueError, match="wrong shape at depth 3"):
+            backward_reduce(tree, np.zeros(tree.n_nodes(4)), lambda k, d, u: np.zeros(1))

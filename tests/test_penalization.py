@@ -15,12 +15,14 @@ from gexpect.lattice import (
     deterministic,
 )
 from gexpect.penalization import (
+    _accumulate,
     canonical_drift,
     canonical_supermartingale,
     doob_meyer,
     solve_penalized,
 )
-from gexpect.risk import custom, entropic, supermartingale_gap
+from gexpect.generators import quadratic_upper
+from gexpect.risk import custom, entropic, from_generator, supermartingale_gap
 
 
 class TestSolvePenalized:
@@ -199,3 +201,58 @@ class TestCanonicalProcesses:
         tree = build_tree(1.0, 4, RECOMBINING)
         with pytest.raises(ValueError):
             canonical_drift(1.0, 0.5, 1.0, tree, drift="midpoint")
+
+
+def reference_penalized(drm, Y, z, n):
+    """Hand-rolled implicit backward loop, then A and the worst one-step defect
+    of y + zB + A folded depth by depth (the pre-reduction form)."""
+    tree = drm.tree
+    dt, sdt = tree.dt, tree.sqrt_dt
+    n_dt = n * dt
+    N = tree.steps
+    y = [None] * (N + 1)
+    y[N] = Y.values[N].copy()
+    for k in range(N - 1, -1, -1):
+        down, up = tree.split_children(y[k + 1])
+        phi = drm.one_step(k, down - z * sdt, up + z * sdt)
+        y[k] = (phi + n_dt * Y.values[k]) / (1.0 + n_dt)
+    A = _accumulate(tree, [n_dt * (Y.values[k] - y[k]) for k in range(N)])
+    M = TreeProcess(tree, y, copy=False) + z * brownian(tree) + A
+    worst = 0.0
+    for k in range(M.last_depth):
+        down, up = tree.split_children(M.values[k + 1])
+        worst = max(worst, float(np.max(np.abs(drm.one_step(k, down, up) - M.values[k]))))
+    return y, A, worst
+
+
+def penalization_cases(layout, N):
+    """(measure, target, z) triples: continuum and exact drifts, and on the full
+    layout a target whose one-step slack depends on the state."""
+    tree = build_tree(1.0, N, layout)
+    gen = from_generator(quadratic_upper(0.3, 0.5), tree)
+    ent = entropic(0.5, tree)
+    cases = [(gen, canonical_drift(1.0, 0.5, 1.0, tree), 1.0),
+             (ent, canonical_drift(1.0, 0.5, 0.8, tree), 0.8),
+             (ent, canonical_drift(0.0, 0.5, 1.3, tree, drift="exact", drm=ent), 1.3)]
+    if layout == FULL:
+        B = brownian(tree)
+        cases.append((ent, TreeProcess(tree, [
+            -0.5 * k * tree.dt - 0.1 * B.values[k] ** 2 for k in range(N + 1)]), 0.0))
+    return cases
+
+
+class TestOnReduction:
+    """solve_penalized runs on backward_reduce with the loop's arithmetic."""
+
+    @pytest.mark.parametrize("layout,N", [(FULL, 10), (RECOMBINING, 300)])
+    def test_matches_loop(self, layout, N):
+        for drm, Y, z in penalization_cases(layout, N):
+            for n in (4.0, 256.0):
+                sol = solve_penalized(drm, Y, z, n)
+                y, A, worst = reference_penalized(drm, Y, z, n)
+                assert len(sol.y.values) == len(y)
+                for a, b in zip(sol.y.values, y):
+                    assert a.tobytes() == b.tobytes()
+                for a, b in zip(sol.A.values, A.values):
+                    assert a.tobytes() == b.tobytes()
+                assert sol.identity_gap == worst

@@ -1,11 +1,14 @@
-"""Golden files: the axiom and domination suites' CLI output, byte for byte.
+"""Golden files: CLI output of the check suites, duality and penalization, byte for byte.
 
 Each ``tests/data/<name>.json`` config runs through ``gexpect`` with
 ``--format both``; the structured report and every CSV table it writes must
-equal the committed ``tests/data/<name>.*`` files.  The four configs are
-full N=6 trees under the explicit scheme (no exp/log in the solves) and
-between them cover ``fail`` checks with witnesses, ``skipped`` axioms, a
-``skipped`` envelope and an envelope ``fail`` with a witness.
+equal the committed ``tests/data/<name>.*`` files.  All configs use the
+explicit scheme (no exp/log in the solves).  The four suite configs are
+full N=6 trees and between them cover ``fail`` checks with witnesses,
+``skipped`` axioms, a ``skipped`` envelope and an envelope ``fail`` with a
+witness.  ``dual_call`` sweeps conjugate-penalized dual values on a full
+N=6 tree; ``penalize_recombining`` runs the penalization schedule on a
+recombining N=40 tree.
 """
 from pathlib import Path
 
@@ -21,6 +24,8 @@ CASES = {
     "axioms_skipped": ("axioms", 1),
     "domination_skipped": ("domination", 0),
     "domination_fail": ("domination", 1),
+    "dual_call": ("dual", 0),
+    "penalize_recombining": ("penalize", 0),
 }
 
 
