@@ -14,7 +14,7 @@ import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .bsde import entropy_exact, solve_bsde
 from .claims import FAMILIES, SAMPLE_KINDS, Claim, from_spec, sample_claims
 from .dual import verify_duality
-from .generators import BUILTINS, entropy as entropy_driver, make_builtin
+from .generators import BUILTINS, make_builtin
 from .lattice import FULL, RECOMBINING, auto_layout, build_tree
 from .penalization import DRIFTS, canonical_drift, doob_meyer
 from .reporting import render_csv, render_structured
@@ -61,6 +61,23 @@ def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing key {key!r} in {where}")
     return section[key]
+
+
+def _section(raw: dict, key: str, required: bool = False):
+    """The config.<key> object (None when optional and absent)."""
+    sec = _require(raw, key, "config") if required else raw.get(key)
+    if sec is not None and not isinstance(sec, dict):
+        raise ConfigError(f"config.{key} must be an object, got {sec!r}")
+    return sec
+
+
+def _number(value, kind, where: str):
+    """``kind(value)`` for kind int or float; a ConfigError naming ``where`` otherwise."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from None
 
 
 def _check_kind_params(section: dict, builder, where: str) -> None:
@@ -111,14 +128,14 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     _reject_unknown(raw, {"tree", "measure", "claim", "task", "params", "seed", "out"},
                     "config")
 
-    tree_sec = _require(raw, "tree", "config")
+    tree_sec = _section(raw, "tree", required=True)
     _reject_unknown(tree_sec, {"horizon", "steps", "layout", "depth_cap"}, "config.tree")
-    steps = int(_require(tree_sec, "steps", "config.tree"))
+    steps = _number(_require(tree_sec, "steps", "config.tree"), int, "config.tree.steps")
     layout = tree_sec.get("layout", "auto")
     if layout not in ("auto", FULL, RECOMBINING):
         raise ConfigError(f"config.tree.layout must be auto|{FULL}|{RECOMBINING}")
 
-    measure = _require(raw, "measure", "config")
+    measure = _section(raw, "measure", required=True)
     kind = _require(measure, "kind", "config.measure")
     # "entropic" is the exact recursion of the risk layer, not a generator kind.
     if kind == "entropic":
@@ -129,7 +146,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
         raise ConfigError(
             f"unknown measure kind {kind!r}; known: {sorted({'entropic', *BUILTINS})}")
 
-    claim = raw.get("claim")
+    claim = _section(raw, "claim")
     if claim is not None:
         ckind = _require(claim, "kind", "config.claim")
         if ckind not in FAMILIES:
@@ -140,7 +157,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     task = _require(raw, "task", "config")
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; known: {list(TASKS)}")
-    params = raw.get("params", {})
+    params = _section(raw, "params") or {}
     _reject_unknown(params, _TASK_PARAMS[task], f"config.params ({task})")
     key, allowed = _TASK_CHOICES.get(task, (None, ()))
     if key in params and params[key] not in allowed:
@@ -148,7 +165,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
             f"config.params.{key} must be one of {list(allowed)}, got {params[key]!r}")
 
     return ScenarioConfig(
-        horizon=float(tree_sec.get("horizon", 1.0)),
+        horizon=_number(tree_sec.get("horizon", 1.0), float, "config.tree.horizon"),
         steps=steps,
         layout=layout,
         depth_cap=tree_sec.get("depth_cap"),
@@ -156,7 +173,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
         claim=claim,
         task=task,
         params=params,
-        seed=int(raw.get("seed", 0)),
+        seed=_number(raw.get("seed", 0), int, "config.seed"),
         out=raw.get("out"),
     )
 
@@ -320,14 +337,11 @@ def _run_penalize(cfg: ScenarioConfig, report: RunReport) -> None:
     bound = 2.0 * tree.grid.horizon * (mu_bar * abs(z) + nu_bar * z * z)
     a_T = float(dec.A.terminal.max())
     # For the continuum drift the compensator limit is the drift surplus
-    # over the measure's own needs at this z.
+    # over the measure's own needs at this z (every CLI measure has a driver).
     surplus = None
     if drift == "continuum":
-        own = drm.nu * z * z if drm.kind == "entropy" else (
-            drm.generator(0.0, z) if drm.kind == "generator" else None)
-        if own is not None:
-            surplus = (mu_bar * abs(z) + nu_bar * z * z - float(own)) \
-                * tree.grid.horizon
+        surplus = (mu_bar * abs(z) + nu_bar * z * z - float(drm.generator(0.0, z))) \
+            * tree.grid.horizon
     report.results = {
         "z": z, "mu_bar": mu_bar, "nu_bar": nu_bar, "drift": drift,
         "n_final": dec.n_final,
@@ -360,57 +374,41 @@ def _run_represent(cfg: ScenarioConfig, report: RunReport) -> None:
     t_grid = tuple(float(v) for v in p.get("t_grid", (0.0,)))
     ghat = represent(drm, z_grid, t_grid, precheck=bool(p.get("precheck", True)),
                      seed=cfg.seed)
-    reference = None
-    if drm.kind == "entropy":
-        reference = entropy_driver(drm.nu)
-    elif drm.kind == "generator":
-        reference = drm.generator
-    header = ["t", "z", "g_hat"] + (["g_ref", "abs_err"] if reference else [])
+    g = drm.generator  # every CLI measure has a driver: the reference
     rows = []
     max_err, max_rel = 0.0, 0.0
     for t in t_grid:
         for z in z_grid:
-            row = [t, float(z), float(ghat(t, float(z)))]
-            if reference:
-                ref = reference(t, float(z))
-                err = abs(row[2] - ref)
-                max_err = max(max_err, err)
-                max_rel = max(max_rel, err / max(abs(ref), 1e-12) if ref else 0.0)
-                row += [ref, err]
-            rows.append(row)
-    report.tables["generator"] = (header, rows)
+            g_hat, ref = float(ghat(t, float(z))), g(t, float(z))
+            err = abs(g_hat - ref)
+            max_err = max(max_err, err)
+            max_rel = max(max_rel, err / max(abs(ref), 1e-12) if ref else 0.0)
+            rows.append([t, float(z), g_hat, ref, err])
+    report.tables["generator"] = (["t", "z", "g_hat", "g_ref", "abs_err"], rows)
     report.results = {"flags": sorted(ghat.flags), "kind": ghat.kind,
-                      "points": len(rows)}
+                      "points": len(rows), "max_abs_err": max_err, "max_rel_err": max_rel}
+    tol = float(p.get("rel_tol", 0.02))
     report.summary.append({"check": "represent_completed", "passed": True})
-    if reference is not None:
-        report.results["max_abs_err"] = max_err
-        report.results["max_rel_err"] = max_rel
-        tol = float(p.get("rel_tol", 0.02))
-        report.summary.append({"check": "matches_reference",
-                               "passed": max_rel <= tol})
+    report.summary.append({"check": "matches_reference", "passed": max_rel <= tol})
 
 
 def _run_converge(cfg: ScenarioConfig, report: RunReport) -> None:
     if cfg.measure.get("kind") != "entropic":
         raise ConfigError("converge compares the explicit scheme against the "
                           "closed-form entropic solution; use an entropic measure")
-    nu = float(cfg.measure.get("nu", 1.0))
     claim = _build_claim(cfg)
     p = cfg.params
     n_values = [int(v) for v in p.get("n_values", (64, 128, 256, 512, 1024))]
     ratio_tol = float(p.get("ratio_tol", 0.2))
-    g = entropy_driver(nu)
     gaps = []
     header = ["steps", "euler_root", "exact_root", "gap", "ratio"]
     rows = []
     for n_steps in n_values:
-        if cfg.layout == "auto":
-            tree = auto_layout(cfg.horizon, n_steps, claim.path_independent)
-        else:
-            tree = build_tree(cfg.horizon, n_steps, cfg.layout)
+        tree = _build_tree(replace(cfg, steps=n_steps), claim)
+        drm = _build_measure(cfg, tree)
         terminal = -claim.evaluate(tree)
-        euler = solve_bsde(g, terminal, tree).root()
-        exact = entropy_exact(nu, terminal, tree).root()
+        euler = solve_bsde(drm.generator, terminal, tree).root()
+        exact = entropy_exact(drm.generator.nu, terminal, tree).root()
         gap = abs(euler - exact)
         ratio = gaps[-1] / gap if gaps and gap > 0 else ""
         rows.append([n_steps, euler, exact, gap, ratio])

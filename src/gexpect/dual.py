@@ -23,8 +23,7 @@ import numpy as np
 
 from .bsde import SolvedBSDE
 from .claims import Claim
-from .generators import CONVEX, Generator, conjugate_values, entropy as entropy_driver, \
-    subdifferential_slices
+from .generators import CONVEX, Generator, conjugate_values, subdifferential_slices
 from .lattice import FULL, ScenarioTree, TreeProcess, backward_reduce, expectation
 from .risk import DynamicRiskMeasure, rho_solved
 
@@ -135,22 +134,28 @@ class EntropyEstimates:
     continuum: TreeProcess
 
 
-def relative_entropy(m: TiltedMeasure) -> EntropyEstimates:
+def _discrete_entropy(m: TiltedMeasure) -> TreeProcess:
+    """E_Q[log(theta_N / theta_k) | k], the exact relative entropy of the tilt."""
     tree = m.tree
     q, p_up = m.density.q.values, m.p_up
 
-    def discrete(k, down, up):
+    def step(k, down, up):
         p = p_up(k)
         return ((1.0 - p) * (down + np.log1p(-q[k] * tree.sqrt_dt))
                 + p * (up + np.log1p(q[k] * tree.sqrt_dt)))
 
+    return backward_reduce(tree, np.zeros(tree.n_nodes(tree.steps)), step)
+
+
+def relative_entropy(m: TiltedMeasure) -> EntropyEstimates:
+    tree = m.tree
+
     def continuum(k, down, up):
-        p = p_up(k)
-        return (1.0 - p) * down + p * up + 0.5 * q[k] * q[k] * tree.dt
+        p, q = m.p_up(k), m.density.q.values[k]
+        return (1.0 - p) * down + p * up + 0.5 * q * q * tree.dt
 
     zero = np.zeros(tree.n_nodes(tree.steps))
-    return EntropyEstimates(backward_reduce(tree, zero, discrete),
-                            backward_reduce(tree, zero, continuum))
+    return EntropyEstimates(_discrete_entropy(m), backward_reduce(tree, zero, continuum))
 
 
 @dataclass
@@ -311,11 +316,8 @@ def verify_duality(
     penalized by (1/2nu) H(Q|P) and the Gibbs tilt attains rho_0 to
     ``slack``.
     """
-    if drm.kind == "entropy":
-        g = entropy_driver(drm.nu)
-    elif drm.kind == "generator" and drm.generator.is_(CONVEX):
-        g = drm.generator
-    else:
+    g = drm.generator
+    if g is None or not g.is_(CONVEX):
         raise ValueError("duality checks need a convex driver or the entropic measure")
     tree = drm.tree
     solved = rho_solved(drm, xi)
@@ -327,9 +329,9 @@ def verify_duality(
         penalty_name = "discrete_relative_entropy"
 
         def evaluate(m: TiltedMeasure) -> tuple[float, bool]:
-            ent = relative_entropy(m).discrete.root()
+            ent = _discrete_entropy(m).root()
             mean = expectation(-xi_term, measure=m, tree=tree)
-            return mean - ent / (2.0 * drm.nu), True
+            return mean - ent / (2.0 * g.nu), True
     else:
         penalty_name = "conjugate_integral"
 
@@ -366,7 +368,7 @@ def verify_duality(
 
     gibbs_gap = None
     if drm.kind == "entropy" and tree.layout == FULL:
-        gq = gibbs_density(drm.nu, xi_term, tree)
+        gq = gibbs_density(g.nu, xi_term, tree)
         value, _ = evaluate(TiltedMeasure(gq))
         gibbs_gap = rho_root - value
         rows.append({"density": "gibbs", "value": value, "feasible": True})

@@ -347,6 +347,18 @@ def propagate(tree: ScenarioTree, depth: int, values: np.ndarray) -> TreeProcess
     return TreeProcess(tree, filled, copy=False)
 
 
+def _measure_step(measure):
+    """One-step expectation under ``measure`` (anything exposing ``p_up``)."""
+    if measure is None:
+        return _average
+
+    def step(k, down, up):
+        p = measure.p_up(k)
+        return (1.0 - p) * down + p * up
+
+    return step
+
+
 def cond_expect(proc, depth: int, measure=None, tree: ScenarioTree | None = None) -> TreeProcess:
     """Conditional expectation of a random variable given the depth-``depth`` algebra.
 
@@ -364,15 +376,7 @@ def cond_expect(proc, depth: int, measure=None, tree: ScenarioTree | None = None
     tree, last, values = _terminal_array(proc, tree)
     if not 0 <= depth <= last:
         raise ValueError(f"depth {depth} outside [0, {last}]")
-
-    if measure is None:
-        step = _average
-    else:
-        def step(k, down, up):
-            p = measure.p_up(k)
-            return (1.0 - p) * down + p * up
-
-    reduced = backward_reduce(tree, values, step, last_depth=last)
+    reduced = backward_reduce(tree, values, _measure_step(measure), last_depth=last)
     if tree.layout == FULL and depth < last:
         out = list(reduced.values[: depth + 1])
         for _ in range(depth, last):
@@ -384,8 +388,9 @@ def cond_expect(proc, depth: int, measure=None, tree: ScenarioTree | None = None
 
 
 def expectation(proc, measure=None, tree: ScenarioTree | None = None) -> float:
-    """Plain expectation of the deepest slice (conditioning at depth 0)."""
-    return cond_expect(proc, 0, measure=measure, tree=tree).root()
+    """Plain expectation of the deepest slice: the root of one reduction."""
+    tree, last, values = _terminal_array(proc, tree)
+    return backward_reduce(tree, values, _measure_step(measure), last_depth=last).root()
 
 
 def integrate(

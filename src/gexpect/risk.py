@@ -27,7 +27,7 @@ import numpy as np
 from .bsde import SolvedBSDE, StepFn, _solve, entropy_exact, entropy_step, euler_step, \
     recover_generator, solve_bsde
 from .claims import Claim, StoppingTime, sample_claims, stopped_values
-from .generators import CONVEX, DOMINATED, Generator, quadratic_lower, quadratic_upper
+from .generators import CONVEX, DOMINATED, Generator, entropy, quadratic_lower, quadratic_upper
 from .lattice import FULL, ScenarioTree, TreeProcess, build_tree, propagate, \
     subtree_indicator
 
@@ -48,14 +48,12 @@ class DynamicRiskMeasure:
 
     def __init__(self, tree: ScenarioTree, kind: str, label: str,
                  one_step: StepFn, generator: Generator | None = None,
-                 nu: float | None = None,
                  bounds: tuple[float, float] | None = None):
         self.tree = tree
         self.kind = kind
         self.label = label
         self.one_step = one_step
         self.generator = generator
-        self.nu = nu
         self.bounds = bounds
 
     def solve_terminal(self, terminal: np.ndarray) -> SolvedBSDE:
@@ -63,7 +61,7 @@ class DynamicRiskMeasure:
         if self.kind == "generator":
             return solve_bsde(self.generator, terminal, self.tree)
         if self.kind == "entropy":
-            return entropy_exact(self.nu, terminal, self.tree)
+            return entropy_exact(self.generator.nu, terminal, self.tree)
         Y, Z = _solve(self.tree, np.asarray(terminal, dtype=float), self.one_step)
         # Custom operators carry no growth data; certificate unknown, so the
         # inequality axioms run un-gated and report what they see.
@@ -73,7 +71,7 @@ class DynamicRiskMeasure:
         if self.kind == "generator":
             return from_generator(self.generator, tree)
         if self.kind == "entropy":
-            return entropic(self.nu, tree)
+            return entropic(self.generator.nu, tree)
         raise ValueError("a custom one-step operator is tied to its tree")
 
 
@@ -89,7 +87,7 @@ def entropic(nu: float, tree: ScenarioTree) -> DynamicRiskMeasure:
     if nu <= 0:
         raise ValueError("the entropic measure needs nu > 0")
     return DynamicRiskMeasure(tree, "entropy", f"entropic[nu={nu:g}]",
-                              entropy_step(nu, tree), nu=float(nu),
+                              entropy_step(nu, tree), generator=entropy(nu),
                               bounds=(0.0, float(nu)))
 
 
@@ -265,8 +263,7 @@ def check_axioms(
     tr = _GapTracker(tree)
     for i, s_i in enumerate(solved):
         for t in depths:
-            inner = propagate(tree, t, s_i.Y.values[t]).terminal
-            outer = drm.solve_terminal(inner).Y
+            outer = drm.solve_terminal(np.repeat(s_i.Y.values[t], 2 ** (n - t))).Y
             for s in range(t + 1):
                 tr.update(np.abs(outer.values[s] - s_i.Y.values[s]), s,
                           {"claim": labels[i], "restart_depth": t})

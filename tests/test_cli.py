@@ -1,5 +1,6 @@
 """Configuration parsing and the task runner's exit discipline."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=match):
             parse_config(json.dumps(bad))
 
+    @pytest.mark.parametrize("override,match", [
+        ({"tree": 5}, "config.tree must be an object, got 5"),
+        ({"measure": ["entropic"]}, "config.measure must be an object"),
+        ({"claim": "call"}, "config.claim must be an object"),
+        ({"params": 3}, "config.params must be an object, got 3"),
+        ({"tree": {"steps": "abc"}}, "config.tree.steps must be an integer, got 'abc'"),
+        ({"tree": {"steps": 8, "horizon": "long"}}, "config.tree.horizon must be a number"),
+        ({"tree": {"steps": 8, "horizon": None}}, "config.tree.horizon must be a number"),
+        ({"seed": [1]}, "config.seed must be an integer"),
+    ])
+    def test_wrong_typed_value(self, override, match):
+        bad = dict(BASE, **override)
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            parse_config(json.dumps(bad))
+
     def test_bad_layout(self):
         bad = dict(BASE, tree={"steps": 8, "layout": "trinomial"})
         with pytest.raises(ConfigError, match="layout"):
@@ -171,6 +187,25 @@ class TestMain:
                      "--out", str(tmp_path)]) == 2
         assert main(["solve", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("override", [
+        {"tree": 5}, {"params": 3}, {"tree": {"steps": "abc"}}, {"seed": "x"}])
+    def test_wrong_typed_value_exits_two(self, tmp_path, capsys, override):
+        cfg = write_cfg(tmp_path, **override)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_converge_honours_depth_cap(self, tmp_path, capsys):
+        # converge builds each of its trees like solve: the cap applies to all
+        tree = {"steps": 4, "layout": "full", "depth_cap": 3}
+        for task, params in (("solve", {}), ("converge", {"n_values": [4, 8, 16]})):
+            cfg = write_cfg(tmp_path, task=task, tree=tree, params=params)
+            assert main([task, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+            assert "exceeds the depth cap 3" in capsys.readouterr().err
+        capped = dict(BASE, task="converge", params={"n_values": [4, 8, 16]},
+                      tree={"steps": 4, "layout": "full", "depth_cap": 8})
+        with pytest.raises(ValueError, match="N=16 exceeds the depth cap 8"):
+            run(parse_config(json.dumps(capped)))
 
     def test_missing_measure_param_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, measure={"kind": "quadratic_upper", "mu": 0.3})

@@ -25,8 +25,10 @@ from gexpect.generators import (
 from gexpect.lattice import (
     FULL,
     RECOMBINING,
+    TreeProcess,
     brownian,
     build_tree,
+    cond_expect,
     expectation,
     increment_matrix,
 )
@@ -347,6 +349,31 @@ class TestOnReduction:
             xi = claim.evaluate(tree)
             assert_slices_bitwise(gibbs_density(0.5, xi, tree).q.values,
                                   reference_gibbs_q(0.5, xi, tree))
+
+    @pytest.mark.parametrize("layout,N", CASES)
+    def test_entropic_rows_match_two_reductions(self, layout, N):
+        # each entropic row is E_Q[-xi] - H(Q|P) / (2 nu): the tilted
+        # expectation and the discrete relative entropy, bit for bit
+        nu, seed, q_sweep = 0.5, 3, (-1.5, 0.0, 0.7)
+        tree = build_tree(1.0, N, layout)
+        drm = entropic(nu, tree)
+        xi = call(0.0).evaluate(tree)
+        rep = verify_duality(drm, xi, q_sweep=q_sweep, seed=seed, n_random=2)
+        densities = [optimal_density(rho_solved(drm, xi), generator=entropy(nu))]
+        densities += [constant_density(tree, q) for q in q_sweep]
+        if layout == FULL:
+            rng = np.random.default_rng(seed)
+            cap = min(2.0, 0.9 / tree.sqrt_dt)
+            densities += [DensityProcess(TreeProcess(tree, [
+                rng.uniform(-cap, cap, tree.n_nodes(k)) for k in range(N)]))
+                for _ in range(2)]
+            densities.append(gibbs_density(nu, xi, tree))
+        assert len(rep.rows) == len(densities)
+        for row, d in zip(rep.rows, densities):
+            m = tilt(d)
+            want = cond_expect(-xi, 0, measure=m, tree=tree).root() \
+                - relative_entropy(m).discrete.root() / (2 * nu)
+            assert np.float64(row["value"]).tobytes() == np.float64(want).tobytes()
 
     def test_dual_value_rejects_wrong_shaped_claim(self):
         tree = build_tree(1.0, 4, FULL)

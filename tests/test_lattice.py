@@ -193,6 +193,25 @@ class TestConditionalExpectation:
             e_rec = expectation(payoff(rec.brownian_slice(10)), tree=rec)
             assert e_full == pytest.approx(e_rec, abs=1e-12)
 
+    @pytest.mark.parametrize("layout,N", [(FULL, 10), (RECOMBINING, 200)])
+    def test_expectation_is_root_of_cond_expect(self, layout, N):
+        # expectation reduces to the root only; its value keeps the bits of
+        # the depth-0 conditional expectation, tilted or not
+        tree = build_tree(1.0, N, layout)
+        rng = np.random.default_rng(21)
+        p_up = [rng.uniform(0.2, 0.8, tree.n_nodes(k)) for k in range(N)]
+
+        class Tilt:
+            def p_up(self, depth):
+                return p_up[depth]
+
+        x = np.cos(3.0 * tree.brownian_slice(N)) + rng.normal(size=tree.n_nodes(N))
+        for measure in (None, Tilt()):
+            for source in (x, brownian(tree)):
+                got = expectation(source, measure=measure, tree=tree)
+                want = cond_expect(source, 0, measure=measure, tree=tree).root()
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
 
 def reference_propagate(tree, depth, values):
     """Hand-rolled repeat-down and average-up loops (the pre-reduction form)."""

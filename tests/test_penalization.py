@@ -15,6 +15,7 @@ from gexpect.lattice import (
     deterministic,
 )
 from gexpect.penalization import (
+    PenalizedCertificate,
     _accumulate,
     canonical_drift,
     canonical_supermartingale,
@@ -22,7 +23,18 @@ from gexpect.penalization import (
     solve_penalized,
 )
 from gexpect.generators import quadratic_upper
-from gexpect.risk import custom, entropic, from_generator, supermartingale_gap
+from gexpect.risk import custom, entropic, from_generator, one_step_defects, \
+    supermartingale_gap
+
+
+def identity_gap(drm, sol):
+    """Worst one-step defect |rho_k(-M_{k+1}) - M_k| of M = y + zB + A, folded
+    depth by depth: the rho-martingale identity the implicit step solves."""
+    M = sol.y + sol.z * brownian(sol.tree) + sol.A
+    worst = 0.0
+    for _, defect in one_step_defects(drm, M):
+        worst = max(worst, float(np.max(np.abs(defect))))
+    return worst
 
 
 class TestSolvePenalized:
@@ -42,7 +54,7 @@ class TestSolvePenalized:
         sol = solve_penalized(drm, Y, 1.0, 256.0)
         assert sol.gap_to_target <= 1e-10
         assert max(np.abs(v).max() for v in sol.A.values) <= 1e-8
-        assert sol.identity_gap <= 1e-13
+        assert identity_gap(drm, sol) <= 1e-13
 
     def test_certificate_and_below_target(self):
         tree = build_tree(1.0, 64, RECOMBINING)
@@ -61,7 +73,7 @@ class TestSolvePenalized:
         drm = entropic(0.4, tree)
         Y = canonical_drift(0.7, 0.4, 0.8, tree)
         sol = solve_penalized(drm, Y, 0.8, 128.0)
-        assert sol.identity_gap <= 1e-13
+        assert identity_gap(drm, sol) <= 1e-13
 
     def test_monotone_in_n_node_exact(self):
         tree = build_tree(1.0, 40, RECOMBINING)
@@ -203,9 +215,10 @@ class TestCanonicalProcesses:
             canonical_drift(1.0, 0.5, 1.0, tree, drift="midpoint")
 
 
-def reference_penalized(drm, Y, z, n):
-    """Hand-rolled implicit backward loop, then A and the worst one-step defect
-    of y + zB + A folded depth by depth (the pre-reduction form)."""
+def reference_penalized(drm, Y, z, n, tol=1e-10):
+    """Hand-rolled implicit backward loop, then A, the worst one-step defect
+    of y + zB + A folded depth by depth, the certificate and the gap to the
+    target (the pre-reduction form)."""
     tree = drm.tree
     dt, sdt = tree.dt, tree.sqrt_dt
     n_dt = n * dt
@@ -216,13 +229,24 @@ def reference_penalized(drm, Y, z, n):
         down, up = tree.split_children(y[k + 1])
         phi = drm.one_step(k, down - z * sdt, up + z * sdt)
         y[k] = (phi + n_dt * Y.values[k]) / (1.0 + n_dt)
-    A = _accumulate(tree, [n_dt * (Y.values[k] - y[k]) for k in range(N)])
+    increments = [n_dt * (Y.values[k] - y[k]) for k in range(N)]
+    A = _accumulate(tree, increments)
     M = TreeProcess(tree, y, copy=False) + z * brownian(tree) + A
     worst = 0.0
     for k in range(M.last_depth):
         down, up = tree.split_children(M.values[k + 1])
         worst = max(worst, float(np.max(np.abs(drm.one_step(k, down, up) - M.values[k]))))
-    return y, A, worst
+    over = max(float(np.max(y[k] - Y.values[k])) for k in range(N + 1))
+    below = over <= tol * (1.0 + Y.max_abs())
+    worst_inc = min(float(np.min(inc)) for inc in increments)
+    increasing = worst_inc >= -tol * (1.0 + n_dt * Y.max_abs())
+    violation = max(over, -worst_inc, 0.0) if not (below and increasing) else 0.0
+    gap = max(float(np.max(Y.values[k] - y[k])) for k in range(N + 1))
+    return y, A, worst, PenalizedCertificate(below, increasing, violation), gap
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def penalization_cases(layout, N):
@@ -248,11 +272,28 @@ class TestOnReduction:
     def test_matches_loop(self, layout, N):
         for drm, Y, z in penalization_cases(layout, N):
             for n in (4.0, 256.0):
-                sol = solve_penalized(drm, Y, z, n)
-                y, A, worst = reference_penalized(drm, Y, z, n)
-                assert len(sol.y.values) == len(y)
-                for a, b in zip(sol.y.values, y):
-                    assert a.tobytes() == b.tobytes()
-                for a, b in zip(sol.A.values, A.values):
-                    assert a.tobytes() == b.tobytes()
-                assert sol.identity_gap == worst
+                self.assert_matches(solve_penalized(drm, Y, z, n), drm, Y, z, n)
+
+    def test_broken_certificate_matches_loop(self):
+        # a skewed operator lifts y above the zero target: the violation path
+        tree = build_tree(1.0, 10, FULL)
+        drm = custom(lambda k, d, u: 1.5 * d - 0.5 * u, tree, label="skewed")
+        Y = canonical_drift(0.0, 0.0, -1.0, tree)
+        sol = solve_penalized(drm, Y, -1.0, 4.0, check=False)
+        assert not sol.certificate.below_target
+        assert sol.certificate.max_violation > 0.0
+        self.assert_matches(sol, drm, Y, -1.0, 4.0)
+
+    @staticmethod
+    def assert_matches(sol, drm, Y, z, n):
+        y, A, worst, cert, gap = reference_penalized(drm, Y, z, n)
+        assert len(sol.y.values) == len(y)
+        for a, b in zip(sol.y.values, y):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(sol.A.values, A.values):
+            assert a.tobytes() == b.tobytes()
+        assert identity_gap(drm, sol) == worst
+        assert same_bits(sol.gap_to_target, gap)
+        assert (sol.certificate.below_target, sol.certificate.increasing) \
+            == (cert.below_target, cert.increasing)
+        assert same_bits(sol.certificate.max_violation, cert.max_violation)

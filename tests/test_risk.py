@@ -54,6 +54,16 @@ class TestRho:
         partial = rho(drm, xi, depth=2)
         np.testing.assert_array_equal(full_run.at(2), partial.at(2))
 
+    def test_entropic_records_its_driver(self):
+        # the driver nu z^2 is what the exact recursion solves; rebinding keeps it
+        tree = build_tree(1.0, 8, FULL)
+        drm = entropic(0.5, tree)
+        g = drm.generator
+        assert (g.kind, g.mu, g.nu) == ("entropy", 0.0, 0.5)
+        assert g(0.0, 1.5) == entropy(0.5)(0.0, 1.5)
+        assert drm.rebind(build_tree(1.0, 4, FULL)).generator.nu == 0.5
+        assert not hasattr(drm, "nu")
+
     def test_rho_solved_carries_certificate(self):
         tree = build_tree(1.0, 8, FULL)
         s = rho_solved(entropic(0.5, tree), call(0.0).evaluate(tree))
