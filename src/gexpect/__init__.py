@@ -21,9 +21,7 @@ from .lattice import (
     brownian,
     build_tree,
     cond_expect,
-    deterministic,
     expectation,
-    integrate,
 )
 from .claims import (
     Claim,

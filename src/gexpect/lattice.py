@@ -158,20 +158,22 @@ def build_tree(
     return ScenarioTree(grid, layout)
 
 
-def auto_layout(T: float, N: int, path_independent: bool) -> ScenarioTree:
+def auto_layout(T: float, N: int, path_independent: bool,
+                depth_cap: int | None = None) -> ScenarioTree:
     """Pick the full tree when affordable, else the recombining fast path.
 
     Path-dependent quantities cannot ride the recombining layout, so large
-    N combined with a path-dependent claim is an error.
+    N combined with a path-dependent claim is an error.  ``depth_cap``
+    bounds the chosen layout as it does in :func:`build_tree`.
     """
     if N <= FULL_DEPTH_CAP:
-        return build_tree(T, N, FULL)
+        return build_tree(T, N, FULL, depth_cap)
     if not path_independent:
         raise ValueError(
             f"N={N} needs the recombining layout, which only supports "
             "path-independent claims"
         )
-    return build_tree(T, N, RECOMBINING)
+    return build_tree(T, N, RECOMBINING, depth_cap)
 
 
 class TreeProcess:
@@ -246,14 +248,6 @@ class TreeProcess:
     def __neg__(self):
         return self.map(np.negative)
 
-    def allclose(self, other: "TreeProcess", atol: float = 1e-12) -> bool:
-        if other.tree != self.tree or other.last_depth != self.last_depth:
-            return False
-        return all(
-            np.allclose(a, b, rtol=0.0, atol=atol)
-            for a, b in zip(self.values, other.values)
-        )
-
     def max_abs(self) -> float:
         """Largest |value| over all depths; NaN when any slice holds NaN."""
         return float(np.max([np.max(np.abs(v)) for v in self.values]))
@@ -269,15 +263,6 @@ def brownian(tree: ScenarioTree) -> TreeProcess:
     """The driving noise as a process (its terminal slice is B_T)."""
     return TreeProcess(
         tree, [tree.brownian_slice(k) for k in range(tree.steps + 1)], copy=False
-    )
-
-
-def deterministic(tree: ScenarioTree, fn: Callable[[float], float]) -> TreeProcess:
-    """Process equal to fn(t_k) at every depth-k node."""
-    return TreeProcess(
-        tree,
-        [np.full(tree.n_nodes(k), float(fn(tree.grid.time(k)))) for k in range(tree.steps + 1)],
-        copy=False,
     )
 
 
@@ -393,47 +378,6 @@ def expectation(proc, measure=None, tree: ScenarioTree | None = None) -> float:
     return backward_reduce(tree, values, _measure_step(measure), last_depth=last).root()
 
 
-def integrate(
-    kind: str,
-    integrand: TreeProcess,
-    start: int = 0,
-    stop: int | None = None,
-) -> TreeProcess:
-    """Running discrete integral of an adapted integrand (full layout).
-
-    ``kind="time"`` accrues integrand[k] * dt over steps k in [start, stop);
-    ``kind="stochastic"`` accrues integrand[k] * dB over the same steps with
-    the left-endpoint (predictable) convention.  The result is a process on
-    depths 0..N: zero up to ``start``, frozen after ``stop``.
-    """
-    tree = integrand.tree
-    if tree.layout != FULL:
-        raise ValueError("integrals are path functionals; use the full layout")
-    n = tree.steps
-    stop = n if stop is None else stop
-    if not 0 <= start <= stop <= n:
-        raise ValueError(f"need 0 <= start <= stop <= {n}, got [{start}, {stop}]")
-    if integrand.last_depth < stop - 1 and start < stop:
-        raise ValueError("integrand is not defined on all steps of [start, stop)")
-    if kind not in ("time", "stochastic"):
-        raise ValueError(f"unknown integral kind {kind!r}")
-
-    slices = [np.zeros(1)]
-    for k in range(n):
-        parent = slices[k]
-        child = np.repeat(parent, 2)
-        if start <= k < stop:
-            psi = integrand.values[k]
-            if kind == "time":
-                child += np.repeat(psi * tree.dt, 2)
-            else:
-                inc = np.repeat(psi * tree.sqrt_dt, 2)
-                inc[0::2] *= -1.0
-                child += inc
-        slices.append(child)
-    return TreeProcess(tree, slices, copy=False)
-
-
 def subtree_indicator(tree: ScenarioTree, depth: int, index: int) -> np.ndarray:
     """Terminal indicator of the event 'the path passes through this node'."""
     if tree.layout != FULL:
@@ -445,13 +389,6 @@ def subtree_indicator(tree: ScenarioTree, depth: int, index: int) -> np.ndarray:
     flag = np.zeros(n)
     flag[index] = 1.0
     return np.repeat(flag, 2 ** (tree.steps - depth))
-
-
-def path_ancestors(tree: ScenarioTree, depth: int) -> np.ndarray:
-    """For each terminal path of a full tree, the index of its depth-k ancestor."""
-    if tree.layout != FULL:
-        raise ValueError("path enumeration requires the full layout")
-    return np.arange(tree.n_nodes(tree.steps)) >> (tree.steps - depth)
 
 
 def increment_matrix(tree: ScenarioTree) -> np.ndarray:

@@ -243,10 +243,12 @@ def check_axioms(
     if tree.layout != FULL:
         raise ValueError("axiom checks need the full layout")
     n = tree.steps
-    xs, labels, solved, atol, pairs = _suite_setup(drm, claims, seed, tol)
-    certified = all(s.monotone_step for s in solved)
     if depths is None:
         depths = sorted({0, n // 3, (2 * n) // 3})
+    for t in depths:
+        tree.check_depth(t)
+    xs, labels, solved, atol, pairs = _suite_setup(drm, claims, seed, tol)
+    certified = all(s.monotone_step for s in solved)
     checks: dict = {}
 
     # Monotonicity: xi >= eta pointwise implies rho(xi) <= rho(eta).

@@ -103,10 +103,18 @@ class TestParseConfig:
     @pytest.mark.parametrize("task,params,match", [
         ("axioms", {"claim_kind": "smooth"}, "claim_kind must be one of"),
         ("penalize", {"drift": "bogus"}, "drift must be one of"),
+        ("axioms", {"n_claims": "abc"}, "config.params.n_claims must be an integer, got 'abc'"),
+        ("axioms", {"depths": 3}, "config.params.depths must be a list, got 3"),
+        ("converge", {"n_values": "12"}, "config.params.n_values must be a list, got '12'"),
+        ("represent", {"precheck": "no"},
+         "config.params.precheck must be true or false, got 'no'"),
+        ("dual", {"q_sweep": "abc"}, "config.params.q_sweep must be a list, got 'abc'"),
+        ("axioms", {"expect_fail": ["monotonicty"]},
+         "config.params.expect_fail[0] must be one of ['monotonicity',"),
     ])
     def test_bad_task_param_value(self, task, params, match):
         bad = dict(BASE, task=task, params=params)
-        with pytest.raises(ConfigError, match=match):
+        with pytest.raises(ConfigError, match=re.escape(match)):
             parse_config(json.dumps(bad))
 
     @pytest.mark.parametrize("override,match", [
@@ -118,6 +126,16 @@ class TestParseConfig:
         ({"tree": {"steps": 8, "horizon": "long"}}, "config.tree.horizon must be a number"),
         ({"tree": {"steps": 8, "horizon": None}}, "config.tree.horizon must be a number"),
         ({"seed": [1]}, "config.seed must be an integer"),
+        ({"tree": {"steps": 8, "depth_cap": "x"}},
+         "config.tree.depth_cap must be an integer, got 'x'"),
+        ({"tree": {"steps": 8, "depth_cap": 0}}, "config.tree.depth_cap must be positive, got 0"),
+        ({"measure": {"kind": "quadratic_upper", "mu": "x", "nu": 0.5}},
+         "config.measure.mu must be a number, got 'x'"),
+        ({"claim": {"kind": "call", "strike": 0.0, "coef": "x"}},
+         "config.claim.coef must be a number, got 'x'"),
+        ({"tree": {"steps": 6.7}}, "config.tree.steps must be an integer, got 6.7"),
+        ({"seed": 1.9}, "config.seed must be an integer, got 1.9"),
+        ({"tree": {"steps": True}}, "config.tree.steps must be an integer, got True"),
     ])
     def test_wrong_typed_value(self, override, match):
         bad = dict(BASE, **override)
@@ -189,23 +207,31 @@ class TestMain:
                      "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("override", [
-        {"tree": 5}, {"params": 3}, {"tree": {"steps": "abc"}}, {"seed": "x"}])
+        {"tree": 5}, {"params": 3}, {"tree": {"steps": "abc"}}, {"seed": "x"},
+        {"tree": {"steps": 8, "depth_cap": "x"}}, {"tree": {"steps": 8, "depth_cap": 0}},
+        {"measure": {"kind": "quadratic_upper", "mu": "x", "nu": 0.5}},
+        {"claim": {"kind": "call", "strike": 0.0, "coef": "x"}}, {"tree": {"steps": 6.7}}])
     def test_wrong_typed_value_exits_two(self, tmp_path, capsys, override):
         cfg = write_cfg(tmp_path, **override)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "must be" in capsys.readouterr().err
 
     def test_converge_honours_depth_cap(self, tmp_path, capsys):
-        # converge builds each of its trees like solve: the cap applies to all
-        tree = {"steps": 4, "layout": "full", "depth_cap": 3}
-        for task, params in (("solve", {}), ("converge", {"n_values": [4, 8, 16]})):
-            cfg = write_cfg(tmp_path, task=task, tree=tree, params=params)
-            assert main([task, "--config", str(cfg), "--out", str(tmp_path)]) == 1
-            assert "exceeds the depth cap 3" in capsys.readouterr().err
-        capped = dict(BASE, task="converge", params={"n_values": [4, 8, 16]},
-                      tree={"steps": 4, "layout": "full", "depth_cap": 8})
-        with pytest.raises(ValueError, match="N=16 exceeds the depth cap 8"):
-            run(parse_config(json.dumps(capped)))
+        # converge builds each of its trees like solve: the cap applies to
+        # all, with an explicit layout and with auto alike
+        for layout in ("full", "auto"):
+            tree = {"steps": 4, "layout": layout, "depth_cap": 3}
+            for task, params in (("solve", {}), ("converge", {"n_values": [4, 8, 16]})):
+                cfg = write_cfg(tmp_path, task=task, tree=tree, params=params)
+                assert main([task, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+                assert "exceeds the depth cap 3" in capsys.readouterr().err
+            capped = dict(BASE, task="converge", params={"n_values": [4, 8, 16]},
+                          tree={"steps": 4, "layout": layout, "depth_cap": 8})
+            with pytest.raises(ValueError, match="N=16 exceeds the depth cap 8"):
+                run(parse_config(json.dumps(capped)))
+            solve = dict(BASE, tree={"steps": 12, "layout": layout, "depth_cap": 8})
+            with pytest.raises(ValueError, match="N=12 exceeds the depth cap 8"):
+                run(parse_config(json.dumps(solve)))
 
     def test_missing_measure_param_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, measure={"kind": "quadratic_upper", "mu": 0.3})
@@ -215,12 +241,19 @@ class TestMain:
     @pytest.mark.parametrize("task,params", [
         ("axioms", {"claim_kind": "smooth"}),
         ("penalize", {"drift": "bogus"}),
+        ("axioms", {"n_claims": "abc"}),
+        ("axioms", {"depths": 3}),
+        ("converge", {"n_values": "12"}),
+        ("represent", {"precheck": "no"}),
+        ("dual", {"q_sweep": "abc"}),
+        ("axioms", {"expect_fail": ["monotonicty"]}),
     ])
     def test_bad_task_param_value_exits_two(self, tmp_path, capsys, task, params):
         cfg = write_cfg(tmp_path, task=task, claim=None, params=params,
                         tree={"steps": 6, "layout": "full"})
         assert main([task, "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "must be one of" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config.params.{next(iter(params))}" in err and "must be" in err
 
     def test_penalize_reports_nan_defect(self, tmp_path, capsys):
         # z = 1e155 overflows the explicit scheme: the one-step defects of

@@ -15,11 +15,8 @@ from gexpect.lattice import (
     brownian,
     build_tree,
     cond_expect,
-    deterministic,
     expectation,
     increment_matrix,
-    integrate,
-    path_ancestors,
     propagate,
     subtree_indicator,
 )
@@ -124,12 +121,10 @@ class TestTreeProcess:
         shifted = B + 1.5
         np.testing.assert_allclose(shifted.root(), 1.5)
 
-    def test_constant_and_deterministic(self):
+    def test_constant(self):
         tree = build_tree(2.0, 4, RECOMBINING)
         c = TreeProcess.constant(tree, 3.0)
         assert c.at(4).tolist() == [3.0] * 5
-        f = deterministic(tree, lambda t: t * t)
-        assert f.at(2)[0] == pytest.approx(1.0)
 
     def test_max_abs_propagates_nan_from_any_depth(self):
         tree = build_tree(1.0, 2, FULL)
@@ -258,55 +253,12 @@ class TestPropagate:
             assert a.tobytes() == b.tobytes()
 
 
-class TestIntegrals:
-    def test_time_integral_of_one(self):
-        tree = build_tree(2.0, 8, FULL)
-        one = TreeProcess(tree, [np.ones(tree.n_nodes(k)) for k in range(8)],
-                          copy=False)
-        I = integrate("time", one)
-        for k in (0, 3, 8):
-            np.testing.assert_allclose(I.at(k), np.full(tree.n_nodes(k), k * 0.25))
-
-    def test_stochastic_integral_of_one_is_brownian(self):
-        tree = build_tree(1.0, 7, FULL)
-        one = TreeProcess(tree, [np.ones(tree.n_nodes(k)) for k in range(7)],
-                          copy=False)
-        I = integrate("stochastic", one)
-        B = brownian(tree)
-        assert I.allclose(B, atol=1e-14)
-
-    def test_discrete_ito_identity(self):
-        # sum B_k dB_k = (B_T^2 - T) / 2 holds exactly on the tree
-        tree = build_tree(1.0, 9, FULL)
-        B = brownian(tree)
-        integrand = TreeProcess(tree, [B.at(k) for k in range(9)], copy=False)
-        I = integrate("stochastic", integrand)
-        np.testing.assert_allclose(
-            I.terminal, 0.5 * (B.terminal ** 2 - 1.0), atol=1e-13)
-
-    def test_window(self):
-        tree = build_tree(1.0, 6, FULL)
-        one = TreeProcess(tree, [np.ones(tree.n_nodes(k)) for k in range(6)],
-                          copy=False)
-        I = integrate("time", one, start=2, stop=4)
-        assert I.at(2)[0] == 0.0
-        np.testing.assert_allclose(I.terminal, np.full(64, 2 / 6))
-
-
 class TestIndexing:
     def test_subtree_indicator(self):
         tree = build_tree(1.0, 4, FULL)
         ind = subtree_indicator(tree, 2, 3)
         assert ind.sum() == 4
         assert ind[12:16].all()
-
-    def test_path_ancestors(self):
-        tree = build_tree(1.0, 4, FULL)
-        anc = path_ancestors(tree, 3)
-        assert anc.shape == (16,)
-        # leaf 11 = bits 1011 descends from depth-3 node 101 = 5
-        assert anc[11] == 5
-        np.testing.assert_array_equal(path_ancestors(tree, 0), np.zeros(16))
 
     def test_increment_matrix(self):
         tree = build_tree(1.0, 3, FULL)

@@ -12,7 +12,6 @@ from gexpect.lattice import (
     TreeProcess,
     brownian,
     build_tree,
-    deterministic,
 )
 from gexpect.penalization import (
     PenalizedCertificate,
@@ -41,7 +40,7 @@ class TestSolvePenalized:
     def test_zero_target_is_exactly_zero(self):
         tree = build_tree(1.0, 16, RECOMBINING)
         drm = entropic(0.5, tree)
-        zero = deterministic(tree, lambda t: 0.0)
+        zero = TreeProcess.constant(tree, 0.0)
         sol = solve_penalized(drm, zero, 0.0, 64.0)
         assert all(np.all(v == 0.0) for v in sol.y.values)
         assert all(np.all(v == 0.0) for v in sol.A.values)

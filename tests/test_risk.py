@@ -86,6 +86,12 @@ class TestAxioms:
         rep2 = check_axioms(drm, seed=11)
         assert rep2.checks["positive_homogeneity"].witness == w
 
+    @pytest.mark.parametrize("depth", [100, -1])
+    def test_depth_outside_the_tree_is_rejected(self, depth):
+        drm = entropic(0.5, build_tree(1.0, 4, FULL))
+        with pytest.raises(ValueError, match=rf"depth {depth} outside \[0, 4\]"):
+            check_axioms(drm, depths=[0, depth])
+
     def test_sublinear_passes_all(self):
         tree = build_tree(1.0, 8, FULL)
         drm = from_generator(sublinear_interval(-1.0, 1.0), tree)
