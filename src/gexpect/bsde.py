@@ -13,6 +13,11 @@ for convergence studies.  Every solve is one backward pass that records Z
 beside Y, and carries a step-monotonicity certificate derived from that Z,
 (mu + 2 nu max|Z|) sqrt(dt) <= 1, the sufficient condition under which
 comparison-type statements survive discretization.
+
+A solve may keep only the depths 0..``keep`` of Y and Z.  The depths it
+drops are folded into a per-depth (min, max) profile as the pass goes, and
+the certificate reads max|Z| off that fold, so a root-only solve on the
+recombining layout runs in O(N) memory.
 """
 from __future__ import annotations
 
@@ -35,7 +40,9 @@ class SolvedBSDE:
     Y and Z come from a single backward pass; nothing is recomputed to
     check them.  ``monotone_step`` is the certificate
     (mu + 2 nu max|Z|) sqrt(dt) <= 1; comparison and convexity assertions
-    should be gated on it.
+    should be gated on it.  A solve that kept only the top depths of Y and
+    Z holds the (y_min, y_max, z_min, z_max) of every deeper depth in
+    ``dropped``, top first; the z entries of the horizon are None.
     """
 
     Y: TreeProcess
@@ -46,6 +53,7 @@ class SolvedBSDE:
     step_bound: float
     monotone_step: bool
     warnings: tuple[str, ...]
+    dropped: tuple[tuple, ...] = ()
 
     @property
     def tree(self) -> ScenarioTree:
@@ -53,6 +61,12 @@ class SolvedBSDE:
 
     def root(self) -> float:
         return self.Y.root()
+
+    def profile(self) -> list[tuple]:
+        """(y_min, y_max, z_min, z_max) of every depth 0..N, kept or dropped."""
+        kept = [_summary(ys, self.Z.values[k] if k < len(self.Z.values) else None)
+                for k, ys in enumerate(self.Y.values)]
+        return kept + list(self.dropped)
 
 
 def extract_z(Y: TreeProcess) -> TreeProcess:
@@ -92,26 +106,52 @@ def entropy_step(nu: float, tree: ScenarioTree) -> StepFn:
     return step
 
 
-def _solve(tree: ScenarioTree, xi: np.ndarray, step: StepFn):
-    """(Y, Z) in one backward pass: Z is taken, as in ``extract_z``, from the
-    same (down, up) child views the step receives, so no step runs twice."""
-    z_slices: list[np.ndarray] = [None] * tree.steps  # type: ignore[list-item]
+def _summary(y: np.ndarray, z: np.ndarray | None) -> tuple:
+    """(y_min, y_max, z_min, z_max) of one depth; z entries None without a z slice."""
+    return (float(y.min()), float(y.max()),
+            None if z is None else float(z.min()), None if z is None else float(z.max()))
+
+
+def _solve(tree: ScenarioTree, xi: np.ndarray, step: StepFn, keep: int | None = None):
+    """(Y, Z, dropped) in one backward pass: Z is taken, as in ``extract_z``,
+    from the same (down, up) child views the step receives, so no step runs
+    twice.  Y and Z keep depths 0..``keep`` (default: all); every deeper
+    depth is summarized into ``dropped`` (see SolvedBSDE) and let go."""
+    n = tree.steps
+    keep = n if keep is None else keep
+    z_slices: list[np.ndarray] = [None] * min(keep + 1, n)  # type: ignore[list-item]
+    dropped: list[tuple] = [None] * (n - keep)  # type: ignore[list-item]
 
     def step_with_z(k, down, up):
-        z_slices[k] = (up - down) / (2.0 * tree.sqrt_dt)
-        return step(k, down, up)
+        z = (up - down) / (2.0 * tree.sqrt_dt)
+        y = step(k, down, up)
+        if k <= keep:
+            z_slices[k] = z
+        else:
+            dropped[k - keep - 1] = _summary(np.asarray(y, dtype=float), z)
+        return y
 
-    Y = backward_reduce(tree, xi, step_with_z)
-    return Y, TreeProcess(tree, z_slices, copy=False)
+    Y = backward_reduce(tree, xi, step_with_z, keep=keep)
+    if dropped:
+        dropped[-1] = _summary(xi, None)
+    return Y, TreeProcess(tree, z_slices, copy=False), tuple(dropped)
 
 
-def _certificate(tree: ScenarioTree, Z: TreeProcess, mu: float, nu: float,
+def _max_abs_z(Z: TreeProcess, dropped: tuple) -> float:
+    """max|Z| over the kept slices and the dropped profile; NaN when any Z is NaN."""
+    max_z = Z.max_abs()
+    if dropped:
+        # max|z| of a depth is max(|z_min|, |z_max|); np.max keeps NaN.
+        max_z = float(np.max([max_z, *(abs(r[i]) for r in dropped[:-1] for i in (2, 3))]))
+    return max_z
+
+
+def _certificate(tree: ScenarioTree, max_z: float, mu: float, nu: float,
                  detail: str = ""):
     """(bound, bound <= 1, warnings); ``detail`` formats a failing finite bound.
 
     A non-finite max|Z| means the scheme overflowed; the warning says so.
     """
-    max_z = Z.max_abs()
     bound = (mu + 2.0 * nu * max_z) * tree.sqrt_dt
     if bound <= 1.0:
         return bound, True, ()
@@ -121,41 +161,44 @@ def _certificate(tree: ScenarioTree, Z: TreeProcess, mu: float, nu: float,
         "step-monotonicity certificate fails: " + detail.format(bound=bound),)
 
 
-def solve_bsde(g: Generator, terminal, tree: ScenarioTree | None = None) -> SolvedBSDE:
+def solve_bsde(g: Generator, terminal, tree: ScenarioTree | None = None,
+               keep: int | None = None) -> SolvedBSDE:
     """Solve the backward equation with driver ``g`` by the explicit scheme.
 
     ``terminal`` is the literal terminal condition (a depth-N slice or a
     TreeProcess whose last slice is used); risk-measure sign conventions
     live one layer up.  Never fails at solve time: if the step-monotonicity
-    certificate does not hold, a warning is attached instead.
+    certificate does not hold, a warning is attached instead.  ``keep``
+    limits the stored depths (see SolvedBSDE).
     """
     tree, last, xi = _terminal_array(terminal, tree)
     if last != tree.steps:
         raise ValueError("terminal condition must sit at the horizon")
-    Y, Z = _solve(tree, xi, euler_step(g, tree))
+    Y, Z, dropped = _solve(tree, xi, euler_step(g, tree), keep)
     bound, ok, warnings = _certificate(
-        tree, Z, g.mu, g.nu,
+        tree, _max_abs_z(Z, dropped), g.mu, g.nu,
         "(mu + 2 nu max|Z|) sqrt(dt) = {bound:.6g} > 1; "
         "refine the grid before trusting comparison-type output")
-    return SolvedBSDE(Y, Z, "explicit", xi, g, bound, ok, warnings)
+    return SolvedBSDE(Y, Z, "explicit", xi, g, bound, ok, warnings, dropped)
 
 
-def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None) -> SolvedBSDE:
+def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None,
+                  keep: int | None = None) -> SolvedBSDE:
     """Exact solution for the driver nu*z^2 via the log-sum-exp recursion.
 
     Node values equal (1/2nu) log E[exp(2nu * xi) | node] to machine
     precision; the recursion *is* that conditional expectation factorized
-    one step at a time.
+    one step at a time.  ``keep`` limits the stored depths (see SolvedBSDE).
     """
     if nu <= 0:
         raise ValueError("entropy_exact needs nu > 0")
     tree, last, xi = _terminal_array(terminal, tree)
     if last != tree.steps:
         raise ValueError("terminal condition must sit at the horizon")
-    Y, Z = _solve(tree, xi, entropy_step(nu, tree))
-    bound = _certificate(tree, Z, 0.0, nu)[0]
+    Y, Z, dropped = _solve(tree, xi, entropy_step(nu, tree), keep)
+    bound = _certificate(tree, _max_abs_z(Z, dropped), 0.0, nu)[0]
     # The exact recursion is monotone for every step size (softmax weights).
-    return SolvedBSDE(Y, Z, "entropy_exact", xi, None, bound, True, ())
+    return SolvedBSDE(Y, Z, "entropy_exact", xi, None, bound, True, (), dropped)
 
 
 def exp_transform_solve(mu: float, nu: float, terminal,
@@ -193,7 +236,7 @@ def exp_transform_solve(mu: float, nu: float, terminal,
             )
     Y = TreeProcess(tree, [(np.log(v) + shift) / two_nu for v in U.values], copy=False)
     Z = extract_z(Y)
-    bound, ok, warnings = _certificate(tree, Z, mu, nu, "bound = {bound:.6g} > 1")
+    bound, ok, warnings = _certificate(tree, Z.max_abs(), mu, nu, "bound = {bound:.6g} > 1")
     return SolvedBSDE(Y, Z, "exp_transform", xi, None, bound, ok, warnings)
 
 

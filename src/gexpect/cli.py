@@ -187,14 +187,24 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     claim = _section(raw, "claim")
     task = _convert(_require(raw, "task", "config"), TASKS, "config.task")
     params = _section(raw, "params") or {}
+    typed = _typed(params, _PARAMS[task], "config.params", f" ({task})")
+    # Counts below these leave a check nothing to compare.
+    if typed.get("n_claims", 1) < 1:
+        raise ConfigError(f"config.params.n_claims must be at least 1, got {typed['n_claims']}")
+    if task == "converge" and len(typed["n_values"]) < 2:
+        raise ConfigError("config.params.n_values must be a list of at least two step counts "
+                          f"to form a ratio, got {typed['n_values']}")
+    out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"config.out must be a string, got {out!r}")
     return ScenarioConfig(
         **tree,
         measure=_kind_params(measure, _DRIVERS, "config.measure"),
         claim=None if claim is None else _kind_params(claim, FAMILIES, "config.claim"),
         task=task,
-        params=_typed(params, _PARAMS[task], "config.params", f" ({task})"),
+        params=typed,
         seed=_convert(raw.get("seed", 0), int, "config.seed"),
-        out=raw.get("out"),
+        out=out,
         given={"measure": measure, "claim": claim, "params": params},
     )
 
@@ -253,7 +263,7 @@ def _run_solve(cfg: ScenarioConfig, report: RunReport) -> None:
     claim = _build_claim(cfg)
     tree = _build_tree(cfg, claim)
     drm = _build_measure(cfg, tree)
-    solved = rho_solved(drm, claim)
+    solved = rho_solved(drm, claim, keep=0)
     report.results = {
         "rho_root": solved.root(),
         "scheme": solved.scheme,
@@ -262,12 +272,9 @@ def _run_solve(cfg: ScenarioConfig, report: RunReport) -> None:
         "warnings": list(solved.warnings),
     }
     header = ["depth", "time", "y_min", "y_max", "z_min", "z_max"]
-    rows = []
-    for k, ys in enumerate(solved.Y.values):
-        zs = solved.Z.values[k] if k < len(solved.Z.values) else None
-        rows.append([k, k * tree.dt, float(ys.min()), float(ys.max()),
-                     float(zs.min()) if zs is not None else "",
-                     float(zs.max()) if zs is not None else ""])
+    rows = [[k, k * tree.dt, y_min, y_max, "" if z_min is None else z_min,
+             "" if z_max is None else z_max]
+            for k, (y_min, y_max, z_min, z_max) in enumerate(solved.profile())]
     report.tables["profile"] = (header, rows)
     report.summary.append({"check": "solve_completed", "passed": True})
     report.summary.append({"check": "no_warnings",
@@ -405,8 +412,8 @@ def _run_converge(cfg: ScenarioConfig, report: RunReport) -> None:
         tree = _build_tree(replace(cfg, steps=n_steps), claim)
         drm = _build_measure(cfg, tree)
         terminal = -claim.evaluate(tree)
-        euler = solve_bsde(drm.generator, terminal, tree).root()
-        exact = entropy_exact(drm.generator.nu, terminal, tree).root()
+        euler = solve_bsde(drm.generator, terminal, tree, keep=0).root()
+        exact = entropy_exact(drm.generator.nu, terminal, tree, keep=0).root()
         gap = abs(euler - exact)
         ratio = gaps[-1] / gap if gaps and gap > 0 else ""
         rows.append([n_steps, euler, exact, gap, ratio])

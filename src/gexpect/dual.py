@@ -259,7 +259,7 @@ def gibbs_density(nu: float, xi, tree: ScenarioTree) -> DensityProcess:
         q_slices[k] = (2.0 * np.exp(up - log_z) - 1.0) / tree.sqrt_dt
         return log_z
 
-    backward_reduce(tree, log_w, partition)
+    backward_reduce(tree, log_w, partition, keep=0)
     q = TreeProcess(tree, q_slices, copy=False)
     margin = 1.0 - q.max_abs() * tree.sqrt_dt
     if margin <= 0.0:

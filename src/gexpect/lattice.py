@@ -14,11 +14,15 @@ Two layouts share one interface:
   floating-point reductions.  Depth is capped (default 22).
 * ``recombining`` -- one value per (depth, number of up moves).  Valid
   whenever everything in sight depends on the path only through the
-  current noise level; enables N up to 10^4 for convergence studies.
+  current noise level; depth is capped at 10^5.
 
 Values attached to the tree live in :class:`TreeProcess`: one numpy array
 per depth, adapted by construction because a slice entry can only be a
-function of its own node index.
+function of its own node index.  A whole recombining process holds
+(N+1)(N+2)/2 values, O(N^2) memory.  :func:`backward_reduce` can keep only
+the top depths of its result and let every deeper slice go once its parent
+exists, so a reduction read at its root runs in O(N) memory: this is what
+lets the ``solve`` and ``converge`` tasks reach the recombining cap.
 """
 from __future__ import annotations
 
@@ -145,6 +149,9 @@ def build_tree(
     The full layout refuses N above the depth cap (default 22): its slices
     grow as 2^N.  The recombining layout admits N up to 10^5 but only
     represents quantities that are functions of the current noise level.
+    At that cap a stored process takes N^2/2 doubles (40 GB), so only
+    reductions that keep their root alone (``backward_reduce(keep=0)``, as
+    the ``solve`` and ``converge`` tasks run) fit in memory there.
     """
     grid = TimeGrid(float(T), int(N))
     cap = depth_cap if depth_cap is not None else (
@@ -289,6 +296,7 @@ def backward_reduce(
     terminal: np.ndarray,
     step: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
     last_depth: int | None = None,
+    keep: int | None = None,
 ) -> TreeProcess:
     """Backward induction: slice k = step(k, down, up) from slice k+1.
 
@@ -296,18 +304,29 @@ def backward_reduce(
     single reduction primitive shared by conditional expectations, BSDE
     schemes, risk-measure composition, duality and penalization, so
     iteration order (depth-major, lexicographic) is fixed here once.
+
+    The result holds depths 0..``keep`` (default: every depth).  A deeper
+    slice is held only until its parent exists, so a reduction that keeps
+    only its top runs in the memory of two slices.
     """
     n = tree.steps if last_depth is None else last_depth
+    keep = n if keep is None else keep
+    if not 0 <= keep <= n:
+        raise ValueError(f"keep={keep} outside [0, {n}]")
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (tree.n_nodes(n),):
         raise ValueError("terminal slice does not match the tree layout")
-    slices: list[np.ndarray] = [None] * n + [terminal]  # type: ignore[list-item]
+    slices: list[np.ndarray] = [None] * (keep + 1)  # type: ignore[list-item]
+    if keep == n:
+        slices[n] = terminal
+    child = terminal
     for k in range(n - 1, -1, -1):
-        down, up = tree.split_children(slices[k + 1])
-        parent = np.asarray(step(k, down, up), dtype=float)
-        if parent.shape != down.shape:  # down has the depth-k width in both layouts
+        down, up = tree.split_children(child)
+        child = np.asarray(step(k, down, up), dtype=float)
+        if child.shape != down.shape:  # down has the depth-k width in both layouts
             raise ValueError(f"step returned wrong shape at depth {k}")
-        slices[k] = parent
+        if k <= keep:
+            slices[k] = child
     return TreeProcess(tree, slices, copy=False)
 
 
@@ -361,21 +380,22 @@ def cond_expect(proc, depth: int, measure=None, tree: ScenarioTree | None = None
     tree, last, values = _terminal_array(proc, tree)
     if not 0 <= depth <= last:
         raise ValueError(f"depth {depth} outside [0, {last}]")
-    reduced = backward_reduce(tree, values, _measure_step(measure), last_depth=last)
+    step = _measure_step(measure)
     if tree.layout == FULL and depth < last:
-        out = list(reduced.values[: depth + 1])
+        out = list(backward_reduce(tree, values, step, last_depth=last, keep=depth).values)
         for _ in range(depth, last):
             out.append(np.repeat(out[-1], 2))
         return TreeProcess(tree, out, copy=False)
     # Recombining layout: deeper slices keep E[X | F_k] for k > depth; the
     # subtree-constant representation does not recombine.
-    return reduced
+    return backward_reduce(tree, values, step, last_depth=last)
 
 
 def expectation(proc, measure=None, tree: ScenarioTree | None = None) -> float:
     """Plain expectation of the deepest slice: the root of one reduction."""
     tree, last, values = _terminal_array(proc, tree)
-    return backward_reduce(tree, values, _measure_step(measure), last_depth=last).root()
+    return backward_reduce(tree, values, _measure_step(measure), last_depth=last,
+                           keep=0).root()
 
 
 def subtree_indicator(tree: ScenarioTree, depth: int, index: int) -> np.ndarray:

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Any, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
 INDENT = "  "
+# Leaves that to_plain returns as they are; checked by exact type, so numpy
+# scalars (np.float64 subclasses float) still take the conversions below.
+_PLAIN = frozenset({float, int, str, bool, type(None)})
 
 
 def format_number(x) -> str:
@@ -34,7 +38,13 @@ def _scalar(value) -> str:
 
 
 def to_plain(obj):
-    """Reduce numpy containers and report objects to built-in types."""
+    """Reduce numpy containers and report objects to built-in types.
+
+    The result is built from dict, list and scalars only, which is all
+    ``_render`` checks for.
+    """
+    if type(obj) in _PLAIN:
+        return obj
     if hasattr(obj, "as_report"):
         return to_plain(obj.as_report())
     if isinstance(obj, Mapping):
@@ -63,15 +73,16 @@ def render_structured(data: Mapping[str, Any], title: str = "report") -> str:
 
 
 def _render(node, out: io.StringIO, level: int) -> None:
+    """Write ``to_plain`` output: its only containers are dict and list."""
     pad = INDENT * level
-    if isinstance(node, Mapping):
+    if isinstance(node, dict):
         for key, value in node.items():
-            if isinstance(value, Mapping) and not value:
+            if isinstance(value, dict) and not value:
                 out.write(f"{pad}{key}: {{}}\n")
-            elif isinstance(value, Mapping) or _is_block_list(value):
+            elif isinstance(value, dict) or _is_block_list(value):
                 out.write(f"{pad}{key}:\n")
                 _render(value, out, level + 1)
-            elif isinstance(value, (list, tuple)):
+            elif isinstance(value, list):
                 items = ", ".join(_scalar(v) for v in value)
                 out.write(f"{pad}{key}: [{items}]\n")
             else:
@@ -79,7 +90,7 @@ def _render(node, out: io.StringIO, level: int) -> None:
         return
     # Block list: one dash entry per element.
     for value in node:
-        if isinstance(value, Mapping) or _is_block_list(value):
+        if isinstance(value, dict) or _is_block_list(value):
             out.write(f"{pad}-\n")
             _render(value, out, level + 1)
         else:
@@ -87,8 +98,7 @@ def _render(node, out: io.StringIO, level: int) -> None:
 
 
 def _is_block_list(value) -> bool:
-    return isinstance(value, (list, tuple)) and any(
-        isinstance(v, (Mapping, list, tuple)) for v in value)
+    return isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value)
 
 
 def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -56,16 +56,20 @@ class DynamicRiskMeasure:
         self.generator = generator
         self.bounds = bounds
 
-    def solve_terminal(self, terminal: np.ndarray) -> SolvedBSDE:
-        """Backward composition on a literal terminal slice (no sign flip)."""
+    def solve_terminal(self, terminal: np.ndarray, keep: int | None = None) -> SolvedBSDE:
+        """Backward composition on a literal terminal slice (no sign flip).
+
+        ``keep`` limits the stored depths of Y and Z (see SolvedBSDE).
+        """
         if self.kind == "generator":
-            return solve_bsde(self.generator, terminal, self.tree)
+            return solve_bsde(self.generator, terminal, self.tree, keep)
         if self.kind == "entropy":
-            return entropy_exact(self.generator.nu, terminal, self.tree)
-        Y, Z = _solve(self.tree, np.asarray(terminal, dtype=float), self.one_step)
+            return entropy_exact(self.generator.nu, terminal, self.tree, keep)
+        xi = np.asarray(terminal, dtype=float)
+        Y, Z, dropped = _solve(self.tree, xi, self.one_step, keep)
         # Custom operators carry no growth data; certificate unknown, so the
         # inequality axioms run un-gated and report what they see.
-        return SolvedBSDE(Y, Z, "custom", Y.terminal, None, float("nan"), True, ())
+        return SolvedBSDE(Y, Z, "custom", xi, None, float("nan"), True, (), dropped)
 
     def rebind(self, tree: ScenarioTree) -> "DynamicRiskMeasure":
         if self.kind == "generator":
@@ -106,21 +110,17 @@ def _terminal_of(drm: DynamicRiskMeasure, xi) -> np.ndarray:
     return arr
 
 
-def rho_solved(drm: DynamicRiskMeasure, xi) -> SolvedBSDE:
-    return drm.solve_terminal(-_terminal_of(drm, xi))
+def rho_solved(drm: DynamicRiskMeasure, xi, keep: int | None = None) -> SolvedBSDE:
+    return drm.solve_terminal(-_terminal_of(drm, xi), keep=keep)
 
 
 def rho(drm: DynamicRiskMeasure, xi, depth: int | None = None) -> TreeProcess:
     """The risk process rho_t(xi) at every depth (terminal slice is -xi).
 
     ``depth`` truncates the returned process; values are identical to the
-    untruncated ones.
+    untruncated ones, and the solve stores no deeper slice.
     """
-    Y = rho_solved(drm, xi).Y
-    if depth is None:
-        return Y
-    Y.tree.check_depth(depth)
-    return TreeProcess(Y.tree, Y.values[: depth + 1], copy=False)
+    return rho_solved(drm, xi, keep=depth).Y
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +196,12 @@ class _GapTracker:
 
     def verdict(self, name: str, atol: float, certified: bool = True,
                 note: str = "step certificate violated; refine dt") -> AxiomCheck:
-        """``skipped`` without the certificate, else pass iff the gap is within atol."""
+        """``skipped`` without the certificate or without a single comparison,
+        else pass iff the gap is within atol."""
         if not certified:
             return AxiomCheck(name, "skipped", float("nan"), atol, 0, note=note)
+        if not self.count:
+            return AxiomCheck(name, "skipped", float("nan"), atol, 0, note="nothing compared")
         status = "pass" if self.gap <= atol else "fail"
         return AxiomCheck(name, status, self.gap, atol, self.count, self.witness)
 
@@ -214,6 +217,8 @@ def _suite_setup(drm: DynamicRiskMeasure, claims: Sequence[Claim] | None,
         claims = sample_claims(tree, 10, seed,
                                "leaf" if tree.layout == FULL else "mixture",
                                scale_to=0.5)
+    if not claims:
+        raise ValueError("a check suite needs at least one claim")
     xs = [_terminal_of(drm, c) for c in claims]
     labels = [c.label for c in claims]
     solved = [drm.solve_terminal(-x) for x in xs]

@@ -19,6 +19,7 @@ from gexpect.generators import entropy, quadratic_upper, sublinear_interval
 from gexpect.lattice import (
     FULL,
     RECOMBINING,
+    TreeProcess,
     backward_reduce,
     brownian,
     build_tree,
@@ -284,6 +285,42 @@ class TestOnePass:
         else:
             custom(counted(entropy_step(0.5, tree)), tree).solve_terminal(xi)
         assert sorted(calls) == list(range(N))
+
+    @pytest.mark.parametrize("solve,layout,N", [
+        *((solve, layout, N) for layout, N in CASES
+          for solve in ("explicit", "entropy", "custom")),
+        ("overflow", FULL, 14)])
+    def test_keep_folds_the_dropped_depths(self, solve, layout, N):
+        tree = build_tree(1.0, N, layout)
+        xi = call(0.1).evaluate(tree)
+        g = quadratic_upper(0.3, 0.5)
+        if solve == "overflow":
+            tree, xi = overflowing_claim()
+        run = {"explicit": lambda keep: solve_bsde(g, xi, tree, keep),
+               "overflow": lambda keep: solve_bsde(g, xi, tree, keep),
+               "entropy": lambda keep: entropy_exact(0.5, xi, tree, keep),
+               "custom": lambda keep: custom(euler_step(g, tree), tree).solve_terminal(
+                   xi, keep)}[solve]
+        with np.errstate(all="ignore"):
+            full = run(None)
+            rows = [(float(y.min()), float(y.max()),
+                     float(full.Z.values[k].min()) if k < N else None,
+                     float(full.Z.values[k].max()) if k < N else None)
+                    for k, y in enumerate(full.Y.values)]
+            # str() compares NaN equal and tells -0.0 from 0.0
+            assert full.dropped == () and str(full.profile()) == str(rows)
+            for keep in (0, 1, N - 1, N):
+                part = run(keep)
+                assert part.Y.last_depth == keep
+                assert part.Z.last_depth == min(keep, N - 1)
+                assert_bitwise(part.Y, TreeProcess(tree, full.Y.values[: keep + 1]))
+                assert_bitwise(part.Z, TreeProcess(tree, full.Z.values[: keep + 1]))
+                assert len(part.dropped) == N - keep
+                assert str(part.profile()) == str(rows)
+                assert same_float(part.step_bound, full.step_bound)
+                assert (part.monotone_step, part.warnings) == \
+                    (full.monotone_step, full.warnings)
+                assert part.terminal.tobytes() == full.terminal.tobytes()
 
     def test_nonfinite_certificate_message(self):
         tree, xi = overflowing_claim()

@@ -1,6 +1,8 @@
 """Configuration parsing and the task runner's exit discipline."""
 import json
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +113,12 @@ class TestParseConfig:
         ("dual", {"q_sweep": "abc"}, "config.params.q_sweep must be a list, got 'abc'"),
         ("axioms", {"expect_fail": ["monotonicty"]},
          "config.params.expect_fail[0] must be one of ['monotonicity',"),
+        ("axioms", {"n_claims": 0}, "config.params.n_claims must be at least 1, got 0"),
+        ("domination", {"n_claims": -2}, "config.params.n_claims must be at least 1, got -2"),
+        ("converge", {"n_values": [64]},
+         "config.params.n_values must be a list of at least two step counts to form a ratio, "
+         "got [64]"),
+        ("converge", {"n_values": []}, "config.params.n_values must be a list of at least two"),
     ])
     def test_bad_task_param_value(self, task, params, match):
         bad = dict(BASE, task=task, params=params)
@@ -136,6 +144,8 @@ class TestParseConfig:
         ({"tree": {"steps": 6.7}}, "config.tree.steps must be an integer, got 6.7"),
         ({"seed": 1.9}, "config.seed must be an integer, got 1.9"),
         ({"tree": {"steps": True}}, "config.tree.steps must be an integer, got True"),
+        ({"out": ["a"]}, "config.out must be a string, got ['a']"),
+        ({"out": {}}, "config.out must be a string, got {}"),
     ])
     def test_wrong_typed_value(self, override, match):
         bad = dict(BASE, **override)
@@ -210,11 +220,14 @@ class TestMain:
         {"tree": 5}, {"params": 3}, {"tree": {"steps": "abc"}}, {"seed": "x"},
         {"tree": {"steps": 8, "depth_cap": "x"}}, {"tree": {"steps": 8, "depth_cap": 0}},
         {"measure": {"kind": "quadratic_upper", "mu": "x", "nu": 0.5}},
-        {"claim": {"kind": "call", "strike": 0.0, "coef": "x"}}, {"tree": {"steps": 6.7}}])
+        {"claim": {"kind": "call", "strike": 0.0, "coef": "x"}}, {"tree": {"steps": 6.7}},
+        {"out": ["a"]}, {"out": {}}])
     def test_wrong_typed_value_exits_two(self, tmp_path, capsys, override):
         cfg = write_cfg(tmp_path, **override)
-        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert "must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_converge_honours_depth_cap(self, tmp_path, capsys):
         # converge builds each of its trees like solve: the cap applies to
@@ -247,6 +260,10 @@ class TestMain:
         ("represent", {"precheck": "no"}),
         ("dual", {"q_sweep": "abc"}),
         ("axioms", {"expect_fail": ["monotonicty"]}),
+        ("axioms", {"n_claims": 0}),
+        ("domination", {"n_claims": 0}),
+        ("converge", {"n_values": [64]}),
+        ("converge", {"n_values": []}),
     ])
     def test_bad_task_param_value_exits_two(self, tmp_path, capsys, task, params):
         cfg = write_cfg(tmp_path, task=task, claim=None, params=params,
@@ -302,6 +319,32 @@ class TestMain:
                      "--seed", "99"]) == 0
         report = next(out.glob("*.report.txt")).read_text()
         assert "seed: 99" in report
+
+    @pytest.mark.parametrize("params,check", [
+        ({"thetas": []}, "theta_domination"), ({"z_grid": []}, "sup_norm_bound")])
+    def test_empty_grid_skips_its_check(self, params, check):
+        cfg = dict(BASE, task="domination", claim=None, params=params,
+                   tree={"steps": 6, "layout": "full"})
+        report = run(parse_config(json.dumps(cfg)))
+        row = next(r for r in report.results["checks"] if r["check"] == check)
+        assert (row["status"], row["comparisons"]) == ("skipped", 0)
+        assert math.isnan(row["max_gap"])
+
+    @pytest.mark.parametrize("task,params", [
+        ("solve", {}), ("converge", {"n_values": [500, 1000, 2000, 4000]})])
+    def test_recombining_solves_run_in_linear_memory(self, task, params):
+        # Storing every slice of Y and Z at N=4000 takes 2 * 4001 * 4002 / 2
+        # doubles, ~128 MB; the root-only solves hold a few slices of N+1.
+        cfg = parse_config(json.dumps(dict(BASE, task=task, params=params,
+                                           tree={"steps": 4000, "layout": "recombining"})))
+        tracemalloc.start()
+        try:
+            report = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 8e6
 
     def test_tabular_format_writes_no_report(self, tmp_path):
         cfg = write_cfg(tmp_path, task="converge",

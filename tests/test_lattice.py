@@ -307,3 +307,22 @@ class TestBackwardReduceProperties:
             backward_reduce(tree, np.zeros(tree.n_nodes(3)), lambda k, d, u: d)
         with pytest.raises(ValueError, match="wrong shape at depth 3"):
             backward_reduce(tree, np.zeros(tree.n_nodes(4)), lambda k, d, u: np.zeros(1))
+        for keep in (-1, 5):
+            with pytest.raises(ValueError, match=f"keep={keep} outside"):
+                backward_reduce(tree, np.zeros(tree.n_nodes(4)), lambda k, d, u: d,
+                                keep=keep)
+
+    @pytest.mark.parametrize("layout,N", [(FULL, 7), (RECOMBINING, 60)])
+    def test_keep_returns_the_top_slices_of_the_full_reduction(self, layout, N):
+        tree = build_tree(1.0, N, layout)
+        x = np.random.default_rng(3).normal(size=tree.n_nodes(N))
+        step = lambda k, d, u: np.maximum(d, u) + 0.1 * np.sin(k * d * u)  # noqa: E731
+        full = backward_reduce(tree, x, step)
+        for last in (N, N - 2):
+            top = backward_reduce(tree, full.values[last], step, last_depth=last)
+            for keep in (0, 1, last // 2, last - 1, last):
+                kept = backward_reduce(tree, full.values[last], step, last_depth=last,
+                                       keep=keep)
+                assert kept.last_depth == keep
+                for a, b in zip(kept.values, top.values[: keep + 1], strict=True):
+                    assert a.tobytes() == b.tobytes()

@@ -1,15 +1,24 @@
-"""Golden files: CLI output of the check suites, duality and penalization, byte for byte.
+"""Golden files: CLI output of every task but ``represent``, byte for byte.
 
 Each ``tests/data/<name>.json`` config runs through ``gexpect`` with
 ``--format both``; the structured report and every CSV table it writes must
-equal the committed ``tests/data/<name>.*`` files.  All configs use the
+equal the committed ``tests/data/<name>.*`` files.  These configs use the
 explicit scheme (no exp/log in the solves).  The four suite configs are
 full N=6 trees and between them cover ``fail`` checks with witnesses,
 ``skipped`` axioms, a ``skipped`` envelope and an envelope ``fail`` with a
 witness.  ``dual_call`` sweeps conjugate-penalized dual values on a full
 N=6 tree; ``penalize_recombining`` runs the penalization schedule on a
-recombining N=40 tree.
+recombining N=40 tree.  The two ``solve`` configs write the per-depth
+profile of a recombining N=40 solve: ``solve_recombining`` has -0 terminal
+values, ``solve_overflow`` an explicit scheme that overflows, so its
+profile runs from finite rows through inf to NaN and its certificate bound
+is NaN.
+
+``converge_entropic`` compares against the exact entropic recursion, whose
+exp/log may differ in the last bit between numpy builds; its files must
+match token for token, numbers to 1e-9 relative.
 """
+import re
 from pathlib import Path
 
 import pytest
@@ -26,18 +35,36 @@ CASES = {
     "domination_fail": ("domination", 1),
     "dual_call": ("dual", 0),
     "penalize_recombining": ("penalize", 0),
+    "solve_recombining": ("solve", 0),
+    "solve_overflow": ("solve", 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_and_tables_match_golden_files(name, tmp_path):
     task, code = CASES[name]
+    for file_name in _written(name, task, code, tmp_path):
+        assert (tmp_path / file_name).read_bytes() == (DATA / file_name).read_bytes(), \
+            file_name
+
+
+def _written(name, task, code, out_dir):
+    """Run one config; the names of the files it writes, which must be the golden ones."""
     assert main([task, "--config", str(DATA / f"{name}.json"),
-                 "--out", str(tmp_path), "--format", "both"]) == code
-    written = sorted(p.name for p in tmp_path.iterdir())
+                 "--out", str(out_dir), "--format", "both"]) == code
+    written = sorted(p.name for p in out_dir.iterdir())
     expected = sorted(p.name for p in DATA.glob(f"{name}.*")
                       if p.suffix in (".txt", ".csv"))
     assert written == expected
-    for file_name in written:
-        assert (tmp_path / file_name).read_bytes() == (DATA / file_name).read_bytes(), \
-            file_name
+    return written
+
+
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf)")
+
+
+def test_converge_matches_golden_files_to_rounding(tmp_path):
+    for file_name in _written("converge_entropic", "converge", 0, tmp_path):
+        got, want = ((d / file_name).read_text() for d in (tmp_path, DATA))
+        assert _NUMBER.split(got) == _NUMBER.split(want), file_name
+        assert [float(x) for x in _NUMBER.findall(got)] == pytest.approx(
+            [float(x) for x in _NUMBER.findall(want)], rel=1e-9, abs=0.0), file_name

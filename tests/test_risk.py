@@ -51,8 +51,13 @@ class TestRho:
         drm = from_generator(entropy(0.4), tree)
         xi = call(0.1).evaluate(tree)
         full_run = rho(drm, xi)
-        partial = rho(drm, xi, depth=2)
-        np.testing.assert_array_equal(full_run.at(2), partial.at(2))
+        for depth in (0, 2, 5):
+            partial = rho(drm, xi, depth=depth)
+            assert partial.last_depth == depth
+            for a, b in zip(partial.values, full_run.values):
+                assert a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError, match="outside"):
+            rho(drm, xi, depth=6)
 
     def test_entropic_records_its_driver(self):
         # the driver nu z^2 is what the exact recursion solves; rebinding keeps it
@@ -119,6 +124,21 @@ class TestAxioms:
         gated = [n for n, c in rep.checks.items() if c.status == "skipped"]
         assert "monotonicity" in gated
         assert rep.checks["monotonicity"].note
+
+
+    def test_checks_with_nothing_to_compare_are_skipped(self):
+        tree = build_tree(1.0, 4, FULL)
+        drm = entropic(0.5, tree)
+        rep = check_axioms(drm, sample_claims(tree, 1, 0, "leaf"), depths=[])
+        compared = {n for n, c in rep.checks.items() if c.comparisons}
+        assert compared == {"positive_homogeneity"}
+        for name in set(AXIOMS) - compared:
+            check = rep.checks[name]
+            assert (check.status, check.note) == ("skipped", "nothing compared")
+        with pytest.raises(ValueError, match="at least one claim"):
+            check_axioms(drm, [])
+        with pytest.raises(ValueError, match="at least one claim"):
+            check_domination(drm, 0.0, 0.5, [])
 
 
 class TestDomination:
