@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsde import entropy_exact, solve_bsde
+from .bsde import entropy_step, euler_step
 from .claims import FAMILIES, SAMPLE_KINDS, Claim, from_spec, sample_claims
 from .dual import verify_duality
 from .generators import BUILTINS, entropy
-from .lattice import FULL, RECOMBINING, auto_layout, build_tree
+from .lattice import FULL, RECOMBINING, auto_layout, backward_reduce, build_tree
 from .penalization import DRIFTS, canonical_drift, doob_meyer
 from .reporting import render_csv, render_structured
 from .risk import (AXIOMS, CheckReport, DynamicRiskMeasure, check_axioms, check_domination,
@@ -412,8 +412,11 @@ def _run_converge(cfg: ScenarioConfig, report: RunReport) -> None:
         tree = _build_tree(replace(cfg, steps=n_steps), claim)
         drm = _build_measure(cfg, tree)
         terminal = -claim.evaluate(tree)
-        euler = solve_bsde(drm.generator, terminal, tree, keep=0).root()
-        exact = entropy_exact(drm.generator.nu, terminal, tree, keep=0).root()
+        # Bare reductions: only the roots are read, so no Z and no profile.
+        euler = backward_reduce(tree, terminal, euler_step(drm.generator, tree),
+                                keep=0).root()
+        exact = backward_reduce(tree, terminal, entropy_step(drm.generator.nu, tree),
+                                keep=0).root()
         gap = abs(euler - exact)
         ratio = gaps[-1] / gap if gaps and gap > 0 else ""
         rows.append([n_steps, euler, exact, gap, ratio])

@@ -24,7 +24,7 @@ import numpy as np
 from .bsde import SolvedBSDE
 from .claims import Claim
 from .generators import CONVEX, Generator, conjugate_values, subdifferential_slices
-from .lattice import FULL, ScenarioTree, TreeProcess, backward_reduce, expectation
+from .lattice import FULL, ScenarioTree, TreeProcess, _unbatched, backward_reduce, expectation
 from .risk import DynamicRiskMeasure, rho_solved
 
 DEFAULT_ADMISSIBILITY_MARGIN = 1e-6
@@ -186,7 +186,7 @@ def dual_value(m: TiltedMeasure, xi, penalty, tree: ScenarioTree | None = None) 
         raise ValueError("measure and tree disagree")
     if isinstance(xi, Claim):
         xi = xi.evaluate(tree)
-    xi = np.asarray(xi, dtype=float)
+    xi = _unbatched(xi)
     penalty_fn: Callable = penalty
     if isinstance(penalty, Generator):
         penalty_fn = lambda t, x: conjugate_values(penalty, t, x)
@@ -250,7 +250,7 @@ def gibbs_density(nu: float, xi, tree: ScenarioTree) -> DensityProcess:
         raise ValueError("the Gibbs tilt enumerates paths; use the full layout")
     if isinstance(xi, Claim):
         xi = xi.evaluate(tree)
-    log_w = -2.0 * float(nu) * np.asarray(xi, dtype=float)
+    log_w = -2.0 * float(nu) * _unbatched(xi)
     q_slices: list[np.ndarray] = [None] * tree.steps  # type: ignore[list-item]
 
     def partition(k, down, up):

@@ -23,6 +23,15 @@ function of its own node index.  A whole recombining process holds
 the top depths of its result and let every deeper slice go once its parent
 exists, so a reduction read at its root runs in O(N) memory: this is what
 lets the ``solve`` and ``converge`` tasks reach the recombining cap.
+
+The node axis is always the last axis of a slice.  A one-step operator
+``step(k, down, up)`` -- the argument of :func:`backward_reduce` and of
+every risk measure -- must act elementwise in (down, up) and broadcast over
+any leading axes: given two arrays of shape (..., width) it returns one of
+the same shape whose entry at each index depends only on the two entries
+at that index.  That contract lets one reduction carry a batch of
+processes along a leading axis (the penalization schedule solves all its
+levels this way).
 """
 from __future__ import annotations
 
@@ -100,8 +109,8 @@ class ScenarioTree:
     def split_children(self, child_slice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Views of a depth-(k+1) slice aligned with depth-k parents: (down, up)."""
         if self.layout == FULL:
-            return child_slice[0::2], child_slice[1::2]
-        return child_slice[:-1], child_slice[1:]
+            return child_slice[..., 0::2], child_slice[..., 1::2]
+        return child_slice[..., :-1], child_slice[..., 1:]
 
     def brownian_slice(self, depth: int) -> np.ndarray:
         self.check_depth(depth)
@@ -186,9 +195,12 @@ def auto_layout(T: float, N: int, path_independent: bool,
 class TreeProcess:
     """Adapted process: one value per node for depths 0..last_depth.
 
-    ``values[k]`` has length ``tree.n_nodes(k)``.  Arrays are marked
-    read-only; build new processes instead of mutating.  A process may end
-    before the terminal depth (integrand processes end at N-1).
+    ``values[k]`` has length ``tree.n_nodes(k)`` in its last axis.  A batch
+    of B processes on one tree is a process whose slices all share one
+    leading shape, ``(B, tree.n_nodes(k))``; arithmetic broadcasts a plain
+    process against a batch.  Arrays are marked read-only; build new
+    processes instead of mutating.  A process may end before the terminal
+    depth (integrand processes end at N-1).
     """
 
     __slots__ = ("tree", "values")
@@ -198,14 +210,17 @@ class TreeProcess:
             raise ValueError(
                 f"need between 1 and {tree.steps + 1} depth slices, got {len(values)}"
             )
+        full = tree.layout == FULL
+        lead = None
         slices = []
         for k, v in enumerate(values):
             arr = np.array(v, dtype=float, copy=copy)
-            if arr.shape != (tree.n_nodes(k),):
+            if lead is None:
+                lead = arr.shape[:-1]
+            expected = (*lead, 2 ** k if full else k + 1)
+            if arr.shape != expected:
                 raise ValueError(
-                    f"slice at depth {k} has shape {arr.shape}, "
-                    f"expected ({tree.n_nodes(k)},)"
-                )
+                    f"slice at depth {k} has shape {arr.shape}, expected {expected}")
             arr.setflags(write=False)
             slices.append(arr)
         self.tree = tree
@@ -273,6 +288,18 @@ def brownian(tree: ScenarioTree) -> TreeProcess:
     )
 
 
+def _unbatched(values) -> np.ndarray:
+    """``values`` as a float array with one axis.
+
+    :func:`backward_reduce` runs a batch of reductions on a terminal with
+    leading axes, so a public caller that takes one terminal slice refuses
+    any other shape before it reduces."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("terminal slice does not match the tree layout")
+    return arr
+
+
 def _terminal_array(proc_or_values, tree: ScenarioTree | None = None):
     """Accept a TreeProcess or a plain slice; return (tree, depth, values).
 
@@ -280,7 +307,8 @@ def _terminal_array(proc_or_values, tree: ScenarioTree | None = None):
     unique per depth in both layouts.
     """
     if isinstance(proc_or_values, TreeProcess):
-        return proc_or_values.tree, proc_or_values.last_depth, proc_or_values.terminal
+        return (proc_or_values.tree, proc_or_values.last_depth,
+                _unbatched(proc_or_values.terminal))
     if tree is None:
         raise ValueError("a tree is required when passing a bare value slice")
     arr = np.asarray(proc_or_values, dtype=float)
@@ -308,13 +336,18 @@ def backward_reduce(
     The result holds depths 0..``keep`` (default: every depth).  A deeper
     slice is held only until its parent exists, so a reduction that keeps
     only its top runs in the memory of two slices.
+
+    A terminal of shape ``(..., n_nodes(N))`` runs a batch of reductions in
+    one pass: the tree axis is the last one, ``step`` receives and returns
+    arrays with the same leading shape, and each batch row comes out as it
+    would from its own reduction.
     """
     n = tree.steps if last_depth is None else last_depth
     keep = n if keep is None else keep
     if not 0 <= keep <= n:
         raise ValueError(f"keep={keep} outside [0, {n}]")
     terminal = np.asarray(terminal, dtype=float)
-    if terminal.shape != (tree.n_nodes(n),):
+    if terminal.ndim < 1 or terminal.shape[-1] != tree.n_nodes(n):
         raise ValueError("terminal slice does not match the tree layout")
     slices: list[np.ndarray] = [None] * (keep + 1)  # type: ignore[list-item]
     if keep == n:
@@ -345,7 +378,8 @@ def propagate(tree: ScenarioTree, depth: int, values: np.ndarray) -> TreeProcess
         raise ValueError("propagation below a depth requires the full layout")
     # Depths above `depth` hold exact conditional expectations so the result
     # is a well-defined process at every depth.
-    filled = list(backward_reduce(tree, values, _average, last_depth=depth).values)
+    filled = list(backward_reduce(tree, _unbatched(values), _average,
+                                  last_depth=depth).values)
     for _ in range(depth, tree.steps):
         filled.append(np.repeat(filled[-1], 2))
     return TreeProcess(tree, filled, copy=False)

@@ -28,7 +28,7 @@ from .bsde import SolvedBSDE, StepFn, _solve, entropy_exact, entropy_step, euler
     recover_generator, solve_bsde
 from .claims import Claim, StoppingTime, sample_claims, stopped_values
 from .generators import CONVEX, DOMINATED, Generator, entropy, quadratic_lower, quadratic_upper
-from .lattice import FULL, ScenarioTree, TreeProcess, build_tree, propagate, \
+from .lattice import FULL, ScenarioTree, TreeProcess, _unbatched, build_tree, propagate, \
     subtree_indicator
 
 AXIOMS = (
@@ -65,7 +65,7 @@ class DynamicRiskMeasure:
             return solve_bsde(self.generator, terminal, self.tree, keep)
         if self.kind == "entropy":
             return entropy_exact(self.generator.nu, terminal, self.tree, keep)
-        xi = np.asarray(terminal, dtype=float)
+        xi = _unbatched(terminal)
         Y, Z, dropped = _solve(self.tree, xi, self.one_step, keep)
         # Custom operators carry no growth data; certificate unknown, so the
         # inequality axioms run un-gated and report what they see.
@@ -97,7 +97,13 @@ def entropic(nu: float, tree: ScenarioTree) -> DynamicRiskMeasure:
 
 def custom(step_fn: StepFn, tree: ScenarioTree, label: str = "custom",
            bounds: tuple[float, float] | None = None) -> DynamicRiskMeasure:
-    """Wrap a raw one-step operator.  Validate it with check_axioms before use."""
+    """Wrap a raw one-step operator.  Validate it with check_axioms before use.
+
+    ``step_fn(k, down, up)`` must act elementwise in (down, up) and broadcast
+    over leading axes: on arrays of shape (..., width) it returns that shape,
+    each entry a function of the two entries at its index alone.  The
+    penalization sweep calls it on (levels, width) slices.
+    """
     return DynamicRiskMeasure(tree, "custom", label, step_fn, bounds=bounds)
 
 

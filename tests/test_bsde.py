@@ -250,6 +250,16 @@ class TestOnePass:
         assert_bitwise(s.Z, Z)
         assert math.isnan(s.step_bound) and s.monotone_step and not s.warnings
 
+    def test_batched_terminal_rejected(self):
+        # backward_reduce would run a batch; the solvers take one terminal
+        tree = build_tree(1.0, 4, FULL)
+        g = quadratic_upper(0.3, 0.5)
+        batch = TreeProcess(tree, [np.zeros((2, tree.n_nodes(k))) for k in range(5)])
+        for solve in (lambda: custom(euler_step(g, tree), tree).solve_terminal(batch.terminal),
+                      lambda: solve_bsde(g, batch)):
+            with pytest.raises(ValueError, match="terminal slice does not match"):
+                solve()
+
     def test_overflow_matches_two_pass(self):
         tree, xi = overflowing_claim()
         g = quadratic_upper(0.3, 0.5)

@@ -377,5 +377,9 @@ class TestOnReduction:
 
     def test_dual_value_rejects_wrong_shaped_claim(self):
         tree = build_tree(1.0, 4, FULL)
-        with pytest.raises(ValueError, match="terminal slice"):
-            dual_value(tilt(0.3, tree), np.zeros(8), quadratic_upper(0.3, 0.5), tree)
+        # a second axis would run a batch of reductions: refused like a bad width
+        for xi in (np.zeros(8), np.zeros((2, 16))):
+            with pytest.raises(ValueError, match="terminal slice"):
+                dual_value(tilt(0.3, tree), xi, quadratic_upper(0.3, 0.5), tree)
+            with pytest.raises(ValueError, match="terminal slice"):
+                gibbs_density(0.5, xi, tree)

@@ -22,6 +22,11 @@ from gexpect.lattice import (
 )
 
 
+def bits(values):
+    """The bytes of an array with every NaN made the same NaN."""
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
 def brute_conditional(tree, terminal, depth, p_up=0.5):
     """Path-enumeration oracle for E[X | F_depth] on a full tree."""
     n = tree.steps
@@ -139,6 +144,27 @@ class TestTreeProcess:
         with pytest.raises(ValueError):
             TreeProcess(tree, [np.zeros(2)])
 
+    @pytest.mark.parametrize("layout", [FULL, RECOMBINING])
+    def test_batch_shares_one_leading_shape(self, layout):
+        tree = build_tree(1.0, 3, layout)
+        widths = [tree.n_nodes(k) for k in range(4)]
+        batch = TreeProcess(tree, [np.ones((2, w)) for w in widths])
+        assert [v.shape for v in batch.values] == [(2, w) for w in widths]
+        with pytest.raises(ValueError, match=r"depth 2 has shape \(3, \d\), expected \(2, \d\)"):
+            TreeProcess(tree, [np.ones((2, 1)), np.ones((2, widths[1])),
+                               np.ones((3, widths[2]))])
+        with pytest.raises(ValueError, match=r"depth 0 has shape \(\), expected \(1,\)"):
+            TreeProcess(tree, [np.float64(1.0)])
+        # a plain process broadcasts against a batch, row by row
+        B = brownian(tree)
+        shifted = B + batch * np.array([[1.0], [2.0]])
+        for k, v in enumerate(shifted.values):
+            assert v.tobytes() == np.stack([B.values[k] + 1.0, B.values[k] + 2.0]).tobytes()
+        # a reduction read through the public entry points takes one process
+        for reduce in (lambda: cond_expect(batch, 1), lambda: expectation(batch)):
+            with pytest.raises(ValueError, match="terminal slice does not match"):
+                reduce()
+
 
 class TestConditionalExpectation:
     def test_against_path_enumeration(self):
@@ -239,8 +265,9 @@ class TestPropagate:
         for depth in (-1, 6):
             with pytest.raises(ValueError, match="outside"):
                 propagate(tree, depth, np.zeros(1))
-        with pytest.raises(ValueError, match="does not match"):
-            propagate(tree, 2, np.zeros(3))
+        for values in (np.zeros(3), np.zeros((2, 4))):
+            with pytest.raises(ValueError, match="does not match"):
+                propagate(tree, 2, values)
 
     @pytest.mark.parametrize("depth", [0, 4, 10])
     def test_matches_loop(self, depth):
@@ -311,6 +338,45 @@ class TestBackwardReduceProperties:
             with pytest.raises(ValueError, match=f"keep={keep} outside"):
                 backward_reduce(tree, np.zeros(tree.n_nodes(4)), lambda k, d, u: d,
                                 keep=keep)
+
+    @pytest.mark.parametrize("layout,N", [(FULL, 7), (RECOMBINING, 60)])
+    def test_batch_equals_separate_reductions(self, layout, N):
+        # a (B, width) reduction runs every row as its own 1-D reduction would,
+        # bit for bit (signed zeros included; a NaN's sign bit may differ),
+        # with any keep and last_depth
+        tree = build_tree(1.0, N, layout)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(4, tree.n_nodes(N)))
+        x[1, ::3] = -0.0
+        x[2, 1] = np.nan
+        x[3] = np.inf
+
+        def step(k, d, u):
+            z = (u - d) / (2.0 * tree.sqrt_dt)
+            return np.maximum(d, u) - 0.3 * np.abs(z) * tree.dt + 0.5 * z * z * tree.dt
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            for last in (N, N - 3):
+                terminal = x if last == N else backward_reduce(
+                    tree, x, step, keep=last).values[last]
+                for keep in (None, 0, 1, last // 2, last):
+                    batch = backward_reduce(tree, terminal, step, last_depth=last,
+                                            keep=keep)
+                    assert batch.last_depth == (last if keep is None else keep)
+                    for b in range(4):
+                        alone = backward_reduce(tree, terminal[b], step, last_depth=last,
+                                                keep=keep)
+                        for got, want in zip(batch.values, alone.values, strict=True):
+                            assert got.shape == (4, want.size)
+                            assert bits(got[b]) == bits(want)
+
+    @pytest.mark.parametrize("layout", [FULL, RECOMBINING])
+    def test_split_children_indexes_the_last_axis(self, layout):
+        tree = build_tree(1.0, 3, layout)
+        child = np.arange(2.0 * tree.n_nodes(2)).reshape(2, -1)
+        for got, want in zip(tree.split_children(child),
+                             zip(*(tree.split_children(row) for row in child))):
+            assert got.tolist() == [w.tolist() for w in want]
 
     @pytest.mark.parametrize("layout,N", [(FULL, 7), (RECOMBINING, 60)])
     def test_keep_returns_the_top_slices_of_the_full_reduction(self, layout, N):

@@ -15,7 +15,6 @@ from gexpect.lattice import (
 )
 from gexpect.penalization import (
     PenalizedCertificate,
-    _accumulate,
     canonical_drift,
     canonical_supermartingale,
     doob_meyer,
@@ -214,6 +213,24 @@ class TestCanonicalProcesses:
             canonical_drift(1.0, 0.5, 1.0, tree, drift="midpoint")
 
 
+def reference_accumulate(tree, increments):
+    """Forward sum of the per-step increments into A; on the recombining
+    layout each increment slice must be constant in the state."""
+    slices = [np.zeros(1)]
+    for k, inc in enumerate(increments):
+        if tree.layout == FULL:
+            slices.append(np.repeat(slices[k] + inc, 2))
+        else:
+            lo, hi = float(np.min(inc)), float(np.max(inc))
+            if hi - lo > 1e-12 * (1.0 + abs(hi)):
+                raise ValueError(
+                    "the accumulated penalty is path dependent at depth "
+                    f"{k} (increment spread {hi - lo:.3g}); use the full layout")
+            mid = 0.5 * (lo + hi)
+            slices.append(np.full(tree.n_nodes(k + 1), slices[k][0] + mid))
+    return TreeProcess(tree, slices, copy=False)
+
+
 def reference_penalized(drm, Y, z, n, tol=1e-10):
     """Hand-rolled implicit backward loop, then A, the worst one-step defect
     of y + zB + A folded depth by depth, the certificate and the gap to the
@@ -229,7 +246,7 @@ def reference_penalized(drm, Y, z, n, tol=1e-10):
         phi = drm.one_step(k, down - z * sdt, up + z * sdt)
         y[k] = (phi + n_dt * Y.values[k]) / (1.0 + n_dt)
     increments = [n_dt * (Y.values[k] - y[k]) for k in range(N)]
-    A = _accumulate(tree, increments)
+    A = reference_accumulate(tree, increments)
     M = TreeProcess(tree, y, copy=False) + z * brownian(tree) + A
     worst = 0.0
     for k in range(M.last_depth):
@@ -296,3 +313,165 @@ class TestOnReduction:
         assert (sol.certificate.below_target, sol.certificate.increasing) \
             == (cert.below_target, cert.increasing)
         assert same_bits(sol.certificate.max_violation, cert.max_violation)
+
+
+def martingale_gap(drm, W, A):
+    """Worst one-step defect of W + A folded depth by depth, as a level reports it."""
+    worst = [float(np.max(np.abs(d))) for _, d in one_step_defects(drm, W + A)]
+    return float(np.max(worst, initial=0.0))
+
+
+class TestOneSweep:
+    """doob_meyer solves its levels in one batched sweep; each level equals
+    the one-level solve_penalized bit for bit."""
+
+    @pytest.mark.parametrize("layout,N", [(FULL, 8), (RECOMBINING, 200)])
+    def test_levels_match_single_level_solves(self, layout, N):
+        schedule = (2.0, 16.0, 128.0, 1024.0, 4096.0)
+        for drm, Y, z in penalization_cases(layout, N):
+            dec = doob_meyer(drm, Y, z, n_schedule=schedule, rel_stop=0.0)
+            W = Y + z * brownian(drm.tree)
+            assert [lv["n"] for lv in dec.levels] == list(schedule)
+            for lv in dec.levels:
+                sol = solve_penalized(drm, Y, z, lv["n"], check=False)
+                assert same_bits(lv["max_target_gap"], sol.gap_to_target)
+                assert same_bits(lv["martingale_gap"], martingale_gap(drm, W, sol.A))
+            for a, b in zip(dec.A.values, sol.A.values, strict=True):
+                assert a.tobytes() == b.tobytes()
+            assert dec.martingale_gap == dec.levels[-1]["martingale_gap"]
+            assert dec.n_final == schedule[-1]
+
+    def test_early_stop_leaves_later_levels_unread(self):
+        tree = build_tree(1.0, 8, FULL)
+        drm = from_generator(quadratic_upper(0.3, 0.5), tree)
+        Y = canonical_drift(1.0, 0.5, 1.0, tree)
+        dec = doob_meyer(drm, Y, 1.0, rel_stop=0.002)
+        assert [lv["n"] for lv in dec.levels] == [2.0 ** j for j in range(1, 9)]
+        assert dec.converged and dec.n_final == 256.0
+        sol = solve_penalized(drm, Y, 1.0, 256.0)
+        for a, b in zip(dec.A.values, sol.A.values, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("layout", [FULL, RECOMBINING])
+    def test_one_step_defects_run_on_a_batch(self, layout):
+        tree = build_tree(1.0, 6, layout)
+        drm = from_generator(quadratic_upper(0.3, 0.5), tree)
+        rows = [canonical_supermartingale(1.0, 0.5, z, tree) for z in (0.5, 1.0, 2.0)]
+        batch = TreeProcess(tree, [np.stack([r.values[k] for r in rows])
+                                   for k in range(7)])
+        for (k, got), *alone in zip(one_step_defects(drm, batch),
+                                    *(one_step_defects(drm, r) for r in rows)):
+            for b, (_, want) in enumerate(alone):
+                assert got[b].tobytes() == want.tobytes()
+
+
+def skewed_target(tree, seed):
+    """A strict supermartingale for the non-monotone phi(d, u) = 1.5 d - 0.5 u."""
+    rng = np.random.default_rng(seed)
+    vals = [None] * (tree.steps + 1)
+    vals[-1] = rng.normal(size=tree.n_nodes(tree.steps))
+    for k in range(tree.steps - 1, -1, -1):
+        d, u = tree.split_children(vals[k + 1])
+        vals[k] = 1.5 * d - 0.5 * u + rng.uniform(0, 1, size=tree.n_nodes(k))
+    return TreeProcess(tree, vals)
+
+
+def skewed(k, d, u):
+    return 1.5 * d - 0.5 * u
+
+
+def state_slack_target(tree, sign=-1.0):
+    B = brownian(tree)
+    return TreeProcess(tree, [sign * 0.5 * k * tree.dt - 0.1 * B.values[k] ** 2
+                              for k in range(tree.steps + 1)])
+
+
+class TestErrorPrecedence:
+    """The batched sweep raises what the level-by-level loop raised, with the
+    same message: level order first, then depth order, then node order."""
+
+    def test_drop_names_levels_depth_and_node(self):
+        tree = build_tree(1.0, 5, FULL)
+        with pytest.raises(ValueError) as err:
+            doob_meyer(custom(skewed, tree), skewed_target(tree, 1), 0.0,
+                       n_schedule=(0.5, 1.0, 4.0, 16.0, 64.0))
+        assert str(err.value) == (
+            "y^n decreased between levels 0.5 and 1: drop 0.0155 at depth 3, "
+            "node 011; the measure is not monotone")
+
+    def test_drop_after_an_early_stop_is_not_raised(self):
+        tree = build_tree(1.0, 2, FULL)
+        W = TreeProcess(tree, [np.array([-4.9]), np.array([0.0, 10.0]), np.zeros(4)])
+        drm = custom(skewed, tree)
+        with pytest.raises(ValueError, match="between levels 2 and 4: drop 0.678 at "
+                                             "depth 0, node root"):
+            doob_meyer(drm, W, 0.0, n_schedule=(2.0, 4.0))
+        dec = doob_meyer(drm, W, 0.0, n_schedule=(2.0, 4.0), rel_stop=10.0)
+        assert dec.converged and dec.n_final == 2.0
+        assert [lv["max_target_gap"] for lv in dec.levels] == [5.0]
+
+    def test_path_dependent_increment_names_its_depth(self):
+        tree = build_tree(1.0, 8, RECOMBINING)
+        drm, Y = entropic(0.5, tree), state_slack_target(tree)
+        with pytest.raises(ValueError) as err:
+            doob_meyer(drm, Y, 0.0, n_schedule=(4.0, 16.0))
+        assert str(err.value) == (
+            "the accumulated penalty is path dependent at depth 2 (increment "
+            "spread 0.00106); use the full layout")
+        with pytest.raises(ValueError, match=r"depth 2 \(increment spread 0\.00122\)"):
+            solve_penalized(drm, Y, 0.0, 16.0)
+
+    def test_precheck_comes_first(self):
+        tree = build_tree(1.0, 8, RECOMBINING)
+        with pytest.raises(ValueError) as err:
+            # also path dependent, but the precheck raises before any level
+            doob_meyer(entropic(0.5, tree), state_slack_target(tree, 1.0), 0.0,
+                       n_schedule=(4.0, 16.0))
+        assert str(err.value) == ("input is not a rho-supermartingale: one-step "
+                                  "violation 0.0652 at 7:0 (depth 7)")
+        tree = build_tree(1.0, 16, RECOMBINING)
+        drm, Y = entropic(0.5, tree), canonical_drift(0.0, 0.25, 4.0, tree)
+        message = ("input is not a rho-supermartingale: one-step violation 0.184 "
+                   "at 0:0 (depth 0)")
+        for solve in (lambda: doob_meyer(drm, Y, 4.0),
+                      lambda: solve_penalized(drm, Y, 4.0, 16.0)):
+            with pytest.raises(ValueError) as err:
+                solve()
+            assert str(err.value) == message
+
+    def test_level_checks(self):
+        tree = build_tree(1.0, 16, RECOMBINING)
+        drm = entropic(0.5, tree)
+        Y = canonical_drift(1.0, 0.5, 1.0, tree)
+        # a level that is not positive raises before the precheck ...
+        with pytest.raises(ValueError, match="level must be positive"):
+            doob_meyer(drm, canonical_drift(0.0, 0.25, 4.0, tree), 4.0,
+                       n_schedule=(-1.0, 4.0))
+        # ... and where the schedule reaches it
+        with pytest.raises(ValueError, match="level must be positive"):
+            doob_meyer(drm, Y, 1.0, n_schedule=(4.0, float("nan"), -2.0, 8.0))
+        with pytest.raises(ValueError, match="processes live on different trees"):
+            doob_meyer(drm, canonical_drift(1.0, 0.5, 1.0, build_tree(1.0, 8, RECOMBINING)),
+                       1.0)
+        with pytest.raises(ValueError, match="must reach the terminal depth"):
+            doob_meyer(drm, TreeProcess(tree, Y.values[:5]), 1.0)
+
+
+def test_recombining_schedule_keeps_no_batched_y():
+    # the recombining A needs only the per-depth folds: the sweep keeps y's
+    # root alone, so the whole schedule peaks at a few processes' memory
+    # (Y, the noise, W and A), not at one y per level
+    import tracemalloc
+
+    tree = build_tree(1.0, 400, RECOMBINING)
+    drm = entropic(0.5, tree)
+    Y = canonical_drift(1.0, 0.5, 1.0, tree)
+    process = 8 * sum(v.size for v in Y.values)
+    tracemalloc.start()
+    try:
+        dec = doob_meyer(drm, Y, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dec.levels) == 14
+    assert peak < 5 * process

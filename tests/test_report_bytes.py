@@ -8,7 +8,10 @@ full N=6 trees and between them cover ``fail`` checks with witnesses,
 ``skipped`` axioms, a ``skipped`` envelope and an envelope ``fail`` with a
 witness.  ``dual_call`` sweeps conjugate-penalized dual values on a full
 N=6 tree; ``penalize_recombining`` runs the penalization schedule on a
-recombining N=40 tree.  The two ``solve`` configs write the per-depth
+recombining N=40 tree.  ``penalize_full_exact`` and ``penalize_full_stop``
+run it on a full N=8 tree and stop early: the exact drift at the first
+level with a -0 target gap, the continuum drift at level 256 of the
+default schedule.  The two ``solve`` configs write the per-depth
 profile of a recombining N=40 solve: ``solve_recombining`` has -0 terminal
 values, ``solve_overflow`` an explicit scheme that overflows, so its
 profile runs from finite rows through inf to NaN and its certificate bound
@@ -35,6 +38,8 @@ CASES = {
     "domination_fail": ("domination", 1),
     "dual_call": ("dual", 0),
     "penalize_recombining": ("penalize", 0),
+    "penalize_full_exact": ("penalize", 0),
+    "penalize_full_stop": ("penalize", 0),
     "solve_recombining": ("solve", 0),
     "solve_overflow": ("solve", 1),
 }
