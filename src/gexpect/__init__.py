@@ -7,6 +7,12 @@ axiom checking, dual representations via measure tilts, generator recovery
 from observed operators, and the penalized Doob-Meyer decomposition of
 supermartingales.  Everything is exact on the tree: checks are node-wise
 inequalities, not Monte Carlo estimates.
+
+Every export is read by the library, the demos, the benchmark or the
+acceptance suite, or says why it stays in a ``# kept:`` comment
+(tests/test_public_surface.py holds the list to this).  The result types
+(``SolvedBSDE``, ``CheckReport``, ``DualityReport``, ...) are exported
+because public functions return them.
 """
 
 from .lattice import (
@@ -16,7 +22,7 @@ from .lattice import (
     RECOMBINING_DEPTH_CAP,
     ScenarioTree,
     TimeGrid,
-    TreeProcess,
+    TreeProcess,  # its at() is documented in the README
     auto_layout,
     brownian,
     build_tree,
@@ -31,7 +37,6 @@ from .claims import (
     first_hitting,
     fixed_depth,
     from_leaf_values,
-    from_path_rule,
     from_spec,
     indicator,
     linear,
@@ -50,19 +55,17 @@ from .generators import (
     conjugate,
     conjugate_values,
     entropy,
-    make_builtin,
     quadratic_lower,
     quadratic_upper,
     scaled_abs,
-    subdifferential,
+    subdifferential,  # kept: the one-point form of subdifferential_slices
     sublinear_interval,
     verify_class,
 )
 from .bsde import (
     SolvedBSDE,
     entropy_exact,
-    exp_transform_solve,
-    extract_z,
+    extract_z,  # kept: the two-pass reference test_bsde checks the one-pass Z against
     recover_generator,
     solve_bsde,
 )
@@ -72,7 +75,7 @@ from .risk import (
     DynamicRiskMeasure,
     check_axioms,
     check_domination,
-    custom,
+    custom,  # kept: the one way to build a measure from a raw one-step operator
     entropic,
     from_generator,
     optional_stopping_check,
@@ -86,7 +89,7 @@ from .dual import (
     DualityReport,
     DualValue,
     EntropyEstimates,
-    TiltedMeasure,
+    TiltedMeasure,  # its theta() is the Bayes reference of test_dual
     constant_density,
     dual_value,
     gibbs_density,

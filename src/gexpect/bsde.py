@@ -146,19 +146,18 @@ def _max_abs_z(Z: TreeProcess, dropped: tuple) -> float:
     return max_z
 
 
-def _certificate(tree: ScenarioTree, max_z: float, mu: float, nu: float,
-                 detail: str = ""):
-    """(bound, bound <= 1, warnings); ``detail`` formats a failing finite bound.
+def _certificate(tree: ScenarioTree, max_z: float, mu: float, nu: float):
+    """(bound, bound <= 1, warnings) of the explicit scheme.
 
     A non-finite max|Z| means the scheme overflowed; the warning says so.
     """
     bound = (mu + 2.0 * nu * max_z) * tree.sqrt_dt
     if bound <= 1.0:
         return bound, True, ()
-    if not math.isfinite(max_z):
-        detail = "max|Z| is not finite (the scheme overflowed)"
-    return bound, False, (
-        "step-monotonicity certificate fails: " + detail.format(bound=bound),)
+    detail = (f"(mu + 2 nu max|Z|) sqrt(dt) = {bound:.6g} > 1; refine the grid "
+              "before trusting comparison-type output" if math.isfinite(max_z)
+              else "max|Z| is not finite (the scheme overflowed)")
+    return bound, False, ("step-monotonicity certificate fails: " + detail,)
 
 
 def solve_bsde(g: Generator, terminal, tree: ScenarioTree | None = None,
@@ -175,10 +174,7 @@ def solve_bsde(g: Generator, terminal, tree: ScenarioTree | None = None,
     if last != tree.steps:
         raise ValueError("terminal condition must sit at the horizon")
     Y, Z, dropped = _solve(tree, xi, euler_step(g, tree), keep)
-    bound, ok, warnings = _certificate(
-        tree, _max_abs_z(Z, dropped), g.mu, g.nu,
-        "(mu + 2 nu max|Z|) sqrt(dt) = {bound:.6g} > 1; "
-        "refine the grid before trusting comparison-type output")
+    bound, ok, warnings = _certificate(tree, _max_abs_z(Z, dropped), g.mu, g.nu)
     return SolvedBSDE(Y, Z, "explicit", xi, g, bound, ok, warnings, dropped)
 
 
@@ -199,45 +195,6 @@ def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None,
     bound = _certificate(tree, _max_abs_z(Z, dropped), 0.0, nu)[0]
     # The exact recursion is monotone for every step size (softmax weights).
     return SolvedBSDE(Y, Z, "entropy_exact", xi, None, bound, True, (), dropped)
-
-
-def exp_transform_solve(mu: float, nu: float, terminal,
-                        tree: ScenarioTree | None = None) -> SolvedBSDE:
-    """Solve the (mu, nu) upper-envelope equation through the exponential lens.
-
-    exp(2nu Y) solves the driver mu*|z| equation with terminal
-    exp(2nu * xi); positive homogeneity of that driver lets us normalize by
-    the largest exponent, so the transform is overflow-safe.  Positivity of
-    the transformed solution is enforced; losing it signals a step size too
-    coarse for the data.
-    """
-    if nu <= 0:
-        raise ValueError("the exponential transform needs nu > 0")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    tree, last, xi = _terminal_array(terminal, tree)
-    if last != tree.steps:
-        raise ValueError("terminal condition must sit at the horizon")
-    two_nu = 2.0 * nu
-    shift = float(np.max(two_nu * xi))
-    u_terminal = np.exp(two_nu * xi - shift)
-    dt, sdt = tree.dt, tree.sqrt_dt
-
-    def u_step(k, down, up):
-        z = (up - down) / (2.0 * sdt)
-        return 0.5 * (down + up) + mu * np.abs(z) * dt
-
-    U = backward_reduce(tree, u_terminal, u_step)
-    for k, slice_ in enumerate(U.values):
-        if not np.all(slice_ > 0.0):
-            raise ValueError(
-                f"transformed solution lost positivity at depth {k}; "
-                "the step size is too coarse for this terminal condition"
-            )
-    Y = TreeProcess(tree, [(np.log(v) + shift) / two_nu for v in U.values], copy=False)
-    Z = extract_z(Y)
-    bound, ok, warnings = _certificate(tree, Z.max_abs(), mu, nu, "bound = {bound:.6g} > 1")
-    return SolvedBSDE(Y, Z, "exp_transform", xi, None, bound, ok, warnings)
 
 
 def recover_generator(one_step: StepFn, t: float, z: float, tree: ScenarioTree) -> float:

@@ -3,7 +3,7 @@
 A claim is a bounded payoff observed at the horizon.  Named families cover
 what the command line and the test suites need: constants, linear and
 call-style functions of the terminal noise level, terminal indicators, the
-running maximum, raw per-path value vectors and arbitrary path rules.
+running maximum and raw per-path value vectors.
 Claims evaluated from the terminal level alone are flagged
 ``path_independent`` and may ride the recombining layout.
 """
@@ -94,11 +94,6 @@ def from_leaf_values(values: np.ndarray, label: str = "leaf_vector") -> Claim:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return Claim(label, False, leaf_values=arr)
-
-
-def from_path_rule(fn: Callable[[np.ndarray], np.ndarray], label: str = "path_rule") -> Claim:
-    """Claim from an arbitrary rule on the 2^N x N increment matrix (N <= 16)."""
-    return Claim(label, False, path_fn=fn)
 
 
 def combine(a: Claim, b: Claim) -> Claim:

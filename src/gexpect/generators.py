@@ -68,14 +68,12 @@ class ConjugatePoint:
     """One evaluation of the conjugate f(t, x) = sup_z (x z - g(t, z)).
 
     ``value`` may be ``math.inf`` (coherent drivers are degenerate: zero on
-    the slope interval, infinite outside).  ``argmax`` is None when the sup
-    is infinite; ``tol`` bounds the grid error of a numeric evaluation and
-    is 0 for closed forms.
+    the slope interval, infinite outside).  ``tol`` bounds the grid error of
+    a numeric evaluation and is 0 for closed forms.
     """
 
     x: float
     value: float
-    argmax: float | None
     tol: float
 
 
@@ -188,13 +186,6 @@ BUILTINS = {
 }
 
 
-def make_builtin(kind: str, **params) -> Generator:
-    """Construct a built-in driver by name; see module docstring for the menu."""
-    if kind not in BUILTINS:
-        raise ValueError(f"unknown generator kind {kind!r}; known: {sorted(BUILTINS)}")
-    return BUILTINS[kind](**params)
-
-
 # ---------------------------------------------------------------------------
 # Legendre-Fenchel conjugate
 
@@ -215,24 +206,10 @@ def conjugate(g: Generator, t: float, x: float, force_numeric: bool = False) -> 
     x = float(x)
     if g.conjugate_fn is not None and not force_numeric:
         val = float(np.asarray(g.conjugate_fn(t, np.asarray([x]))).ravel()[0])
-        return ConjugatePoint(x, val, _analytic_argmax(g, t, x, val), 0.0)
+        return ConjugatePoint(x, val, 0.0)
     if g.nu == 0.0:
         return _conjugate_sublinear_case(g, t, x)
     return _conjugate_grid(g, t, x)
-
-
-def _analytic_argmax(g: Generator, t: float, x: float, val: float) -> float | None:
-    if not math.isfinite(val):
-        return None
-    if g.kind == "entropy":
-        return x / (2.0 * g.nu)
-    if g.kind == "quadratic_upper" and g.nu > 0:
-        return math.copysign(max(abs(x) - g.mu, 0.0) / (2.0 * g.nu), x)
-    if g.kind in ("sublinear_interval", "scaled_abs", "quadratic_upper"):
-        return 0.0
-    if g.kind == "quadratic_lower":  # only reachable with mu = nu = 0
-        return 0.0
-    return None
 
 
 def _conjugate_sublinear_case(g: Generator, t: float, x: float) -> ConjugatePoint:
@@ -243,18 +220,17 @@ def _conjugate_sublinear_case(g: Generator, t: float, x: float) -> ConjugatePoin
     if g.is_(SUBLINEAR):
         # Positive homogeneity: any strictly positive value scales to +inf.
         if np.any(vals > _GROWTH_TOL * (1.0 + abs(x)) * np.maximum(np.abs(z), 1.0)):
-            return ConjugatePoint(x, math.inf, None, 0.0)
-        return ConjugatePoint(x, 0.0, 0.0, 0.0)
+            return ConjugatePoint(x, math.inf, 0.0)
+        return ConjugatePoint(x, 0.0, 0.0)
     # General linear growth: detect divergence from the asymptotic slopes.
     half = zmax / 2.0
     slope_right = (g.scalar(t, zmax) - g.scalar(t, half)) / half
     slope_left = (g.scalar(t, -zmax) - g.scalar(t, -half)) / half
     if x > slope_right + _GROWTH_TOL or -x > slope_left + _GROWTH_TOL:
-        return ConjugatePoint(x, math.inf, None, 0.0)
-    best = int(np.argmax(vals))
+        return ConjugatePoint(x, math.inf, 0.0)
     spacing = z[1] - z[0]
     slope_bound = abs(x) + g.mu
-    return ConjugatePoint(x, float(vals[best]), float(z[best]), spacing * slope_bound)
+    return ConjugatePoint(x, float(np.max(vals)), spacing * slope_bound)
 
 
 def _conjugate_grid(g: Generator, t: float, x: float) -> ConjugatePoint:
@@ -272,7 +248,7 @@ def _conjugate_grid(g: Generator, t: float, x: float) -> ConjugatePoint:
         center, width = best_z, width / _ZOOM
     spacing = width * _ZOOM / (_GRID_POINTS - 1)
     slope_bound = abs(x) + g.mu + 2.0 * g.nu * (abs(best_z) + spacing)
-    return ConjugatePoint(x, best_v, best_z, spacing * slope_bound)
+    return ConjugatePoint(x, best_v, spacing * slope_bound)
 
 
 def conjugate_values(g: Generator, t: float, x: np.ndarray) -> np.ndarray:
@@ -291,28 +267,19 @@ _DIFF_STEP = 2.0 ** -20
 
 
 def subdifferential(g: Generator, t: float, z: float) -> tuple[float, float]:
-    """The interval [g'(z-), g'(z+)] of a convex driver at z.
+    """The interval [g'(z-), g'(z+)] of a convex driver at one z."""
+    lo, hi = subdifferential_slices(g, t, np.asarray([float(z)]))
+    return float(np.ravel(lo)[0]), float(np.ravel(hi)[0])
+
+
+def subdifferential_slices(g: Generator, t: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The intervals [g'(z-), g'(z+)] of a convex driver over a slice of z values.
 
     Closed forms are used when attached; otherwise one-sided difference
     quotients with a relative step of 2^-20.  Rejects drivers not flagged
     convex (one-sided slopes of a non-convex function do not bracket a
     subdifferential).
     """
-    if not g.is_(CONVEX):
-        raise ValueError(f"subdifferential needs a convex driver, got {g.kind!r}")
-    z = float(z)
-    if g.subdiff_fn is not None:
-        lo, hi = g.subdiff_fn(t, np.asarray([z]))
-        return float(np.ravel(lo)[0]), float(np.ravel(hi)[0])
-    h = _DIFF_STEP * max(1.0, abs(z))
-    v = g.scalar(t, z)
-    hi = (g.scalar(t, z + h) - v) / h
-    lo = (v - g.scalar(t, z - h)) / h
-    return lo, hi
-
-
-def subdifferential_slices(g: Generator, t: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized subdifferential over a slice of z values."""
     if not g.is_(CONVEX):
         raise ValueError(f"subdifferential needs a convex driver, got {g.kind!r}")
     z = np.asarray(z, dtype=float)

@@ -65,12 +65,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    def time(self, depth: int) -> float:
-        return depth * self.dt
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.dt
-
 
 class ScenarioTree:
     """Binary increment tree over a :class:`TimeGrid`.
@@ -79,8 +73,6 @@ class ScenarioTree:
     every node.  The tree object itself is immutable; noise slices are
     cached on first access.
     """
-
-    branching = 2
 
     def __init__(self, grid: TimeGrid, layout: str = FULL):
         if layout not in (FULL, RECOMBINING):
@@ -273,12 +265,6 @@ class TreeProcess:
     def max_abs(self) -> float:
         """Largest |value| over all depths; NaN when any slice holds NaN."""
         return float(np.max([np.max(np.abs(v)) for v in self.values]))
-
-    @classmethod
-    def constant(cls, tree: ScenarioTree, value: float, last_depth: int | None = None):
-        n = tree.steps if last_depth is None else last_depth
-        return cls(tree, [np.full(tree.n_nodes(k), float(value)) for k in range(n + 1)],
-                   copy=False)
 
 
 def brownian(tree: ScenarioTree) -> TreeProcess:

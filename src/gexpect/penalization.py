@@ -26,6 +26,7 @@ is a path functional, the sweep keeps each level's increments instead.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -137,8 +138,13 @@ class _Sweep:
 
     def check_increase(self, i: int, n_before: float, n: float, atol: float) -> None:
         """y^n <= y^m node-wise for levels n < m: raises at the first depth
-        where level i's y drops below the level before by more than ``atol``."""
+        where level i's y drops below the level before by more than ``atol``,
+        or by NaN.  ``atol`` scales with max|Y|: when it is not finite, the
+        NaN comes from the target, not the measure, and is left to the
+        martingale gaps :func:`doob_meyer` reports."""
         bad = self.drop[i] > atol
+        if math.isfinite(atol):
+            bad |= np.isnan(self.drop[i])
         if bad.any():
             k = int(bad.argmax())
             raise ValueError(
@@ -200,7 +206,7 @@ def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, z: float,
         raise ValueError("target process lives on a different tree")
     if Y.last_depth != tree.steps:
         raise ValueError("target process must reach the terminal depth")
-    count = next((j for j, n in enumerate(schedule) if n <= 0), len(schedule))
+    count = next((j for j, n in enumerate(schedule) if not n > 0), len(schedule))
     if not count:
         raise ValueError("penalization level must be positive")
     if check:

@@ -38,15 +38,13 @@ def _scalar(value) -> str:
 
 
 def to_plain(obj):
-    """Reduce numpy containers and report objects to built-in types.
+    """Reduce numpy containers to built-in types.
 
     The result is built from dict, list and scalars only, which is all
     ``_render`` checks for.
     """
     if type(obj) in _PLAIN:
         return obj
-    if hasattr(obj, "as_report"):
-        return to_plain(obj.as_report())
     if isinstance(obj, Mapping):
         return {str(k): to_plain(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):

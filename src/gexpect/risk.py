@@ -371,8 +371,12 @@ def check_domination(
     Three families, all node-wise: the two-sided envelope (solutions of the
     lower and upper growth drivers bracket the measure), the one-sided
     convex-combination domination over a theta grid, and the sup-norm
-    bound for claims differing by a multiple of the terminal noise.
+    bound for claims differing by a multiple of the terminal noise.  Every
+    theta must lie in (0, 1), where the one-sided domination is defined.
     """
+    bad = [th for th in thetas if not 0.0 < th < 1.0]
+    if bad:
+        raise ValueError(f"theta_domination needs every theta in (0, 1), got {bad[0]}")
     tree = drm.tree
     xs, labels, solved, atol, pairs = _suite_setup(drm, claims, seed, tol)
     g_up, g_lo = quadratic_upper(mu, nu), quadratic_lower(mu, nu)
@@ -424,14 +428,6 @@ class StoppingCheck:
     tol: float
     passed: bool
     witness: dict | None
-
-    def as_report(self) -> dict:
-        out = {"source": self.label, "supermartingale_gap": self.supermartingale_gap,
-               "max_violation": self.max_violation, "tol": self.tol,
-               "passed": self.passed}
-        if self.witness:
-            out.update({f"witness_{k}": v for k, v in self.witness.items()})
-        return out
 
 
 def one_step_defects(drm: DynamicRiskMeasure, W: TreeProcess):
@@ -496,9 +492,7 @@ def represent(
     drm: DynamicRiskMeasure,
     z_grid: Sequence[float],
     t_grid: Sequence[float] = (0.0,),
-    bounds: tuple[float, float] | None = None,
     precheck: bool = True,
-    precheck_claims: Sequence[Claim] | None = None,
     seed: int = 0,
 ) -> Generator:
     """Extract the effective driver of a measure as a tabulated generator.
@@ -512,14 +506,19 @@ def represent(
     consistency, value preservation, convexity and the domination checks on
     a sample suite; failures abort with the witness.  Generator- and
     entropy-backed measures run the precheck on a small full companion tree
-    when their own tree is large or recombining.
+    when their own tree is large or recombining.  The domination bounds are
+    the measure's own (``custom(bounds=...)`` for a custom source).
     """
     tree = drm.tree
-    if bounds is None:
-        bounds = drm.bounds
-    if bounds is None:
+    z = np.asarray(sorted(float(v) for v in z_grid), dtype=float)
+    ts = np.asarray(sorted(float(v) for v in t_grid), dtype=float)
+    if z.size < 2:
+        raise ValueError("need at least two z grid points to interpolate")
+    if not ts.size:
+        raise ValueError("t_grid must not be empty")
+    if drm.bounds is None:
         raise ValueError("domination bounds are required for a custom source")
-    mu_bar, nu_bar = bounds
+    mu_bar, nu_bar = drm.bounds
 
     if precheck:
         check_tree = tree
@@ -531,9 +530,7 @@ def represent(
                     "pass precheck=False only after validating it separately")
             check_tree = build_tree(tree.grid.horizon, 8, FULL)
             check_drm = drm.rebind(check_tree)
-        suite = precheck_claims
-        if suite is None:
-            suite = sample_claims(check_tree, 8, seed, "leaf", scale_to=0.5)
+        suite = sample_claims(check_tree, 8, seed, "leaf", scale_to=0.5)
         report = check_axioms(check_drm, suite, seed=seed)
         required = ("monotonicity", "time_consistency", "constant_preservation",
                     "convexity")
@@ -549,10 +546,6 @@ def represent(
                 f"{drm.label} violates domination with bounds ({mu_bar}, {nu_bar}); "
                 f"witness: {dom.checks[name].witness}")
 
-    z = np.asarray(sorted(float(v) for v in z_grid), dtype=float)
-    ts = np.asarray(sorted(float(v) for v in t_grid), dtype=float)
-    if z.size < 2:
-        raise ValueError("need at least two z grid points to interpolate")
     table = np.array([
         [recover_generator(drm.one_step, t, zz, tree) for zz in z] for t in ts
     ])

@@ -9,7 +9,6 @@ from gexpect.bsde import (
     entropy_exact,
     entropy_step,
     euler_step,
-    exp_transform_solve,
     extract_z,
     recover_generator,
     solve_bsde,
@@ -128,40 +127,6 @@ class TestEulerScheme:
         xi = path_maximum().evaluate(tree)
         s = solve_bsde(entropy(0.3), xi, tree)
         assert s.Y.values[0][0] >= cond_expect(xi, 0, tree=tree).at(0)[0] - 1e-12
-
-
-class TestExpTransform:
-    def test_reduces_to_entropy_at_mu_zero(self):
-        tree = build_tree(1.0, 64, RECOMBINING)
-        xi = call(0.2).evaluate(tree)
-        a = exp_transform_solve(0.0, 0.5, xi, tree).Y.values[0][0]
-        b = entropy_exact(0.5, xi, tree).Y.values[0][0]
-        assert a == pytest.approx(b, abs=1e-11)
-
-    def test_dominates_entropy_for_positive_mu(self):
-        tree = build_tree(1.0, 32, RECOMBINING)
-        xi = call(0.0).evaluate(tree)
-        with_drift = exp_transform_solve(1.0, 0.5, xi, tree).Y.values[0][0]
-        without = entropy_exact(0.5, xi, tree).Y.values[0][0]
-        assert with_drift >= without - 1e-13
-
-    def test_parameter_validation(self):
-        tree = build_tree(1.0, 1, FULL)
-        xi = np.array([0.0, 1.0])
-        with pytest.raises(ValueError, match="nu > 0"):
-            exp_transform_solve(1.0, 0.0, xi, tree)
-        with pytest.raises(ValueError, match="nonnegative"):
-            exp_transform_solve(-1.0, 0.5, xi, tree)
-
-    def test_coarse_grid_flags_certificate(self):
-        # mu sqrt(dt) > 1 cannot crash the scheme (the drift term only ever
-        # adds to a positive mean) but it does void the comparison warranty
-        tree = build_tree(1.0, 1, FULL)
-        s = exp_transform_solve(3.0, 0.5, np.array([0.0, 1.0]), tree)
-        assert not s.monotone_step
-        assert s.warnings == (
-            f"step-monotonicity certificate fails: bound = {s.step_bound:.6g} > 1",)
-        assert all(np.all(np.isfinite(v)) for v in s.Y.values)
 
 
 class TestRecoverGenerator:
@@ -339,9 +304,3 @@ class TestOnePass:
         assert not s.monotone_step
         assert s.warnings == ("step-monotonicity certificate fails: max|Z| is not "
                               "finite (the scheme overflowed)",)
-        # Y spans ~3.7e302 over one step of a tiny horizon: Z overflows to inf.
-        with np.errstate(all="ignore"):
-            t = exp_transform_solve(0.0, 1e-300, np.array([0.0, 3.7e302]),
-                                    build_tree(1e-20, 1, FULL))
-        assert math.isinf(t.Z.max_abs()) and not t.monotone_step
-        assert t.warnings == s.warnings

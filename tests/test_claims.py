@@ -3,13 +3,13 @@ import numpy as np
 import pytest
 
 from gexpect.claims import (
+    Claim,
     call,
     combine,
     constant,
     first_hitting,
     fixed_depth,
     from_leaf_values,
-    from_path_rule,
     from_spec,
     indicator,
     linear,
@@ -70,7 +70,7 @@ class TestFamilies:
         other = build_tree(1.0, 4, FULL)
         with pytest.raises(ValueError):
             from_leaf_values(v).evaluate(other)
-        rule = from_path_rule(lambda m: m.sum(axis=1))
+        rule = Claim("path_rule", False, path_fn=lambda m: m.sum(axis=1))
         np.testing.assert_allclose(rule.evaluate(tree),
                                    brownian(tree).terminal, atol=1e-14)
 

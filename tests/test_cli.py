@@ -330,6 +330,12 @@ class TestMain:
         assert (row["status"], row["comparisons"]) == ("skipped", 0)
         assert math.isnan(row["max_gap"])
 
+    def test_theta_outside_the_unit_interval_exits_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, task="domination", claim=None, params={"thetas": [1.0]},
+                        tree={"steps": 6, "layout": "full"})
+        assert main(["domination", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "every theta in (0, 1), got 1.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("task,params", [
         ("solve", {}), ("converge", {"n_values": [500, 1000, 2000, 4000]})])
     def test_recombining_solves_run_in_linear_memory(self, task, params):

@@ -14,7 +14,6 @@ from gexpect.generators import (
     conjugate,
     conjugate_values,
     entropy,
-    make_builtin,
     quadratic_lower,
     quadratic_upper,
     scaled_abs,
@@ -56,12 +55,6 @@ class TestBuiltins:
         assert DOMINATED in quadratic_upper(1.0, 1.0).flags
         assert CONVEX not in quadratic_lower(1.0, 1.0).flags
 
-    def test_make_builtin(self):
-        g = make_builtin("entropy", nu=0.25)
-        np.testing.assert_allclose(g(0.0, Z), 0.25 * Z**2)
-        with pytest.raises(ValueError, match="unknown generator kind"):
-            make_builtin("cubic")
-
 
 class TestConjugate:
     def test_quadratic_closed_form(self):
@@ -86,7 +79,6 @@ class TestConjugate:
         for x in (-3.0, -0.5, 0.0, 1.7):
             pt = conjugate(g, 0.0, x)
             assert pt.value == pytest.approx(x**2 / (4 * nu), abs=1e-12)
-            assert pt.argmax == pytest.approx(x / (2 * nu), abs=1e-12)
 
     def test_sublinear_degenerate(self):
         g = sublinear_interval(-1.0, 1.5)
@@ -94,7 +86,6 @@ class TestConjugate:
         assert conjugate(g, 0.0, -1.0).value == 0.0
         assert conjugate(g, 0.0, 1.5).value == 0.0
         assert math.isinf(conjugate(g, 0.0, 1.6).value)
-        assert conjugate(g, 0.0, 1.6).argmax is None
         assert math.isinf(conjugate(g, 0.0, -1.01).value)
 
     def test_concave_driver_conjugate_infinite(self):
@@ -102,10 +93,11 @@ class TestConjugate:
         assert math.isinf(conjugate(g, 0.0, 0.5).value)
 
     def test_fenchel_equality_at_argmax(self):
-        g = quadratic_upper(0.5, 1.0)
+        mu, nu = 0.5, 1.0
+        g = quadratic_upper(mu, nu)
         for x in (2.0, -3.5):
             pt = conjugate(g, 0.0, x)
-            z = pt.argmax
+            z = math.copysign((abs(x) - mu) / (2 * nu), x)
             assert x * z - float(g(0.0, np.array([z]))[0]) == pytest.approx(
                 pt.value, abs=1e-10)
 

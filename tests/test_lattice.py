@@ -46,8 +46,6 @@ class TestConstruction:
     def test_time_grid(self):
         grid = TimeGrid(2.0, 8)
         assert grid.dt == 0.25
-        assert grid.time(3) == 0.75
-        assert np.allclose(grid.times(), np.linspace(0, 2, 9))
 
     def test_counts(self):
         full = build_tree(1.0, 5, FULL)
@@ -126,18 +124,14 @@ class TestTreeProcess:
         shifted = B + 1.5
         np.testing.assert_allclose(shifted.root(), 1.5)
 
-    def test_constant(self):
-        tree = build_tree(2.0, 4, RECOMBINING)
-        c = TreeProcess.constant(tree, 3.0)
-        assert c.at(4).tolist() == [3.0] * 5
-
     def test_max_abs_propagates_nan_from_any_depth(self):
         tree = build_tree(1.0, 2, FULL)
         for depth in range(3):
             slices = [np.ones(tree.n_nodes(k)) for k in range(3)]
             slices[depth] = np.full(tree.n_nodes(depth), np.nan)
             assert np.isnan(TreeProcess(tree, slices).max_abs())
-        assert TreeProcess.constant(tree, -2.0).max_abs() == 2.0
+        assert TreeProcess(tree, [np.full(tree.n_nodes(k), -2.0)
+                                  for k in range(3)]).max_abs() == 2.0
 
     def test_wrong_shape_rejected(self):
         tree = build_tree(1.0, 3, FULL)

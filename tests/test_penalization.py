@@ -20,6 +20,7 @@ from gexpect.penalization import (
     doob_meyer,
     solve_penalized,
 )
+from gexpect.bsde import euler_step
 from gexpect.generators import quadratic_upper
 from gexpect.risk import custom, entropic, from_generator, one_step_defects, \
     supermartingale_gap
@@ -39,7 +40,7 @@ class TestSolvePenalized:
     def test_zero_target_is_exactly_zero(self):
         tree = build_tree(1.0, 16, RECOMBINING)
         drm = entropic(0.5, tree)
-        zero = TreeProcess.constant(tree, 0.0)
+        zero = TreeProcess(tree, [np.zeros(tree.n_nodes(k)) for k in range(17)])
         sol = solve_penalized(drm, zero, 0.0, 64.0)
         assert all(np.all(v == 0.0) for v in sol.y.values)
         assert all(np.all(v == 0.0) for v in sol.A.values)
@@ -438,6 +439,18 @@ class TestErrorPrecedence:
             with pytest.raises(ValueError) as err:
                 solve()
             assert str(err.value) == message
+
+    def test_nan_drop_raises(self):
+        # a measure that answers NaN off a band of states: y^n and y^m are NaN
+        # at the same nodes, and NaN > atol would pass the drop check
+        tree = build_tree(1.0, 8, RECOMBINING)
+        step = euler_step(quadratic_upper(0.3, 0.5), tree)
+        drm = custom(lambda k, down, up: np.where(np.abs(down) > 0.5, np.nan,
+                                                  step(k, down, up)), tree)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
+            doob_meyer(drm, canonical_drift(1.0, 0.5, 1.0, tree), 1.0, n_schedule=[2, 4])
+        assert str(err.value) == ("y^n decreased between levels 2 and 4: drop nan at "
+                                  "depth 0, node 0:0; the measure is not monotone")
 
     def test_level_checks(self):
         tree = build_tree(1.0, 16, RECOMBINING)

@@ -32,13 +32,6 @@ class TestToPlain:
         assert to_plain(np.arange(3)) == [0, 1, 2]
         assert to_plain({"a": np.float64(1.5)}) == {"a": 1.5}
 
-    def test_report_objects_unwrapped(self):
-        class Obj:
-            def as_report(self):
-                return {"x": np.array([1.0, 2.0])}
-
-        assert to_plain(Obj()) == {"x": [1.0, 2.0]}
-
 
 class TestRenderStructured:
     def test_deterministic_layout(self):

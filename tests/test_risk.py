@@ -141,7 +141,18 @@ class TestAxioms:
             check_domination(drm, 0.0, 0.5, [])
 
 
+def unreachable_step(k, down, up):
+    raise AssertionError("a solve ran before the inputs were checked")
+
+
 class TestDomination:
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 1.5])
+    def test_theta_outside_the_unit_interval_is_rejected_before_any_solve(self, theta):
+        # theta = 1 divides by zero; theta > 1 is outside the inequality's domain
+        drm = custom(unreachable_step, build_tree(1.0, 4, FULL))
+        with pytest.raises(ValueError, match=rf"theta in \(0, 1\), got {theta}"):
+            check_domination(drm, 0.0, 0.5, thetas=(0.5, theta))
+
     def test_entropic_is_zero_nu_dominated(self):
         tree = build_tree(1.0, 8, FULL)
         drm = entropic(0.5, tree)
@@ -237,6 +248,14 @@ class TestRepresent:
         drm = custom(bad_step, tree, label="bad", bounds=(1.0, 1.0))
         with pytest.raises(ValueError, match="monotonicity"):
             represent(drm, np.linspace(-1, 1, 5))
+
+    @pytest.mark.parametrize("z_grid,t_grid,message", [
+        ([0.5], (0.0,), "at least two z grid points"),
+        ([-1.0, 1.0], (), "t_grid must not be empty")])
+    def test_grids_are_checked_before_the_precheck(self, z_grid, t_grid, message):
+        drm = custom(unreachable_step, build_tree(1.0, 4, FULL), bounds=(0.0, 0.5))
+        with pytest.raises(ValueError, match=message):
+            represent(drm, z_grid, t_grid)
 
     def test_custom_source_needs_bounds(self):
         tree = build_tree(1.0, 4, FULL)
