@@ -80,11 +80,16 @@ def extract_z(Y: TreeProcess) -> TreeProcess:
 
 
 def euler_step(g: Generator, tree: ScenarioTree) -> StepFn:
-    """One explicit step of the scheme for the given driver."""
+    """One explicit step of the scheme for the given driver.
+
+    The step takes the z of its (down, up) children when the caller has it
+    already (``_solve`` does); called bare, it computes z itself.
+    """
     dt, sdt = tree.dt, tree.sqrt_dt
 
-    def step(k, down, up):
-        z = (up - down) / (2.0 * sdt)
+    def step(k, down, up, z=None):
+        if z is None:
+            z = (up - down) / (2.0 * sdt)
         return 0.5 * (down + up) + g(k * dt, z) * dt
 
     return step
@@ -112,11 +117,15 @@ def _summary(y: np.ndarray, z: np.ndarray | None) -> tuple:
             None if z is None else float(z.min()), None if z is None else float(z.max()))
 
 
-def _solve(tree: ScenarioTree, xi: np.ndarray, step: StepFn, keep: int | None = None):
+def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
+           keep: int | None = None):
     """(Y, Z, dropped) in one backward pass: Z is taken, as in ``extract_z``,
     from the same (down, up) child views the step receives, so no step runs
-    twice.  Y and Z keep depths 0..``keep`` (default: all); every deeper
-    depth is summarized into ``dropped`` (see SolvedBSDE) and let go."""
+    twice.  ``step(k, down, up, z)`` is handed that z, so the explicit step
+    does not compute it again; a plain three-argument step is wrapped by
+    its caller.  Y and Z keep depths 0..``keep`` (default: all); every
+    deeper depth is summarized into ``dropped`` (see SolvedBSDE) and let
+    go."""
     n = tree.steps
     keep = n if keep is None else keep
     z_slices: list[np.ndarray] = [None] * min(keep + 1, n)  # type: ignore[list-item]
@@ -124,7 +133,7 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: StepFn, keep: int | None = 
 
     def step_with_z(k, down, up):
         z = (up - down) / (2.0 * tree.sqrt_dt)
-        y = step(k, down, up)
+        y = step(k, down, up, z)
         if k <= keep:
             z_slices[k] = z
         else:
@@ -191,7 +200,8 @@ def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None,
     tree, last, xi = _terminal_array(terminal, tree)
     if last != tree.steps:
         raise ValueError("terminal condition must sit at the horizon")
-    Y, Z, dropped = _solve(tree, xi, entropy_step(nu, tree), keep)
+    step = entropy_step(nu, tree)
+    Y, Z, dropped = _solve(tree, xi, lambda k, down, up, z: step(k, down, up), keep)
     bound = _certificate(tree, _max_abs_z(Z, dropped), 0.0, nu)[0]
     # The exact recursion is monotone for every step size (softmax weights).
     return SolvedBSDE(Y, Z, "entropy_exact", xi, None, bound, True, (), dropped)

@@ -5,6 +5,14 @@ dictionary, and flat CSV tables for anything row-oriented.  Both print
 numbers with 17 significant digits so reruns of the same configuration
 reproduce files byte for byte (wall-clock timing is deliberately kept out
 of the serialized artifacts for the same reason).
+
+Every scalar is formatted by its exact type through one table, after
+``to_plain`` has turned numpy scalars into the built-ins they hold; ``bool``
+is its own exact type, so it never formats as an int, and a numpy scalar
+gives the same bytes as its built-in.  A dict whose keys are str and whose
+values are all plain scalars is passed through ``to_plain`` as it is and
+rendered with one join, so a table of plain rows is neither copied nor
+dispatched cell by cell.
 """
 from __future__ import annotations
 
@@ -16,34 +24,41 @@ from typing import Any
 import numpy as np
 
 INDENT = "  "
-# Leaves that to_plain returns as they are; checked by exact type, so numpy
-# scalars (np.float64 subclasses float) still take the conversions below.
-_PLAIN = frozenset({float, int, str, bool, type(None)})
+# Leaves that to_plain returns as they are, keyed by exact type, with the
+# text each one renders as.
+_PLAIN = {
+    float: lambda x: format(x, ".17g"),
+    int: str,
+    str: str,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
 
 
 def format_number(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    return _scalar(to_plain(x))
 
 
 def _scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_, int, np.integer, float, np.floating)):
-        return format_number(value)
-    return str(value)
+    """Text of one ``to_plain`` leaf."""
+    return _PLAIN.get(type(value), str)(value)
+
+
+def _is_flat(obj: dict) -> bool:
+    """All values are plain scalars (to_plain emits str keys only)."""
+    return all(map(_PLAIN.__contains__, map(type, obj.values())))
 
 
 def to_plain(obj):
     """Reduce numpy containers to built-in types.
 
     The result is built from dict, list and scalars only, which is all
-    ``_render`` checks for.
+    ``_render`` checks for.  A dict with str keys and plain values is
+    returned as it is, not copied.
     """
     if type(obj) in _PLAIN:
+        return obj
+    if type(obj) is dict and all(type(k) is str for k in obj) and _is_flat(obj):
         return obj
     if isinstance(obj, Mapping):
         return {str(k): to_plain(v) for k, v in obj.items()}
@@ -74,6 +89,10 @@ def _render(node, out: io.StringIO, level: int) -> None:
     """Write ``to_plain`` output: its only containers are dict and list."""
     pad = INDENT * level
     if isinstance(node, dict):
+        if _is_flat(node):
+            out.write("".join([f"{pad}{key}: {_PLAIN[type(value)](value)}\n"
+                               for key, value in node.items()]))
+            return
         for key, value in node.items():
             if isinstance(value, dict) and not value:
                 out.write(f"{pad}{key}: {{}}\n")
@@ -103,7 +122,6 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([_scalar(to_plain(v)) for v in row])
+    writer.writerows([format_number(v) for v in row] for row in rows)
     return out.getvalue()
 

@@ -66,7 +66,8 @@ class DynamicRiskMeasure:
         if self.kind == "entropy":
             return entropy_exact(self.generator.nu, terminal, self.tree, keep)
         xi = _unbatched(terminal)
-        Y, Z, dropped = _solve(self.tree, xi, self.one_step, keep)
+        Y, Z, dropped = _solve(self.tree, xi,
+                               lambda k, down, up, z: self.one_step(k, down, up), keep)
         # Custom operators carry no growth data; certificate unknown, so the
         # inequality axioms run un-gated and report what they see.
         return SolvedBSDE(Y, Z, "custom", xi, None, float("nan"), True, (), dropped)
@@ -249,6 +250,7 @@ def check_axioms(
     claim labels, depth, node identifier and the offending values, enough to
     reproduce the violation by direct evaluation.  Monotonicity, convexity
     and subadditivity are skipped when a solve breaks the step certificate.
+    Every convexity theta must lie in [0, 1].
     """
     tree = drm.tree
     if tree.layout != FULL:
@@ -258,6 +260,9 @@ def check_axioms(
         depths = sorted({0, n // 3, (2 * n) // 3})
     for t in depths:
         tree.check_depth(t)
+    bad = [th for th in thetas if not 0.0 <= th <= 1.0]
+    if bad:
+        raise ValueError(f"convexity needs every theta in [0, 1], got {bad[0]}")
     xs, labels, solved, atol, pairs = _suite_setup(drm, claims, seed, tol)
     certified = all(s.monotone_step for s in solved)
     checks: dict = {}
@@ -514,6 +519,9 @@ def represent(
     ts = np.asarray(sorted(float(v) for v in t_grid), dtype=float)
     if z.size < 2:
         raise ValueError("need at least two z grid points to interpolate")
+    repeated = z[1:][np.diff(z) == 0.0]
+    if repeated.size:
+        raise ValueError(f"z grid points must be distinct; {repeated[0]:g} repeats")
     if not ts.size:
         raise ValueError("t_grid must not be empty")
     if drm.bounds is None:

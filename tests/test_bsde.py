@@ -245,9 +245,9 @@ class TestOnePass:
         calls = []
 
         def counted(step):
-            def wrapper(k, down, up):
+            def wrapper(k, down, up, *z):  # solve_bsde hands the explicit step its z
                 calls.append(k)
-                return step(k, down, up)
+                return step(k, down, up, *z)
             return wrapper
 
         if solve == "explicit":
@@ -296,6 +296,14 @@ class TestOnePass:
                 assert (part.monotone_step, part.warnings) == \
                     (full.monotone_step, full.warnings)
                 assert part.terminal.tobytes() == full.terminal.tobytes()
+
+    @pytest.mark.parametrize("layout,N", CASES)
+    def test_explicit_step_takes_z_bit_for_bit(self, layout, N):
+        tree = build_tree(1.0, N, layout)
+        step = euler_step(quadratic_upper(0.3, 0.5), tree)
+        down, up = tree.split_children(call(0.1).evaluate(tree))
+        z = (up - down) / (2.0 * tree.sqrt_dt)
+        assert step(N - 1, down, up).tobytes() == step(N - 1, down, up, z).tobytes()
 
     def test_nonfinite_certificate_message(self):
         tree, xi = overflowing_claim()

@@ -1,5 +1,6 @@
 """Plain-text and CSV rendering used by the command line runner."""
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from gexpect.reporting import (
     format_number,
@@ -58,3 +59,60 @@ class TestCsv:
     def test_exact_bytes(self):
         text = render_csv(["n", "v"], [[2, 0.5], [4, 1 / 3]])
         assert text == "n,v\n2,0.5\n4,0.33333333333333331\n"
+
+
+def as_numpy(value):
+    """The same cell as a numpy scalar; text and None stay as they are
+    (np.str_ would drop trailing NULs)."""
+    if isinstance(value, bool):
+        return np.bool_(value)
+    if isinstance(value, int):
+        return np.int64(value)
+    if isinstance(value, float):
+        return np.float64(value)
+    return value
+
+
+def assert_numpy_rows_render_alike(header, rows):
+    """Rows of built-ins render to the same bytes as the same rows of numpy
+    scalars, and each numpy cell formats as its built-in."""
+    numpy_rows = [[as_numpy(v) for v in row] for row in rows]
+    for row, numpy_row in zip(rows, numpy_rows):
+        for v, n in zip(row, numpy_row):
+            assert v is None or isinstance(v, str) or type(n).__module__ == "numpy"
+            assert format_number(n) == format_number(v)
+
+    def document(table):
+        return {"results": dict(zip(header, table[0])),
+                "tables": {"t": [dict(zip(header, row)) for row in table]}}
+
+    assert render_structured(document(rows)) == render_structured(document(numpy_rows))
+    assert render_csv(header, rows) == render_csv(header, numpy_rows)
+
+
+class TestNumpyScalars:
+    HEADER = ["a", "b", "c", "d", "e", "f"]
+
+    def test_special_values(self):
+        rows = [[-0.0, float("nan"), float("inf"), float("-inf"), None, ""],
+                [True, False, 0, -7, 2 ** 62, 'say "a, b"'],
+                [1 / 3, 1e-300, -2.5e300, 0.0, 1, "plain"]]
+        assert_numpy_rows_render_alike(self.HEADER, rows)
+        text = render_csv(self.HEADER, rows)
+        assert text.splitlines()[1] == "-0,nan,inf,-inf,null,"
+        assert text.splitlines()[2] == 'true,false,0,-7,4611686018427387904,"say ""a, b"""'
+        doc = render_structured({"tables": {"t": [dict(zip(self.HEADER, rows[1]))]}})
+        assert "      a: true\n" in doc and "      c: 0\n" in doc
+
+    def test_plain_dict_is_not_copied(self):
+        row = {"x": 1.5, "y": None, "z": True}
+        assert to_plain(row) is row
+        assert to_plain({"x": np.float64(1.5)}) == {"x": 1.5}
+        assert to_plain({1: 2.0}) == {"1": 2.0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.one_of(
+        st.floats(), st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans(), st.none(),
+        st.text(max_size=8)), min_size=6, max_size=6), min_size=1, max_size=5))
+    def test_random_rows(self, rows):
+        assert_numpy_rows_render_alike(self.HEADER, rows)

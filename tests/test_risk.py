@@ -1,5 +1,6 @@
 """Dynamic risk measure layer: axioms, domination, stopping, representation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,16 @@ class TestAxioms:
         drm = entropic(0.5, build_tree(1.0, 4, FULL))
         with pytest.raises(ValueError, match=rf"depth {depth} outside \[0, 4\]"):
             check_axioms(drm, depths=[0, depth])
+
+    @pytest.mark.parametrize("theta", [-0.25, 1.5])
+    def test_theta_outside_the_unit_interval_is_rejected_before_any_solve(self, theta):
+        drm = custom(unreachable_step, build_tree(1.0, 4, FULL))
+        with pytest.raises(ValueError, match=rf"theta in \[0, 1\], got {theta}"):
+            check_axioms(drm, thetas=(0.5, theta))
+
+    def test_theta_at_the_ends_of_the_unit_interval_runs(self):
+        rep = check_axioms(entropic(0.5, build_tree(1.0, 6, FULL)), thetas=(0.0, 1.0))
+        assert rep.checks["convexity"].status == "pass"
 
     def test_sublinear_passes_all(self):
         tree = build_tree(1.0, 8, FULL)
@@ -251,11 +262,20 @@ class TestRepresent:
 
     @pytest.mark.parametrize("z_grid,t_grid,message", [
         ([0.5], (0.0,), "at least two z grid points"),
-        ([-1.0, 1.0], (), "t_grid must not be empty")])
+        ([-1.0, 1.0], (), "t_grid must not be empty"),
+        ([0.0, 0.0, 1.0], (0.0,), "z grid points must be distinct; 0 repeats")])
     def test_grids_are_checked_before_the_precheck(self, z_grid, t_grid, message):
         drm = custom(unreachable_step, build_tree(1.0, 4, FULL), bounds=(0.0, 0.5))
         with pytest.raises(ValueError, match=message):
             represent(drm, z_grid, t_grid)
+
+    def test_repeated_z_point_raises_without_a_numeric_warning(self):
+        # Once divided by zero in the row-convexity test and gave a NaN edge slope.
+        drm = entropic(0.5, build_tree(1.0, 8, FULL))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="z grid points must be distinct"):
+                represent(drm, [0.0, 0.0, 1.0])
 
     def test_custom_source_needs_bounds(self):
         tree = build_tree(1.0, 4, FULL)
