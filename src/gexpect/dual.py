@@ -13,6 +13,15 @@ by any density selecting from the subdifferential of the driver at the
 solution's martingale integrand.  For the entropic measure the duality is
 an identity of finite Gibbs measures and is checked to 1e-9, penalizing
 with the exact discrete relative entropy.
+
+Each tilted recursion (the discrete relative entropy, the tilted mean of
+``lattice``, the conjugate-penalized value) is written once, as an in-place
+kernel.  The public ``relative_entropy``, ``dual_value`` and
+``lattice.cond_expect`` run it into fresh arrays and return whole
+processes.  ``verify_duality`` reads only roots: it evaluates every density
+root-only, with all its reductions writing into one workspace allocated
+once per call, so a sweep over many densities on a large full tree does not
+allocate, and fault in, fresh slices for each one.
 """
 from __future__ import annotations
 
@@ -24,7 +33,8 @@ import numpy as np
 from .bsde import SolvedBSDE
 from .claims import Claim
 from .generators import CONVEX, Generator, conjugate_values, subdifferential_slices
-from .lattice import FULL, ScenarioTree, TreeProcess, _unbatched, backward_reduce, expectation
+from .lattice import (FULL, ScenarioTree, TreeProcess, _fresh, _tilted_mean, _unbatched,
+                      backward_reduce)
 from .risk import DynamicRiskMeasure, rho_solved
 
 DEFAULT_ADMISSIBILITY_MARGIN = 1e-6
@@ -34,10 +44,10 @@ DEFAULT_ADMISSIBILITY_MARGIN = 1e-6
 class DensityProcess:
     """Adapted tilt rates q_k, one slice per step 0..N-1.
 
-    Admissibility requires |q| sqrt(dt) <= 1 - delta at every node so both
-    tilted one-step probabilities stay inside (0, 1).  ``fenchel_residual``
-    is attached by :func:`optimal_density` and records how far each node's
-    rate is from satisfying the conjugacy equality.
+    Admissibility requires a finite |q| sqrt(dt) <= 1 - delta at every node
+    so both tilted one-step probabilities stay inside (0, 1).
+    ``fenchel_residual`` is attached by :func:`optimal_density` and records
+    how far each node's rate is from satisfying the conjugacy equality.
     """
 
     q: TreeProcess
@@ -50,11 +60,13 @@ class DensityProcess:
             raise ValueError("a density process needs exactly one slice per step")
         cap = 1.0 - self.delta
         for k, slice_ in enumerate(self.q.values):
-            worst = int(np.argmax(np.abs(slice_)))
-            if abs(slice_[worst]) * tree.sqrt_dt > cap:
+            worst = int(np.argmax(np.abs(slice_)))  # a NaN rate wins argmax
+            size = abs(slice_[worst]) * tree.sqrt_dt
+            if not size <= cap:
+                detail = "q = nan" if np.isnan(size) else \
+                    f"|q| sqrt(dt) = {size:.6g} > {cap:.6g}"
                 raise ValueError(
-                    f"inadmissible density: |q| sqrt(dt) = "
-                    f"{abs(slice_[worst]) * tree.sqrt_dt:.6g} > {cap:.6g} at depth {k}, "
+                    f"inadmissible density: {detail} at depth {k}, "
                     f"node {tree.node_label(k, worst)}")
 
     @property
@@ -134,17 +146,27 @@ class EntropyEstimates:
     continuum: TreeProcess
 
 
-def _discrete_entropy(m: TiltedMeasure) -> TreeProcess:
-    """E_Q[log(theta_N / theta_k) | k], the exact relative entropy of the tilt."""
-    tree = m.tree
-    q, p_up = m.density.q.values, m.p_up
+def _entropy_kernel(m: TiltedMeasure):
+    """In-place kernel of E_Q[log(theta_N / theta_k) | k], the exact relative
+    entropy of the tilt: ``(1 - p) (down + log1p(-q sqrt(dt)))
+    + p (up + log1p(q sqrt(dt)))``, in that order (see ``lattice._tilted_mean``)."""
+    q, sdt = m.density.q.values, m.tree.sqrt_dt
 
-    def step(k, down, up):
-        p = p_up(k)
-        return ((1.0 - p) * (down + np.log1p(-q[k] * tree.sqrt_dt))
-                + p * (up + np.log1p(q[k] * tree.sqrt_dt)))
+    def kernel(k, down, up, out, a, b):
+        p = m.p_up(k)
+        np.negative(q[k], out=a)
+        np.multiply(a, sdt, out=a)
+        np.log1p(a, out=a)
+        np.add(down, a, out=a)
+        np.subtract(1.0, p, out=b)
+        np.multiply(b, a, out=a)
+        np.multiply(q[k], sdt, out=b)
+        np.log1p(b, out=b)
+        np.add(up, b, out=b)
+        np.multiply(p, b, out=b)
+        return np.add(a, b, out=out)
 
-    return backward_reduce(tree, np.zeros(tree.n_nodes(tree.steps)), step)
+    return kernel
 
 
 def relative_entropy(m: TiltedMeasure) -> EntropyEstimates:
@@ -155,7 +177,8 @@ def relative_entropy(m: TiltedMeasure) -> EntropyEstimates:
         return (1.0 - p) * down + p * up + 0.5 * q * q * tree.dt
 
     zero = np.zeros(tree.n_nodes(tree.steps))
-    return EntropyEstimates(_discrete_entropy(m), backward_reduce(tree, zero, continuum))
+    return EntropyEstimates(backward_reduce(tree, zero, _fresh(_entropy_kernel(m))),
+                            backward_reduce(tree, zero, continuum))
 
 
 @dataclass
@@ -174,6 +197,28 @@ class DualValue:
         return self.process.root()
 
 
+class _PenalizedKernel:
+    """In-place kernel of the penalized tilted step
+    ``(1 - p) down + p up - cost dt`` with cost = f(t, q) (see
+    ``lattice._tilted_mean``); ``infinite`` counts the infinite costs met."""
+
+    def __init__(self, m: TiltedMeasure, penalty):
+        self.m = m
+        self.penalty_fn: Callable = penalty
+        if isinstance(penalty, Generator):
+            self.penalty_fn = lambda t, x: conjugate_values(penalty, t, x)
+        self.mean = _tilted_mean(m)
+        self.infinite = 0
+
+    def __call__(self, k, down, up, out, a, b):
+        dt = self.m.tree.dt
+        cost = np.asarray(self.penalty_fn(k * dt, self.m.density.q.values[k]), dtype=float)
+        self.infinite += int(np.sum(np.isinf(cost)))
+        self.mean(k, down, up, out, a, b)
+        np.multiply(cost, dt, out=a)
+        return np.subtract(out, a, out=out)
+
+
 def dual_value(m: TiltedMeasure, xi, penalty, tree: ScenarioTree | None = None) -> DualValue:
     """Evaluate the dual lower bound for one admissible density.
 
@@ -187,20 +232,9 @@ def dual_value(m: TiltedMeasure, xi, penalty, tree: ScenarioTree | None = None) 
     if isinstance(xi, Claim):
         xi = xi.evaluate(tree)
     xi = _unbatched(xi)
-    penalty_fn: Callable = penalty
-    if isinstance(penalty, Generator):
-        penalty_fn = lambda t, x: conjugate_values(penalty, t, x)
-    bad = 0
-
-    def step(k, down, up):
-        nonlocal bad
-        p = m.p_up(k)
-        cost = np.asarray(penalty_fn(k * tree.dt, m.density.q.values[k]), dtype=float)
-        bad += int(np.sum(np.isinf(cost)))
-        return (1.0 - p) * down + p * up - cost * tree.dt
-
-    proc = backward_reduce(tree, -xi, step)
-    return DualValue(proc, bool(np.isfinite(proc.root())), bad)
+    kernel = _PenalizedKernel(m, penalty)
+    proc = backward_reduce(tree, -xi, _fresh(kernel))
+    return DualValue(proc, bool(np.isfinite(proc.root())), kernel.infinite)
 
 
 def optimal_density(solved: SolvedBSDE, generator: Generator | None = None,
@@ -267,6 +301,36 @@ def gibbs_density(nu: float, xi, tree: ScenarioTree) -> DensityProcess:
     return DensityProcess(q, min(DEFAULT_ADMISSIBILITY_MARGIN, 0.5 * margin))
 
 
+class _Workspace:
+    """Root-only reductions on one tree, written into buffers allocated once.
+
+    Two scratch slices as wide as depth N-1 and one output buffer, split by
+    depth parity into a region as wide as depth N-1 and one as wide as
+    depth N-2.  The step at depth k writes into the region of k's parity and
+    reads its children from the other one (or from the terminal), so no
+    step's output aliases its input.  Only root floats leave: every
+    reduction of a verification reuses the same memory.
+    """
+
+    def __init__(self, tree: ScenarioTree):
+        n = tree.steps
+        wide = tree.n_nodes(n - 1)
+        out = np.empty(wide + tree.n_nodes(max(n - 2, 0)))
+        self.tree = tree
+        self.regions = (out[:wide], out[wide:]) if n % 2 else (out[wide:], out[:wide])
+        self.a, self.b = np.empty(wide), np.empty(wide)
+        self.zeros = np.broadcast_to(0.0, tree.n_nodes(n))  # one float, read-only
+
+    def root(self, terminal: np.ndarray, kernel) -> float:
+        """Root of the reduction of ``terminal`` by an in-place ``kernel``."""
+
+        def step(k, down, up):
+            w = down.shape[-1]
+            return kernel(k, down, up, self.regions[k % 2][:w], self.a[:w], self.b[:w])
+
+        return backward_reduce(self.tree, terminal, step, keep=0).root()
+
+
 @dataclass
 class DualityReport:
     label: str
@@ -322,33 +386,40 @@ def verify_duality(
     tree = drm.tree
     solved = rho_solved(drm, xi)
     rho_root = solved.root()
+    opt = optimal_density(solved, generator=g)
+    # The solution is the largest array alive and the rows read only its
+    # max|Z|: release it before any density is evaluated.
+    z_max = solved.Z.max_abs()
+    del solved
     xi_term = xi.evaluate(tree) if isinstance(xi, Claim) else np.asarray(xi, dtype=float)
+    neg_xi = -xi_term
     tol = slack * max(1.0, abs(rho_root))
+    work = _Workspace(tree)
 
     if drm.kind == "entropy":
         penalty_name = "discrete_relative_entropy"
 
         def evaluate(m: TiltedMeasure) -> tuple[float, bool]:
-            ent = _discrete_entropy(m).root()
-            mean = expectation(-xi_term, measure=m, tree=tree)
+            ent = work.root(work.zeros, _entropy_kernel(m))
+            mean = work.root(neg_xi, _tilted_mean(m))
             return mean - ent / (2.0 * g.nu), True
     else:
         penalty_name = "conjugate_integral"
 
         def evaluate(m: TiltedMeasure) -> tuple[float, bool]:
-            val = dual_value(m, xi_term, g)
-            return val.root(), val.feasible
+            root = work.root(neg_xi, _PenalizedKernel(m, g))
+            return root, bool(np.isfinite(root))
 
     rows: list[dict] = []
-    opt = optimal_density(solved, generator=g)
     opt_value, opt_feasible = evaluate(TiltedMeasure(opt))
     optimal_gap = rho_root - opt_value
     rows.append({"density": "subdifferential_selection", "value": opt_value,
                  "feasible": opt_feasible,
                  "fenchel_residual": opt.fenchel_residual.max_abs()})
+    del opt  # the sweep does not read the selection
 
     if q_sweep is None:
-        z_cap = max(1.0, solved.Z.max_abs())
+        z_cap = max(1.0, z_max)
         q_cap = min(g.mu + 2.0 * g.nu * z_cap, 0.9 / tree.sqrt_dt)
         q_sweep = np.linspace(-q_cap, q_cap, 9)
     for qv in q_sweep:
@@ -377,7 +448,7 @@ def verify_duality(
                   if np.isfinite(r["value"]))
     # Attainment allowance: exact for the scheme-matched penalty, O(dt) for
     # the entropic selection (whose exact maximizer is the Gibbs tilt).
-    scale = (1.0 + solved.Z.max_abs()) * max(1.0, 2.0 * drm.bounds[1])
+    scale = (1.0 + z_max) * max(1.0, 2.0 * drm.bounds[1])
     opt_allowance = max(tol, 2.0 * scale ** 3 * tree.dt) if drm.kind == "entropy" \
         else max(tol, 1e-7)
     passed = weak_ok and -tol <= optimal_gap <= opt_allowance and (

@@ -371,16 +371,38 @@ def propagate(tree: ScenarioTree, depth: int, values: np.ndarray) -> TreeProcess
     return TreeProcess(tree, filled, copy=False)
 
 
-def _measure_step(measure):
-    """One-step expectation under ``measure`` (anything exposing ``p_up``)."""
-    if measure is None:
-        return _average
+def _tilted_mean(measure):
+    """In-place kernel of the one-step expectation under ``measure``.
+
+    ``kernel(k, down, up, out, a, b)`` writes ``(1 - p) * down + p * up``
+    into ``out``, using ``a`` and ``b`` (same width, aliasing neither input)
+    as scratch, one ufunc per operation of that expression and in its order,
+    so the bits equal the expression's.
+    """
+
+    def kernel(k, down, up, out, a, b):
+        p = measure.p_up(k)
+        np.subtract(1.0, p, out=a)
+        np.multiply(a, down, out=a)
+        np.multiply(p, up, out=b)
+        return np.add(a, b, out=out)
+
+    return kernel
+
+
+def _fresh(kernel):
+    """The one-step function of an in-place kernel: new arrays at every step."""
 
     def step(k, down, up):
-        p = measure.p_up(k)
-        return (1.0 - p) * down + p * up
+        return kernel(k, down, up, np.empty_like(down), np.empty_like(down),
+                      np.empty_like(down))
 
     return step
+
+
+def _measure_step(measure):
+    """One-step expectation under ``measure`` (anything exposing ``p_up``)."""
+    return _average if measure is None else _fresh(_tilted_mean(measure))
 
 
 def cond_expect(proc, depth: int, measure=None, tree: ScenarioTree | None = None) -> TreeProcess:

@@ -519,6 +519,10 @@ def represent(
     ts = np.asarray(sorted(float(v) for v in t_grid), dtype=float)
     if z.size < 2:
         raise ValueError("need at least two z grid points to interpolate")
+    for name, grid in (("z grid", z), ("t_grid", ts)):
+        bad = grid[~np.isfinite(grid)]
+        if bad.size:
+            raise ValueError(f"{name} points must be finite; got {bad[0]:g}")
     repeated = z[1:][np.diff(z) == 0.0]
     if repeated.size:
         raise ValueError(f"z grid points must be distinct; {repeated[0]:g} repeats")

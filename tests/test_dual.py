@@ -7,6 +7,8 @@ import pytest
 from gexpect.claims import call, sample_claims
 from gexpect.dual import (
     DensityProcess,
+    _PenalizedKernel,
+    _Workspace,
     constant_density,
     dual_value,
     gibbs_density,
@@ -42,6 +44,22 @@ class TestDensities:
         with pytest.raises(ValueError) as err:
             constant_density(tree, 2.1)  # 1.05 > 1 - delta
         assert "root" in str(err.value) or "node" in str(err.value)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("all", "q = nan at depth 0, node root"),
+        ("one", "q = nan at depth 3, node 101"),
+        ("inf", r"\|q\| sqrt\(dt\) = inf > 0.999999 at depth 2, node 01")])
+    def test_non_finite_rates_are_inadmissible(self, bad, message):
+        tree = build_tree(1.0, 4, FULL)
+        q = [np.zeros(tree.n_nodes(k)) for k in range(4)]
+        if bad == "all":
+            q = [np.full(tree.n_nodes(k), np.nan) for k in range(4)]
+        elif bad == "one":
+            q[3][5] = np.nan
+        else:
+            q[2][1] = np.inf
+        with pytest.raises(ValueError, match=f"inadmissible density: {message}"):
+            DensityProcess(TreeProcess(tree, q))
 
     def test_girsanov_mean_shift_exact(self):
         q = 0.8
@@ -374,6 +392,62 @@ class TestOnReduction:
             want = cond_expect(-xi, 0, measure=m, tree=tree).root() \
                 - relative_entropy(m).discrete.root() / (2 * nu)
             assert np.float64(row["value"]).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("layout,N", CASES + [(FULL, 17)])
+    def test_conjugate_rows_match_dual_value(self, layout, N):
+        # each conjugate-penalized row is the root of dual_value, bit for bit;
+        # at N=17 the widest step (2^16 nodes, 512 KB) exceeds 128 KB
+        seed, q_sweep = 3, (-1.5, 0.0, 0.7)
+        n_random = 2 if N < 17 else 1
+        tree = build_tree(1.0, N, layout)
+        xi = call(0.0).evaluate(tree)
+        for g in (quadratic_upper(0.3, 0.5), sublinear_interval(-1.0, 1.0)):
+            drm = from_generator(g, tree)
+            rep = verify_duality(drm, xi, q_sweep=q_sweep, seed=seed, n_random=n_random)
+            densities = [optimal_density(rho_solved(drm, xi), generator=g)]
+            densities += [constant_density(tree, q) for q in q_sweep]
+            if layout == FULL:
+                rng = np.random.default_rng(seed)
+                cap = min(2.0, 0.9 / tree.sqrt_dt)
+                densities += [DensityProcess(TreeProcess(tree, [
+                    rng.uniform(-cap, cap, tree.n_nodes(k)) for k in range(N)]))
+                    for _ in range(n_random)]
+            assert len(rep.rows) == len(densities)
+            infeasible = 0
+            for row, d in zip(rep.rows, densities):
+                m = tilt(d)
+                dv = dual_value(m, xi, g)
+                assert np.float64(row["value"]).tobytes() == np.float64(dv.root()).tobytes()
+                assert row["feasible"] == dv.feasible
+                kernel = _PenalizedKernel(m, g)
+                root = _Workspace(tree).root(-xi, kernel)
+                assert np.float64(root).tobytes() == np.float64(dv.root()).tobytes()
+                assert kernel.infinite == dv.infeasible_nodes
+                infeasible += not dv.feasible
+            # the interval driver charges +inf outside its slopes: -inf rows
+            assert (infeasible > 0) == (g.kind == "sublinear_interval")
+
+    def test_back_to_back_verifications_match_fresh_ones(self):
+        tree = build_tree(1.0, 9, FULL)
+        a, b = (c.evaluate(tree) for c in (call(-0.25), call(0.5)))
+        for drm in (entropic(0.5, tree), from_generator(quadratic_upper(0.3, 0.5), tree)):
+            fresh = verify_duality(drm, b, seed=2).rows
+            verify_duality(drm, a, seed=1)
+            again = verify_duality(drm, b, seed=2).rows
+            assert [np.float64(r["value"]).tobytes() for r in again] \
+                == [np.float64(r["value"]).tobytes() for r in fresh]
+            assert again == fresh
+
+    def test_public_processes_share_no_memory(self):
+        tree = build_tree(1.0, 6, FULL)
+        xi = call(0.0).evaluate(tree)
+        g = quadratic_upper(0.3, 0.5)
+        m1, m2 = adapted_tilts(tree)
+        pairs = [(relative_entropy(m1).discrete, relative_entropy(m2).discrete),
+                 (dual_value(m1, xi, g).process, dual_value(m2, xi, g).process)]
+        for p1, p2 in pairs:
+            for u in p1.values:
+                assert not any(np.shares_memory(u, v) for v in p2.values)
 
     def test_dual_value_rejects_wrong_shaped_claim(self):
         tree = build_tree(1.0, 4, FULL)

@@ -263,11 +263,16 @@ class TestRepresent:
     @pytest.mark.parametrize("z_grid,t_grid,message", [
         ([0.5], (0.0,), "at least two z grid points"),
         ([-1.0, 1.0], (), "t_grid must not be empty"),
-        ([0.0, 0.0, 1.0], (0.0,), "z grid points must be distinct; 0 repeats")])
+        ([0.0, 0.0, 1.0], (0.0,), "z grid points must be distinct; 0 repeats"),
+        ([0.0, math.nan, 1.0], (0.0,), "z grid points must be finite; got nan"),
+        ([-1.0, math.inf, 1.0], (0.0,), "z grid points must be finite; got inf"),
+        ([-1.0, 1.0], (0.0, math.nan), "t_grid points must be finite; got nan")])
     def test_grids_are_checked_before_the_precheck(self, z_grid, t_grid, message):
         drm = custom(unreachable_step, build_tree(1.0, 4, FULL), bounds=(0.0, 0.5))
-        with pytest.raises(ValueError, match=message):
-            represent(drm, z_grid, t_grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=message):
+                represent(drm, z_grid, t_grid)
 
     def test_repeated_z_point_raises_without_a_numeric_warning(self):
         # Once divided by zero in the row-convexity test and gave a NaN edge slope.
