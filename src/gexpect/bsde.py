@@ -17,7 +17,9 @@ comparison-type statements survive discretization.
 A solve may keep only the depths 0..``keep`` of Y and Z.  The depths it
 drops are folded into a per-depth (min, max) profile as the pass goes, and
 the certificate reads max|Z| off that fold, so a root-only solve on the
-recombining layout runs in O(N) memory.
+recombining layout runs in O(N) memory.  The fold runs per block of
+depths: consecutive dropped depths are packed into one small buffer and
+reduced together, with the same values a depth-by-depth fold gives.
 """
 from __future__ import annotations
 
@@ -42,7 +44,9 @@ class SolvedBSDE:
     (mu + 2 nu max|Z|) sqrt(dt) <= 1; comparison and convexity assertions
     should be gated on it.  A solve that kept only the top depths of Y and
     Z holds the (y_min, y_max, z_min, z_max) of every deeper depth in
-    ``dropped``, top first; the z entries of the horizon are None.
+    ``dropped``, top first; the z entries of the horizon are None.  The
+    solve folds those depths per block of depths, into the same floats a
+    per-depth ``min``/``max`` gives.
     """
 
     Y: TreeProcess
@@ -117,6 +121,11 @@ def _summary(y: np.ndarray, z: np.ndarray | None) -> tuple:
             None if z is None else float(z.min()), None if z is None else float(z.max()))
 
 
+# Floats in each of the two buffers of a profile block: 64 KB, below the
+# allocator's mmap threshold, so a block is ordinary reused heap.
+_BLOCK = 8192
+
+
 def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
            keep: int | None = None):
     """(Y, Z, dropped) in one backward pass: Z is taken, as in ``extract_z``,
@@ -125,22 +134,67 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
     does not compute it again; a plain three-argument step is wrapped by
     its caller.  Y and Z keep depths 0..``keep`` (default: all); every
     deeper depth is summarized into ``dropped`` (see SolvedBSDE) and let
-    go."""
+    go.
+
+    The dropped depths are summarized per block: each one's z is computed
+    straight into, and its y copied into, the next ``width`` floats of two
+    block buffers, and when a depth does not fit (and at the end) four
+    ``reduceat`` calls give the rows of every depth in the block -- the
+    floats ``_summary`` gives depth by depth.  A depth wider than a block is
+    summarized on its own.  The buffers are allocated for the first depth
+    that uses them, so a solve that keeps every depth allocates none."""
     n = tree.steps
     keep = n if keep is None else keep
     z_slices: list[np.ndarray] = [None] * min(keep + 1, n)  # type: ignore[list-item]
     dropped: list[tuple] = [None] * (n - keep)  # type: ignore[list-item]
+    scale = 2.0 * tree.sqrt_dt
+    ys = zs = None
+    starts: list[int] = []  # offsets of the block's depths, deepest first
+    shallowest = used = 0
+
+    def fold_block():
+        nonlocal used
+        if starts:
+            at = np.array(starts)
+            y, z = ys[:used], zs[:used]
+            rows = list(zip(np.minimum.reduceat(y, at).tolist(),
+                            np.maximum.reduceat(y, at).tolist(),
+                            np.minimum.reduceat(z, at).tolist(),
+                            np.maximum.reduceat(z, at).tolist()))
+            rows.reverse()
+            first = shallowest - keep - 1
+            dropped[first:first + len(rows)] = rows
+            starts.clear()
+            used = 0
 
     def step_with_z(k, down, up):
-        z = (up - down) / (2.0 * tree.sqrt_dt)
-        y = step(k, down, up, z)
-        if k <= keep:
-            z_slices[k] = z
-        else:
-            dropped[k - keep - 1] = _summary(np.asarray(y, dtype=float), z)
+        nonlocal ys, zs, shallowest, used
+        width = down.shape[-1]
+        if k <= keep or width > _BLOCK:
+            z = (up - down) / scale
+            y = step(k, down, up, z)
+            if k <= keep:
+                z_slices[k] = z
+            else:
+                dropped[k - keep - 1] = _summary(np.asarray(y, dtype=float), z)
+            return y
+        if used + width > _BLOCK:
+            fold_block()
+        if zs is None:
+            ys, zs = np.empty(_BLOCK), np.empty(_BLOCK)
+        starts.append(used)
+        shallowest = k
+        z = zs[used:used + width]
+        np.subtract(up, down, out=z)
+        np.divide(z, scale, out=z)
+        y = np.asarray(step(k, down, up, z), dtype=float)
+        if y.shape == z.shape:  # else backward_reduce rejects it
+            ys[used:used + width] = y
+        used += width
         return y
 
     Y = backward_reduce(tree, xi, step_with_z, keep=keep)
+    fold_block()
     if dropped:
         dropped[-1] = _summary(xi, None)
     return Y, TreeProcess(tree, z_slices, copy=False), tuple(dropped)

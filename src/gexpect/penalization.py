@@ -211,10 +211,12 @@ def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, z: float,
         raise ValueError("penalization level must be positive")
     if check:
         worst, witness = supermartingale_gap(drm, Y + float(z) * brownian(tree))
-        if worst > tol * (1.0 + Y.max_abs()):
+        if not worst <= tol * (1.0 + Y.max_abs()):
+            # Without a witness the NaN is a leaf of Y that the operator ignores.
+            where = f"{witness['node']} (depth {witness['depth']})" if witness else "the horizon"
             raise ValueError(
                 f"input is not a rho-supermartingale: one-step violation "
-                f"{worst:.3g} at {witness['node']} (depth {witness['depth']})")
+                f"{worst:.3g} at {where}")
     return count
 
 

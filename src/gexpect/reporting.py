@@ -10,8 +10,10 @@ Every scalar is formatted by its exact type through one table, after
 ``to_plain`` has turned numpy scalars into the built-ins they hold; ``bool``
 is its own exact type, so it never formats as an int, and a numpy scalar
 gives the same bytes as its built-in.  A dict whose keys are str and whose
-values are all plain scalars is passed through ``to_plain`` as it is and
-rendered with one join, so a table of plain rows is neither copied nor
+values are all plain scalars is passed through ``to_plain`` as it is, not
+copied.  Such a dict, and a CSV row of ints and floats, is written with one
+``str.format`` call: its template is derived from that same table once per
+row shape (the keys and the exact type of every cell), so a table is not
 dispatched cell by cell.
 """
 from __future__ import annotations
@@ -24,14 +26,15 @@ from typing import Any
 import numpy as np
 
 INDENT = "  "
-# Leaves that to_plain returns as they are, keyed by exact type, with the
-# text each one renders as.
+# Leaves that to_plain returns as they are, keyed by exact type, with how
+# each one renders: the format spec of its values, or for bool and None
+# the literal text of each value.
 _PLAIN = {
-    float: lambda x: format(x, ".17g"),
-    int: str,
-    str: str,
-    bool: lambda x: "true" if x else "false",
-    type(None): lambda x: "null",
+    float: ".17g",
+    int: "",
+    str: "",
+    bool: {False: "false", True: "true"},
+    type(None): {None: "null"},
 }
 
 
@@ -41,7 +44,36 @@ def format_number(x) -> str:
 
 def _scalar(value) -> str:
     """Text of one ``to_plain`` leaf."""
-    return _PLAIN.get(type(value), str)(value)
+    text = _PLAIN.get(type(value))
+    if text is None:
+        return str(value)
+    return format(value, text) if type(text) is str else text[value]
+
+
+def _cells(values) -> list[str]:
+    """str.format fields of plain ``values``: value i is field ``{i}`` with
+    its type's spec, and a bool or None is its literal text."""
+    cells = []
+    for i, value in enumerate(values):
+        text = _PLAIN[type(value)]
+        cells.append(f"{{{i}:{text}}}" if type(text) is str else text[value])
+    return cells
+
+
+def _template(pad: str, row: dict) -> str:
+    """str.format template of a flat dict: a ``key: value`` line per cell,
+    the braces of each key escaped."""
+    return "".join(f"{pad}{key.replace('{', '{{').replace('}', '}}')}: {cell}\n"
+                   for key, cell in zip(row, _cells(row.values())))
+
+
+def _shape(row: dict) -> tuple:
+    """What the template of a dict row depends on: its keys, the exact type
+    of every cell and the value of every bool (whose text is literal)."""
+    types = tuple(map(type, row.values()))
+    if bool in types:
+        types += tuple(v for v in row.values() if type(v) is bool)
+    return tuple(row), types
 
 
 def _is_flat(obj: dict) -> bool:
@@ -58,7 +90,7 @@ def to_plain(obj):
     """
     if type(obj) in _PLAIN:
         return obj
-    if type(obj) is dict and all(type(k) is str for k in obj) and _is_flat(obj):
+    if type(obj) is dict and {str}.issuperset(map(type, obj)) and _is_flat(obj):
         return obj
     if isinstance(obj, Mapping):
         return {str(k): to_plain(v) for k, v in obj.items()}
@@ -90,8 +122,7 @@ def _render(node, out: io.StringIO, level: int) -> None:
     pad = INDENT * level
     if isinstance(node, dict):
         if _is_flat(node):
-            out.write("".join([f"{pad}{key}: {_PLAIN[type(value)](value)}\n"
-                               for key, value in node.items()]))
+            out.write(_template(pad, node).format(*node.values()))
             return
         for key, value in node.items():
             if isinstance(value, dict) and not value:
@@ -105,8 +136,19 @@ def _render(node, out: io.StringIO, level: int) -> None:
             else:
                 out.write(f"{pad}{key}: {_scalar(value)}\n")
         return
-    # Block list: one dash entry per element.
+    # Block list: one dash entry per element.  A non-empty flat dict is
+    # written by the template of its shape ("" for a shape that is not flat).
+    templates: dict[tuple, str] = {}
     for value in node:
+        if type(value) is dict and value:
+            shape = _shape(value)
+            template = templates.get(shape)
+            if template is None:
+                template = templates[shape] = (
+                    f"{pad}-\n" + _template(pad + INDENT, value) if _is_flat(value) else "")
+            if template:
+                out.write(template.format(*value.values()))
+                continue
         if isinstance(value, dict) or _is_block_list(value):
             out.write(f"{pad}-\n")
             _render(value, out, level + 1)
@@ -119,9 +161,22 @@ def _is_block_list(value) -> bool:
 
 
 def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of the rows.  A row of ints and floats, which never needs
+    quoting, is one template line per exact-type shape; any other row goes
+    through the csv writer."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(header))
-    writer.writerows([format_number(v) for v in row] for row in rows)
+    templates: dict[tuple, str] = {}
+    for row in rows:
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = (
+                ",".join(_cells(row)) + "\n" if {int, float}.issuperset(types) else "")
+        if template:
+            out.write(template.format(*row))
+        else:
+            writer.writerow([format_number(v) for v in row])
     return out.getvalue()
 

@@ -19,6 +19,7 @@ failed) when the certificate is violated.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -442,11 +443,28 @@ def one_step_defects(drm: DynamicRiskMeasure, W: TreeProcess):
 
 
 def supermartingale_gap(drm: DynamicRiskMeasure, W: TreeProcess) -> tuple[float, dict | None]:
-    """Worst one-step violation of rho_k(-W_{k+1}) <= W_k over all nodes."""
-    tr = _GapTracker(drm.tree)
+    """Worst one-step violation of rho_k(-W_{k+1}) <= W_k over all nodes.
+
+    A NaN in W is not a value, so W is no supermartingale where it sits:
+    the gap is NaN and the witness is the first node, in depth order, whose
+    defect is NaN with a NaN in W at the node or at one of its children.
+    A NaN that the operator answers on values (inf - inf of an overflowing
+    scheme, say) is left to the checks that judge the measure and its output.
+    """
+    tree = drm.tree
+    gap, witness = 0.0, None
     for k, defect in one_step_defects(drm, W):
-        tr.update(defect, k, {})
-    return tr.gap, tr.witness
+        i = int(np.argmax(defect))  # the first NaN when there is one
+        worst = float(defect[i])
+        if worst > gap:
+            gap, witness = worst, {"depth": k, "node": tree.node_label(k, i), "gap": worst}
+        elif math.isnan(worst):
+            down, up = tree.split_children(W.values[k + 1])
+            fault = np.isnan(defect) & (np.isnan(W.values[k]) | np.isnan(down) | np.isnan(up))
+            if fault.any():
+                i = int(np.argmax(fault))
+                return worst, {"depth": k, "node": tree.node_label(k, i), "gap": worst}
+    return gap, witness
 
 
 def optional_stopping_check(
@@ -469,7 +487,7 @@ def optional_stopping_check(
         raise ValueError("process and measure live on different trees")
     scale = max(1.0, Y.max_abs())
     pre_gap, pre_witness = supermartingale_gap(drm, Y)
-    if pre_gap > tol * scale:
+    if not pre_gap <= tol * scale:
         raise ValueError(
             f"input is not a one-step supermartingale for {drm.label}: "
             f"violation {pre_gap:.3e} at {pre_witness}")

@@ -312,3 +312,118 @@ class TestOnePass:
         assert not s.monotone_step
         assert s.warnings == ("step-monotonicity certificate fails: max|Z| is not "
                               "finite (the scheme overflowed)",)
+
+
+def float_bits(x):
+    """A profile entry as its IEEE bits (NaN as one token, None as None)."""
+    if x is None:
+        return None
+    assert type(x) is float
+    return "nan" if math.isnan(x) else np.float64(x).view(np.uint64).item()
+
+
+def sign_keeping_step(k, down, up):
+    """A test operator that keeps a mix of -0.0 and +0.0 at every depth of a
+    zero terminal."""
+    return down * up
+
+
+def profile_bits(solved):
+    return [tuple(map(float_bits, row)) for row in solved.profile()]
+
+
+class TestBlockFold:
+    """A root-only solve folds its dropped depths per block of depths; its
+    profile and certificate equal, bit for bit, those of a solve that keeps
+    every depth and summarizes each stored slice on its own."""
+
+    @staticmethod
+    def terminal(tree, kind):
+        if kind == "call":
+            return call(0.1).evaluate(tree)
+        rng = np.random.default_rng(7)
+        if kind == "signed_zeros":
+            return rng.choice([-0.0, 0.0], size=tree.n_nodes(tree.steps))
+        xi = 3.0 * linear(1.0).evaluate(tree)  # "infinite": a few leaves at +-inf
+        xi[rng.choice(xi.size, size=max(2, xi.size // 50), replace=False)] = np.inf
+        xi[rng.choice(xi.size, size=max(2, xi.size // 50), replace=False)] = -np.inf
+        return xi
+
+    @staticmethod
+    def solver(kind, tree, xi):
+        g = quadratic_upper(0.3, 0.5)
+        return {"explicit": lambda keep: solve_bsde(g, xi, tree, keep),
+                "entropy": lambda keep: entropy_exact(0.5, xi, tree, keep),
+                "custom": lambda keep: custom(euler_step(g, tree), tree).solve_terminal(
+                    xi, keep),
+                "sign_keeping": lambda keep: custom(sign_keeping_step, tree).solve_terminal(
+                    xi, keep)}[kind]
+
+    def assert_fold_matches(self, kind, tree, xi, keeps=(0,)):
+        run = self.solver(kind, tree, xi)
+        with np.errstate(all="ignore"):
+            full = run(None)
+            reference = profile_bits(full)
+            for keep in keeps:
+                part = run(keep)
+                assert profile_bits(part) == reference
+                assert float_bits(part.step_bound) == float_bits(full.step_bound)
+                assert (part.monotone_step, part.warnings) == \
+                    (full.monotone_step, full.warnings)
+        return full
+
+    @pytest.mark.parametrize("kind", ["explicit", "entropy", "custom"])
+    @pytest.mark.parametrize("N", [600, 4000])
+    def test_recombining_blocks(self, kind, N):
+        tree = build_tree(1.0, N, RECOMBINING)
+        # N=600 holds about 22 blocks, N=4000 about a thousand
+        keeps = (0, 1, 37, N - 1) if N == 600 else (0,)
+        self.assert_fold_matches(kind, tree, self.terminal(tree, "call"), keeps)
+
+    @pytest.mark.parametrize("kind", ["explicit", "entropy", "custom"])
+    def test_depths_wider_than_a_block(self, kind):
+        # full N=15: depth 14 (16384 nodes) is folded on its own, depth 13
+        # (8192 nodes) fills a block exactly
+        tree = build_tree(1.0, 15, FULL)
+        assert tree.n_nodes(14) > bsde._BLOCK == tree.n_nodes(13)
+        self.assert_fold_matches(kind, tree, self.terminal(tree, "call"), (0, 12, 13, 14))
+
+    @pytest.mark.parametrize("kind", ["explicit", "entropy", "custom", "sign_keeping"])
+    @pytest.mark.parametrize("layout,N", [(RECOMBINING, 600), (FULL, 15)])
+    def test_signed_zeros(self, kind, layout, N):
+        tree = build_tree(1.0, N, layout)
+        full = self.assert_fold_matches(kind, tree, self.terminal(tree, "signed_zeros"),
+                                        (0, 3))
+        # the deepest z slice mixes -0.0 and +0.0 for every operator
+        signs = np.signbit(full.Z.values[N - 1])
+        assert signs.any() and not signs.all()
+        if kind == "sign_keeping":  # so does every slice, and the profile
+            signs = {math.copysign(1.0, x) for row in full.profile() for x in row
+                     if x is not None}
+            assert signs == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("kind", ["explicit", "entropy", "custom"])
+    @pytest.mark.parametrize("layout,N", [(RECOMBINING, 600), (FULL, 15)])
+    def test_infinite_and_nan_rows(self, kind, layout, N):
+        tree = build_tree(1.0, N, layout)
+        full = self.assert_fold_matches(kind, tree, self.terminal(tree, "infinite"), (0, 5))
+        values = [x for row in full.profile() for x in row if x is not None]
+        assert np.inf in values and -np.inf in values
+        assert any(math.isnan(x) for x in values)
+
+    def test_no_block_without_a_dropped_depth(self, monkeypatch):
+        tree = build_tree(1.0, 40, RECOMBINING)
+        xi = call(0.1).evaluate(tree)
+        shapes = []
+        real_empty = np.empty
+
+        def spy(shape, *args, **kwargs):
+            shapes.append(shape)
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(bsde.np, "empty", spy)
+        solve_bsde(quadratic_upper(0.3, 0.5), xi, tree)
+        solve_bsde(quadratic_upper(0.3, 0.5), xi, tree, keep=39)
+        assert bsde._BLOCK not in shapes
+        solve_bsde(quadratic_upper(0.3, 0.5), xi, tree, keep=0)
+        assert shapes.count(bsde._BLOCK) == 2

@@ -22,7 +22,8 @@ from gexpect.penalization import (
 )
 from gexpect.bsde import euler_step
 from gexpect.generators import quadratic_upper
-from gexpect.risk import custom, entropic, from_generator, one_step_defects, \
+from gexpect.claims import call
+from gexpect.risk import custom, entropic, from_generator, one_step_defects, rho_solved, \
     supermartingale_gap
 
 
@@ -96,6 +97,27 @@ class TestSolvePenalized:
             solve_penalized(drm, Y, 4.0, 16.0)
         # check=False skips the guard
         solve_penalized(drm, Y, 4.0, 16.0, check=False)
+
+    def test_nan_target_rejected(self):
+        # the entropic value process of a call is a rho-supermartingale; with
+        # one NaN node it is not, and both solvers refuse it at the precheck
+        tree = build_tree(1.0, 6, RECOMBINING)
+        drm = entropic(0.5, tree)
+        values = [v.copy() for v in rho_solved(drm, call(0.0)).Y.values]
+        values[3][1] = np.nan
+        Y = TreeProcess(tree, values)
+        message = r"not a rho-supermartingale: one-step violation nan at 2:0 \(depth 2\)"
+        with pytest.raises(ValueError, match=message):
+            doob_meyer(drm, Y, 0.0)
+        with pytest.raises(ValueError, match=message):
+            solve_penalized(drm, Y, 0.0, 4.0)
+        # a NaN leaf that the operator does not read leaves no NaN defect,
+        # but the bound it scales is NaN, and the precheck fails there
+        drm = custom(lambda k, down, up: np.fmax(down, up), tree)
+        values = [v.copy() for v in canonical_drift(1.0, 0.5, 1.0, tree).values]
+        values[6][0] = np.nan
+        with pytest.raises(ValueError, match="violation 0 at the horizon"):
+            doob_meyer(drm, TreeProcess(tree, values), 0.0)
 
     def test_terminal_values_pinned(self):
         tree = build_tree(1.0, 24, RECOMBINING)

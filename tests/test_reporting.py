@@ -1,4 +1,7 @@
 """Plain-text and CSV rendering used by the command line runner."""
+import csv
+import io
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -116,3 +119,113 @@ class TestNumpyScalars:
         st.text(max_size=8)), min_size=6, max_size=6), min_size=1, max_size=5))
     def test_random_rows(self, rows):
         assert_numpy_rows_render_alike(self.HEADER, rows)
+
+
+# The renderer as it was before rows were written through per-shape
+# templates: every cell dispatched on its own.  The templated renderer must
+# give the same bytes.
+_REF_PLAIN = {
+    float: lambda x: format(x, ".17g"),
+    int: str,
+    str: str,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _ref_scalar(value):
+    return _REF_PLAIN.get(type(value), str)(value)
+
+
+def _ref_is_block_list(value):
+    return isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value)
+
+
+def _ref_render(node, out, level):
+    pad = "  " * level
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if isinstance(value, dict) and not value:
+                out.write(f"{pad}{key}: {{}}\n")
+            elif isinstance(value, dict) or _ref_is_block_list(value):
+                out.write(f"{pad}{key}:\n")
+                _ref_render(value, out, level + 1)
+            elif isinstance(value, list):
+                items = ", ".join(_ref_scalar(v) for v in value)
+                out.write(f"{pad}{key}: [{items}]\n")
+            else:
+                out.write(f"{pad}{key}: {_ref_scalar(value)}\n")
+        return
+    for value in node:
+        if isinstance(value, dict) or _ref_is_block_list(value):
+            out.write(f"{pad}-\n")
+            _ref_render(value, out, level + 1)
+        else:
+            out.write(f"{pad}- {_ref_scalar(value)}\n")
+
+
+def reference_structured(data, title="report"):
+    out = io.StringIO()
+    out.write(f"{title}:\n")
+    _ref_render(to_plain(data), out, 1)
+    return out.getvalue()
+
+
+def reference_csv(header, rows):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(header))
+    writer.writerows([_ref_scalar(to_plain(v)) for v in row] for row in rows)
+    return out.getvalue()
+
+
+SPECIAL = "ab{}%,:\"\n -"
+keys = st.one_of(st.text(alphabet=SPECIAL, max_size=4), st.text(max_size=3))
+cells = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf")]),
+    st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans(), st.none(),
+    st.text(alphabet=SPECIAL, max_size=6), st.text(max_size=4),
+    st.builds(np.float64, st.floats()), st.builds(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)),
+    st.builds(np.bool_, st.booleans()))
+numbers = st.one_of(st.floats(), st.integers(-2 ** 63, 2 ** 63 - 1),
+                    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]))
+
+
+@st.composite
+def tables(draw):
+    """(header, rows): each row a prefix of the header (so the shape may
+    change mid-table), its cells of mixed types down a column; long runs of
+    number rows share a shape, as a profile table's do."""
+    header = draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        width = draw(st.integers(0, len(header)))
+        value = numbers if draw(st.booleans()) else cells
+        rows.append(draw(st.lists(value, min_size=width, max_size=width)))
+        rows.extend([list(rows[-1])] * draw(st.integers(0, 2)))
+    return header, rows
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(tables(), st.lists(st.dictionaries(keys, cells, max_size=3), max_size=3))
+    def test_same_bytes(self, table, extra):
+        header, rows = table
+        dict_rows = [dict(zip(header, row)) for row in rows]
+        doc = {"results": dict_rows[0] if dict_rows else {},
+               "tables": {"t": dict_rows + extra, "u": [[row] for row in dict_rows]},
+               "summary": extra + dict_rows, "flat": extra}
+        assert render_structured(doc) == reference_structured(doc)
+        assert render_csv(header, rows) == reference_csv(header, rows)
+
+    def test_named_cases(self):
+        header = ["{x}", "%d", "a,b"]
+        rows = [[1, 0.5, -0.0], [2, float("nan"), float("inf")], [3, float("-inf"), ""],
+                [4, "say \"a, b\"\nc", None], [True, np.float64(-0.0), np.int64(5)],
+                [], [7], ["", ""], [""]]
+        dict_rows = [dict(zip(header, row)) for row in rows]
+        doc = {"tables": {"t": dict_rows}, "summary": [{"check": "x", "passed": True},
+                                                       {"check": "y", "passed": False}]}
+        assert render_structured(doc) == reference_structured(doc)
+        assert render_csv(header, rows) == reference_csv(header, rows)
+        assert "  {x}: 1\n" in render_structured(dict_rows[0])

@@ -12,7 +12,7 @@ from gexpect.generators import (
     quadratic_upper,
     sublinear_interval,
 )
-from gexpect.lattice import FULL, RECOMBINING, brownian, build_tree
+from gexpect.lattice import FULL, RECOMBINING, TreeProcess, brownian, build_tree
 from gexpect.risk import (
     AXIOMS,
     check_axioms,
@@ -197,6 +197,50 @@ class TestSupermartingale:
         gap, witness = supermartingale_gap(drm, W)
         assert gap > 0
         assert witness is not None and "node" in witness
+
+
+def with_nan(Y, depth, node):
+    """A copy of the process Y with one node set to NaN."""
+    values = [v.copy() for v in Y.values]
+    values[depth][node] = np.nan
+    return TreeProcess(Y.tree, values)
+
+
+class TestNanPrecheck:
+    """The value process of a claim is a one-step supermartingale for its
+    measure; with a NaN node it is not, and no precheck may pass it."""
+
+    def test_gap_is_nan_at_the_first_nan_defect(self):
+        tree = build_tree(1.0, 6, RECOMBINING)
+        drm = entropic(0.5, tree)
+        Y = rho_solved(drm, call(0.0)).Y
+        assert supermartingale_gap(drm, Y)[0] <= 1e-12
+        gap, witness = supermartingale_gap(drm, with_nan(Y, 3, 1))
+        assert math.isnan(gap)
+        # depth 2 reads the NaN as a child, at nodes 2:0 and 2:1; argmax
+        # names the first
+        assert witness["depth"] == 2 and witness["node"] == "2:0"
+        assert math.isnan(witness["gap"])
+
+    def test_nan_of_the_operator_is_not_the_inputs(self):
+        # on finite values, a NaN that the operator answers is left to the
+        # checks that judge the measure (here: the violation elsewhere counts)
+        tree = build_tree(1.0, 6, RECOMBINING)
+        step = entropic(0.5, tree).one_step
+        drm = custom(lambda k, down, up: np.where(down > 0.5, np.nan, step(k, down, up)),
+                     tree)
+        with np.errstate(invalid="ignore"):
+            gap, witness = supermartingale_gap(drm, brownian(tree) * 2.0)
+        assert gap > 0 and witness["gap"] == gap
+
+    def test_optional_stopping_rejects_nan(self):
+        tree = build_tree(1.0, 6, FULL)
+        drm = entropic(0.5, tree)
+        Y = rho_solved(drm, call(0.0)).Y
+        with pytest.raises(ValueError, match=r"not a one-step supermartingale.*"
+                                             r"violation nan.*'node': '10'"):
+            optional_stopping_check(drm, with_nan(Y, 3, 5), fixed_depth(tree, 2),
+                                    fixed_depth(tree, 5))
 
 
 class TestOptionalStopping:
