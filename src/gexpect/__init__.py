@@ -66,7 +66,6 @@ from .bsde import (
     SolvedBSDE,
     entropy_exact,
     extract_z,  # kept: the two-pass reference test_bsde checks the one-pass Z against
-    recover_generator,
     solve_bsde,
 )
 from .risk import (

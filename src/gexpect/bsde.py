@@ -9,8 +9,17 @@ scaled child difference, the drift is the driver evaluated there,
 The purely quadratic driver nu*z^2 also has an exact recursion: the
 one-step value is a log-sum-exp of the children, which makes the solution
 an exponential moment in disguise and gives machine-precision references
-for convergence studies.  Every solve is one backward pass that records Z
-beside Y, and carries a step-monotonicity certificate derived from that Z,
+for convergence studies.
+
+Conversely, every translation-invariant one-step operator is an explicit
+scheme.  On the children (d, u) it equals (d + u)/2 + dt g_k(z), with
+z = (u - d)/(2 sqrt(dt)) and g_k(z) = op(k, -z sqrt(dt), z sqrt(dt)) / dt
+(``noise_step``), so its measure is exactly the explicit-scheme
+g-expectation of g_k.  For the quadratic recursion
+g_k(z) = log cosh(2 nu z sqrt(dt)) / (2 nu dt), which is nu z^2 up to O(dt).
+
+Every solve is one backward pass that records Z beside Y, and carries a
+step-monotonicity certificate derived from that Z,
 (mu + 2 nu max|Z|) sqrt(dt) <= 1, the sufficient condition under which
 comparison-type statements survive discretization.
 
@@ -261,20 +270,12 @@ def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None,
     return SolvedBSDE(Y, Z, "entropy_exact", xi, None, bound, True, (), dropped)
 
 
-def recover_generator(one_step: StepFn, t: float, z: float, tree: ScenarioTree) -> float:
-    """Read the driver back out of a one-step operator.
+def noise_step(one_step: StepFn, k: int, z, tree: ScenarioTree) -> np.ndarray:
+    """Depth-k values of ``one_step`` on the children (-z sqrt(dt), z sqrt(dt)), shaped as z.
 
-    Applies the operator to the one-step claim -z * dB at time t and divides
-    by dt.  For the explicit scheme this returns g(t, z) exactly (the claim
-    has martingale integrand exactly z and mean zero); for other operators
-    it defines the driver their risk measure effectively uses, e.g. the
-    exact quadratic recursion yields log cosh(2 nu z sqrt(dt)) / (2 nu dt).
+    Divided by dt this is the one-step driver g_k(z) of the operator (see the
+    module docstring): the explicit scheme of g gives g(k dt, z) back, the
+    exact quadratic recursion log cosh(2 nu z sqrt(dt)) / (2 nu dt).
     """
-    k = min(max(int(round(t / tree.dt)), 0), tree.steps - 1)
-    return noise_step(one_step, k, z, tree) / tree.dt
-
-
-def noise_step(one_step: StepFn, k: int, z: float, tree: ScenarioTree) -> float:
-    """Depth-k value of ``one_step`` on the children (-z sqrt(dt), z sqrt(dt))."""
-    spread = np.full(tree.n_nodes(k), float(z) * tree.sqrt_dt)
-    return float(np.asarray(one_step(k, -spread, spread), dtype=float)[0])
+    s = np.asarray(z, dtype=float) * tree.sqrt_dt
+    return np.asarray(one_step(k, -s, s), dtype=float)

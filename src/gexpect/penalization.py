@@ -366,7 +366,7 @@ def canonical_drift(
     else:
         if drm is None or drm.tree != tree:
             raise ValueError("exact drift needs a measure bound to this tree")
-        per_step = [noise_step(drm.one_step, k, z, tree) for k in range(tree.steps)]
+        per_step = [float(noise_step(drm.one_step, k, [z], tree)[0]) for k in range(tree.steps)]
     running = np.concatenate([[0.0], np.cumsum(per_step)])
     return TreeProcess(tree, [np.full(tree.n_nodes(k), -running[k])
                               for k in range(tree.steps + 1)], copy=False)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .bsde import SolvedBSDE, StepFn, _solve, entropy_exact, entropy_step, euler_step, \
-    recover_generator, solve_bsde
+    noise_step, solve_bsde
 from .claims import Claim, StoppingTime, sample_claims, stopped_values
 from .generators import CONVEX, DOMINATED, Generator, entropy, quadratic_lower, quadratic_upper
 from .lattice import FULL, ScenarioTree, TreeProcess, _unbatched, build_tree, propagate, \
@@ -518,25 +518,28 @@ def represent(
     precheck: bool = True,
     seed: int = 0,
 ) -> Generator:
-    """Extract the effective driver of a measure as a tabulated generator.
+    """The measure's own driver: the generator whose explicit scheme it is.
 
-    The value at (t, z) is the one-step risk of the claim -z * dB at t,
-    divided by dt.  The result interpolates linearly in z (extrapolating
-    with the edge slopes), picks the nearest tabulated t, and carries the
-    convexity flag only if every tabulated row is numerically convex.
+    The value at (t, z) is the one-step risk of the claim -z * dB at depth
+    k = round(t / dt) (clamped to the tree), divided by dt: the g_k of
+    ``bsde.noise_step``, read for any z, so ``from_generator`` of the result
+    reproduces the measure on its tree.  The grids only decide the flags:
+    CONVEX and DOMINATED are asserted when every row g_k(z_grid), one per t
+    in ``t_grid``, is numerically convex on at least three z points.
 
-    Before tabulating, the measure must pass monotonicity, time
-    consistency, value preservation, convexity and the domination checks on
-    a sample suite; failures abort with the witness.  Generator- and
-    entropy-backed measures run the precheck on a small full companion tree
-    when their own tree is large or recombining.  The domination bounds are
-    the measure's own (``custom(bounds=...)`` for a custom source).
+    Before reading it, the measure must pass monotonicity, time
+    consistency, value preservation, convexity, translation invariance and
+    the domination checks on a sample suite; failures abort with the
+    witness.  Generator- and entropy-backed measures run the precheck on a
+    small full companion tree when their own tree is large or recombining.
+    The domination bounds are the measure's own (``custom(bounds=...)`` for
+    a custom source).
     """
     tree = drm.tree
     z = np.asarray(sorted(float(v) for v in z_grid), dtype=float)
     ts = np.asarray(sorted(float(v) for v in t_grid), dtype=float)
     if z.size < 2:
-        raise ValueError("need at least two z grid points to interpolate")
+        raise ValueError("need at least two z grid points")
     for name, grid in (("z grid", z), ("t_grid", ts)):
         bad = grid[~np.isfinite(grid)]
         if bad.size:
@@ -563,7 +566,7 @@ def represent(
         suite = sample_claims(check_tree, 8, seed, "leaf", scale_to=0.5)
         report = check_axioms(check_drm, suite, seed=seed)
         required = ("monotonicity", "time_consistency", "constant_preservation",
-                    "convexity")
+                    "convexity", "translation_invariance")
         bad = [n for n in required if report.checks[n].status == "fail"]
         if bad:
             raise ValueError(
@@ -576,29 +579,17 @@ def represent(
                 f"{drm.label} violates domination with bounds ({mu_bar}, {nu_bar}); "
                 f"witness: {dom.checks[name].witness}")
 
-    table = np.array([
-        [recover_generator(drm.one_step, t, zz, tree) for zz in z] for t in ts
-    ])
-
-    convex_rows = True
-    for row in table:
-        if z.size >= 3:
-            second = np.diff(row, 2) / np.diff(z)[:-1] ** 2
-            convex_rows &= bool(np.all(second >= -1e-8 * max(1.0, np.max(np.abs(row)))))
-
     def fn(t, zq):
-        zq = np.asarray(zq, dtype=float)
-        row = table[int(np.argmin(np.abs(ts - t)))]
-        out = np.interp(zq, z, row)
-        lo_slope = (row[1] - row[0]) / (z[1] - z[0])
-        hi_slope = (row[-1] - row[-2]) / (z[-1] - z[-2])
-        out = np.where(zq < z[0], row[0] + (zq - z[0]) * lo_slope, out)
-        out = np.where(zq > z[-1], row[-1] + (zq - z[-1]) * hi_slope, out)
-        return out
+        k = min(max(int(round(t / tree.dt)), 0), tree.steps - 1)
+        return noise_step(drm.one_step, k, zq, tree) / tree.dt
 
-    flags = {DOMINATED} if convex_rows else set()
-    if convex_rows:
-        flags.add(CONVEX)
-    return Generator(fn, mu_bar, nu_bar, frozenset(flags), "tabulated",
+    convex = z.size >= 3  # two points compare nothing
+    for t in ts:
+        row = fn(t, z)
+        second = np.diff(row, 2) / np.diff(z)[:-1] ** 2
+        convex &= bool(np.all(second >= -1e-8 * max(1.0, np.max(np.abs(row)))))
+
+    flags = frozenset({CONVEX, DOMINATED}) if convex else frozenset()
+    return Generator(fn, mu_bar, nu_bar, flags, "tabulated",
                      {"source": drm.label, "z_min": float(z[0]), "z_max": float(z[-1]),
                       "t_points": len(ts), "z_points": len(z)})

@@ -10,7 +10,7 @@ from gexpect.bsde import (
     entropy_step,
     euler_step,
     extract_z,
-    recover_generator,
+    noise_step,
     solve_bsde,
 )
 from gexpect.claims import call, linear, path_maximum, sample_claims
@@ -130,20 +130,23 @@ class TestEulerScheme:
 
 
 class TestRecoverGenerator:
+    """The one-step driver g_0(z) = noise_step(op, 0, z) / dt of an operator."""
+
     def test_euler_scheme_is_exact(self):
         tree = build_tree(1.0, 100, RECOMBINING)
         g = quadratic_upper(1.0, 0.5)
         step = euler_step(g, tree)
-        for z in (-2.0, -0.3, 0.0, 1.4):
-            got = recover_generator(step, 0.0, z, tree)
-            assert got == pytest.approx(abs(z) + 0.5 * z * z, abs=1e-10)
+        zs = np.array([-2.0, -0.3, 0.0, 1.4])
+        got = noise_step(step, 0, zs, tree) / tree.dt
+        assert got.shape == zs.shape
+        np.testing.assert_allclose(got, np.abs(zs) + 0.5 * zs * zs, rtol=0, atol=1e-10)
 
     def test_entropy_step_recovers_discrete_driver(self):
         nu = 0.8
         tree = build_tree(1.0, 50, RECOMBINING)
         step = entropy_step(nu, tree)
         z = 1.3
-        got = recover_generator(step, 0.0, z, tree)
+        got = float(noise_step(step, 0, z, tree)) / tree.dt
         exact = math.log(math.cosh(2 * nu * z * tree.sqrt_dt)) / (2 * nu * tree.dt)
         assert got == pytest.approx(exact, abs=1e-12)
         # first order in dt away from nu z^2

@@ -336,6 +336,13 @@ class TestMain:
         assert main(["domination", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "every theta in (0, 1), got 1.0" in capsys.readouterr().err
 
+    def test_represent_on_a_grid_without_zero(self, tmp_path, capsys):
+        # 40 points on [-2, 2] miss z = 0, where an interpolated table once
+        # failed the generator's g(0) = 0 check.
+        cfg = write_cfg(tmp_path, task="represent", claim=None, params={"z_count": 40})
+        assert main(["represent", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "matches_reference: PASS" in capsys.readouterr().out
+
     @pytest.mark.parametrize("task,params", [
         ("solve", {}), ("converge", {"n_values": [500, 1000, 2000, 4000]})])
     def test_recombining_solves_run_in_linear_memory(self, task, params):

@@ -510,3 +510,22 @@ def test_recombining_schedule_keeps_no_batched_y():
         tracemalloc.stop()
     assert len(dec.levels) == 14
     assert peak < 5 * process
+
+
+def test_exact_drift_reads_the_operator_at_width_one():
+    # The output holds 2^21 doubles (16 MB) on a full N=20 tree; reading
+    # each depth's one-step value costs no slice of that depth on top.
+    import tracemalloc
+
+    tree = build_tree(1.0, 20, FULL)
+    drm = entropic(0.5, tree)
+    tracemalloc.start()
+    try:
+        Y = canonical_drift(0.0, 0.5, 1.3, tree, drift="exact", drm=drm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18e6
+    # each step adds (1/2nu) log cosh(2nu z sqrt(dt)), with 2nu = 1
+    assert -Y.values[-1][0] == pytest.approx(
+        tree.steps * np.log(np.cosh(1.3 * tree.sqrt_dt)), rel=1e-12)

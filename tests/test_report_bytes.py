@@ -1,4 +1,4 @@
-"""Golden files: CLI output of every task but ``represent``, byte for byte.
+"""Golden files: CLI output of every task, byte for byte.
 
 Each ``tests/data/<name>.json`` config runs through ``gexpect`` with
 ``--format both``; the structured report and every CSV table it writes must
@@ -15,11 +15,14 @@ default schedule.  The two ``solve`` configs write the per-depth
 profile of a recombining N=40 solve: ``solve_recombining`` has -0 terminal
 values, ``solve_overflow`` an explicit scheme that overflows, so its
 profile runs from finite rows through inf to NaN and its certificate bound
-is NaN.
+is NaN.  The ``represent`` configs read the driver of a measure back on
+41 z points at t = 0 and 0.5: ``represent_recombining`` a quadratic
+driver on a recombining N=64 tree, ``represent_full_scaled_abs`` the
+sublinear |z| driver on a full N=8 tree.
 
-``converge_entropic`` compares against the exact entropic recursion, whose
-exp/log may differ in the last bit between numpy builds; its files must
-match token for token, numbers to 1e-9 relative.
+``converge_entropic`` and ``represent_entropic`` go through the exact
+entropic recursion, whose exp/log may differ in the last bit between numpy
+builds; their files must match token for token, numbers to 1e-9 relative.
 """
 import re
 from pathlib import Path
@@ -42,6 +45,8 @@ CASES = {
     "penalize_full_stop": ("penalize", 0),
     "solve_recombining": ("solve", 0),
     "solve_overflow": ("solve", 1),
+    "represent_recombining": ("represent", 0),
+    "represent_full_scaled_abs": ("represent", 0),
 }
 
 
@@ -68,8 +73,16 @@ _NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf)")
 
 
 def test_converge_matches_golden_files_to_rounding(tmp_path):
-    for file_name in _written("converge_entropic", "converge", 0, tmp_path):
-        got, want = ((d / file_name).read_text() for d in (tmp_path, DATA))
+    _assert_matches_to_rounding("converge_entropic", "converge", tmp_path)
+
+
+def test_represent_entropic_matches_golden_files_to_rounding(tmp_path):
+    _assert_matches_to_rounding("represent_entropic", "represent", tmp_path)
+
+
+def _assert_matches_to_rounding(name, task, out_dir):
+    for file_name in _written(name, task, 0, out_dir):
+        got, want = ((d / file_name).read_text() for d in (out_dir, DATA))
         assert _NUMBER.split(got) == _NUMBER.split(want), file_name
         assert [float(x) for x in _NUMBER.findall(got)] == pytest.approx(
             [float(x) for x in _NUMBER.findall(want)], rel=1e-9, abs=0.0), file_name

@@ -5,11 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from gexpect.bsde import noise_step
 from gexpect.claims import call, constant, linear, sample_claims
 from gexpect.generators import (
+    CONVEX,
     entropy,
     quadratic_lower,
     quadratic_upper,
+    scaled_abs,
     sublinear_interval,
 )
 from gexpect.lattice import FULL, RECOMBINING, TreeProcess, brownian, build_tree
@@ -331,3 +334,73 @@ class TestRepresent:
         drm = custom(lambda k, d, u: 0.5 * (d + u), tree)
         with pytest.raises(ValueError, match="bounds"):
             represent(drm, np.linspace(-1, 1, 5))
+
+    @pytest.mark.parametrize("z_grid", [np.linspace(-2.0, 2.0, 40), [0.5, 1.0, 2.0],
+                                        [-1.0, 1.0]], ids=["40_points", "positive", "two"])
+    @pytest.mark.parametrize("measure", ["entropic", "quadratic_upper"])
+    def test_grid_without_zero(self, measure, z_grid):
+        # An interpolated table once missed g(0) = 0 off such grids and raised.
+        tree = build_tree(1.0, 64, RECOMBINING)
+        drm = (entropic(0.5, tree) if measure == "entropic"
+               else from_generator(quadratic_upper(0.3, 0.5), tree))
+        ghat = represent(drm, z_grid, (0.0, 0.5))
+        assert ghat.scalar(0.0, 0.0) == 0.0
+        assert ghat.is_(CONVEX) == (len(z_grid) >= 3)
+
+    @pytest.mark.parametrize("make", [lambda tree: entropic(0.5, tree),
+                                      lambda tree: from_generator(quadratic_upper(0.3, 0.5), tree),
+                                      lambda tree: from_generator(scaled_abs(0.4), tree)],
+                             ids=["entropic", "quadratic_upper", "scaled_abs"])
+    def test_rebuilt_measure_is_the_measure(self, make):
+        # The driver is read exactly, so the explicit scheme of it reproduces
+        # the measure to rounding, between the grid points and outside them.
+        tree = build_tree(1.0, 1024, RECOMBINING)
+        drm = make(tree)
+        back = from_generator(represent(drm, np.linspace(-2.0, 2.0, 41)), tree)
+        for xi in sample_claims(tree, 8, seed=11):
+            assert rho(back, xi).root() == pytest.approx(rho(drm, xi).root(), rel=0, abs=1e-12)
+
+    def test_off_grid_value_is_the_one_step_driver(self):
+        tree = build_tree(1.0, 64, RECOMBINING)
+        drm = entropic(0.5, tree)
+        ghat = represent(drm, np.linspace(-1.0, 1.0, 5), (0.0, 0.5))
+        zs = np.array([-3.1, -0.37, 0.123, 0.9, 2.7])
+        for t, k in ((0.0, 0), (0.37, 24), (0.99, 63), (5.0, 63), (-1.0, 0)):
+            np.testing.assert_array_equal(ghat(t, zs),
+                                          noise_step(drm.one_step, k, zs, tree) / tree.dt)
+
+    def test_two_point_grid_asserts_no_flag(self):
+        # Two points hold no curvature; quadratic_lower is concave.
+        drm = from_generator(quadratic_lower(0.3, 0.5), build_tree(1.0, 6, FULL))
+        ghat = represent(drm, [0.0, 1.0], precheck=False)
+        assert ghat.flags == frozenset()
+        assert ghat.scalar(0.0, 1.0) == pytest.approx(-0.8)
+
+    def test_precheck_requires_translation_invariance(self):
+        # Convex, monotone and constant-preserving, but the drift x^2/(10 - m)
+        # of the child spread x depends on the level m of the children.
+        tree = build_tree(1.0, 6, FULL)
+
+        def level_step(k, down, up):
+            m = 0.5 * (down + up)
+            return m + 0.05 * (up - down) ** 2 / (10.0 - m)
+
+        drm = custom(level_step, tree, label="level", bounds=(0.0, 1.0))
+        with pytest.raises(ValueError, match="level fails translation_invariance"):
+            represent(drm, np.linspace(-1, 1, 5))
+
+    def test_reading_the_driver_stores_no_slice(self):
+        # One row of the z grid per t: no n_nodes(k)-wide array (full N=20
+        # holds 2^19 nodes at t = 0.95, 4 MB per slice).
+        import tracemalloc
+
+        tree = build_tree(1.0, 20, FULL)
+        drm = from_generator(quadratic_upper(0.3, 0.5), tree)
+        tracemalloc.start()
+        try:
+            ghat = represent(drm, np.linspace(-2.0, 2.0, 9), (0.95,), precheck=False)
+            ghat(0.95, np.linspace(-3.0, 3.0, 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
