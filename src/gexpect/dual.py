@@ -22,6 +22,11 @@ processes.  ``verify_duality`` reads only roots: it evaluates every density
 root-only, with all its reductions writing into one workspace allocated
 once per call, so a sweep over many densities on a large full tree does not
 allocate, and fault in, fresh slices for each one.
+
+A constant density holds one float per depth as a stride-0 view, and so do
+its up probabilities.  The kernels evaluate the terms of q alone (1 - p,
+log1p(-+q sqrt(dt)), the penalty) once per depth for it, and its entropy
+row, whose terminal is zero, runs at width 1 all the way to the root.
 """
 from __future__ import annotations
 
@@ -33,8 +38,8 @@ import numpy as np
 from .bsde import SolvedBSDE
 from .claims import Claim
 from .generators import CONVEX, Generator, conjugate_values, subdifferential_slices
-from .lattice import (FULL, ScenarioTree, TreeProcess, _fresh, _tilted_mean, _unbatched,
-                      backward_reduce)
+from .lattice import (FULL, ScenarioTree, TreeProcess, _compact, _fresh, _tilted_mean,
+                      _unbatched, backward_reduce)
 from .risk import DynamicRiskMeasure, rho_solved
 
 DEFAULT_ADMISSIBILITY_MARGIN = 1e-6
@@ -60,6 +65,7 @@ class DensityProcess:
             raise ValueError("a density process needs exactly one slice per step")
         cap = 1.0 - self.delta
         for k, slice_ in enumerate(self.q.values):
+            slice_ = _compact(slice_)  # a constant slice's witness is node 0
             worst = int(np.argmax(np.abs(slice_)))  # a NaN rate wins argmax
             size = abs(slice_[worst]) * tree.sqrt_dt
             if not size <= cap:
@@ -76,7 +82,14 @@ class DensityProcess:
 
 def constant_density(tree: ScenarioTree, value: float,
                      delta: float = DEFAULT_ADMISSIBILITY_MARGIN) -> DensityProcess:
-    q = TreeProcess(tree, [np.full(tree.n_nodes(k), float(value))
+    """The density q = ``value`` at every node.
+
+    Each depth is one float broadcast to the node width, a read-only
+    stride-0 view, so the density takes constant memory at any depth and
+    the tilted kernels run its q terms once per depth.
+    """
+    one = np.array(float(value))
+    q = TreeProcess(tree, [np.broadcast_to(one, (tree.n_nodes(k),))
                            for k in range(tree.steps)], copy=False)
     return DensityProcess(q, delta)
 
@@ -87,12 +100,16 @@ class TiltedMeasure:
     def __init__(self, density: DensityProcess):
         self.density = density
         self.tree = density.tree
-        self._p_up = [0.5 * (1.0 + v * self.tree.sqrt_dt) for v in density.q.values]
-        for p in self._p_up:
-            p.setflags(write=False)
+        self._p_up = [np.broadcast_to(0.5 * (1.0 + _compact(v) * self.tree.sqrt_dt),
+                                      v.shape) for v in density.q.values]
         self._theta: TreeProcess | None = None
 
     def p_up(self, depth: int) -> np.ndarray:
+        """Read-only up probabilities at ``depth``, one per node.
+
+        Computed at the width the rates vary over: a constant slice of q
+        gives a stride-0 view of one probability.
+        """
         return self._p_up[depth]
 
     def theta(self) -> TreeProcess:
@@ -149,22 +166,26 @@ class EntropyEstimates:
 def _entropy_kernel(m: TiltedMeasure):
     """In-place kernel of E_Q[log(theta_N / theta_k) | k], the exact relative
     entropy of the tilt: ``(1 - p) (down + log1p(-q sqrt(dt)))
-    + p (up + log1p(q sqrt(dt)))``, in that order (see ``lattice._tilted_mean``)."""
+    + p (up + log1p(q sqrt(dt)))``, in that order (see ``lattice._tilted_mean``).
+    The terms of q alone fill the first width(q) scratch entries."""
     q, sdt = m.density.q.values, m.tree.sqrt_dt
 
     def kernel(k, down, up, out, a, b):
-        p = m.p_up(k)
-        np.negative(q[k], out=a)
-        np.multiply(a, sdt, out=a)
-        np.log1p(a, out=a)
-        np.add(down, a, out=a)
-        np.subtract(1.0, p, out=b)
-        np.multiply(b, a, out=a)
-        np.multiply(q[k], sdt, out=b)
-        np.log1p(b, out=b)
-        np.add(up, b, out=b)
+        qk, p, down, up = (_compact(v) for v in (q[k], m.p_up(k), down, up))
+        wq = qk.shape[-1]
+        w = max(wq, down.shape[-1], up.shape[-1])
+        aq, bq, a, b = a[..., :wq], b[..., :wq], a[..., :w], b[..., :w]
+        np.negative(qk, out=aq)
+        np.multiply(aq, sdt, out=aq)
+        np.log1p(aq, out=aq)
+        np.add(down, aq, out=a)
+        np.subtract(1.0, p, out=bq)
+        np.multiply(bq, a, out=a)
+        np.multiply(qk, sdt, out=bq)
+        np.log1p(bq, out=bq)
+        np.add(up, bq, out=b)
         np.multiply(p, b, out=b)
-        return np.add(a, b, out=out)
+        return np.add(a, b, out=out[..., :w])
 
     return kernel
 
@@ -200,7 +221,8 @@ class DualValue:
 class _PenalizedKernel:
     """In-place kernel of the penalized tilted step
     ``(1 - p) down + p up - cost dt`` with cost = f(t, q) (see
-    ``lattice._tilted_mean``); ``infinite`` counts the infinite costs met."""
+    ``lattice._tilted_mean``); ``infinite`` counts the nodes met whose cost
+    is infinite.  The cost is evaluated at the width the rates vary over."""
 
     def __init__(self, m: TiltedMeasure, penalty):
         self.m = m
@@ -212,11 +234,14 @@ class _PenalizedKernel:
 
     def __call__(self, k, down, up, out, a, b):
         dt = self.m.tree.dt
-        cost = np.asarray(self.penalty_fn(k * dt, self.m.density.q.values[k]), dtype=float)
-        self.infinite += int(np.sum(np.isinf(cost)))
-        self.mean(k, down, up, out, a, b)
-        np.multiply(cost, dt, out=a)
-        return np.subtract(out, a, out=out)
+        q = self.m.density.q.values[k]
+        qc = _compact(q)
+        wq = qc.shape[-1]
+        cost = np.asarray(self.penalty_fn(k * dt, qc), dtype=float)
+        self.infinite += int(np.sum(np.isinf(cost))) * (q.shape[-1] // wq)
+        out = self.mean(k, down, up, out, a, b)
+        np.multiply(cost, dt, out=a[..., :wq])
+        return np.subtract(out, a[..., :wq], out=out)
 
 
 def dual_value(m: TiltedMeasure, xi, penalty, tree: ScenarioTree | None = None) -> DualValue:
@@ -326,7 +351,8 @@ class _Workspace:
 
         def step(k, down, up):
             w = down.shape[-1]
-            return kernel(k, down, up, self.regions[k % 2][:w], self.a[:w], self.b[:w])
+            out = kernel(k, down, up, self.regions[k % 2][:w], self.a[:w], self.b[:w])
+            return np.broadcast_to(out, down.shape)
 
         return backward_reduce(self.tree, terminal, step, keep=0).root()
 

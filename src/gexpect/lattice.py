@@ -32,6 +32,16 @@ the same shape whose entry at each index depends only on the two entries
 at that index.  That contract lets one reduction carry a batch of
 processes along a leading axis (the penalization schedule solves all its
 levels this way).
+
+A slice that repeats one value may be a read-only stride-0 view of that
+value (``np.broadcast_to``), as the rates of a constant density and the
+zero terminal of a relative entropy are.  The in-place tilted kernels
+compute at the width their inputs vary over (:func:`_compact`) and return
+the result at that width; the caller (:func:`_fresh`, or the root-only
+workspace of ``dual``) broadcasts it back to the node width.  A reduction
+whose terminal and measure are both constant so runs at width 1 from the
+horizon to the root, and every value equals, bit for bit, the one computed
+node by node.
 """
 from __future__ import annotations
 
@@ -371,21 +381,36 @@ def propagate(tree: ScenarioTree, depth: int, values: np.ndarray) -> TreeProcess
     return TreeProcess(tree, filled, copy=False)
 
 
+def _compact(v: np.ndarray) -> np.ndarray:
+    """``v`` cut to the width its values vary over along the node axis.
+
+    A slice that repeats one value is a read-only stride-0 view; its first
+    entry stands for all of them.  Any other slice comes back as it is.
+    """
+    if v.shape[-1] > 1 and v.strides[-1] == 0:
+        return v[..., :1]
+    return v
+
+
 def _tilted_mean(measure):
     """In-place kernel of the one-step expectation under ``measure``.
 
     ``kernel(k, down, up, out, a, b)`` writes ``(1 - p) * down + p * up``
     into ``out``, using ``a`` and ``b`` (same width, aliasing neither input)
     as scratch, one ufunc per operation of that expression and in its order,
-    so the bits equal the expression's.
+    so the bits equal the expression's.  It computes at the widest compact
+    width w of p, down and up (see :func:`_compact`) and returns
+    ``out[..., :w]``, which the caller broadcasts to the node width.
     """
 
     def kernel(k, down, up, out, a, b):
-        p = measure.p_up(k)
-        np.subtract(1.0, p, out=a)
-        np.multiply(a, down, out=a)
-        np.multiply(p, up, out=b)
-        return np.add(a, b, out=out)
+        p, down, up = (_compact(v) for v in (measure.p_up(k), down, up))
+        wp = p.shape[-1]
+        w = max(wp, down.shape[-1], up.shape[-1])
+        np.subtract(1.0, p, out=a[..., :wp])
+        np.multiply(a[..., :wp], down, out=a[..., :w])
+        np.multiply(p, up, out=b[..., :w])
+        return np.add(a[..., :w], b[..., :w], out=out[..., :w])
 
     return kernel
 
@@ -394,8 +419,9 @@ def _fresh(kernel):
     """The one-step function of an in-place kernel: new arrays at every step."""
 
     def step(k, down, up):
-        return kernel(k, down, up, np.empty_like(down), np.empty_like(down),
-                      np.empty_like(down))
+        out = kernel(k, down, up, np.empty_like(down), np.empty_like(down),
+                     np.empty_like(down))
+        return np.broadcast_to(out, down.shape)
 
     return step
 

@@ -1,5 +1,6 @@
 """Change of measure on the tree and the penalized dual representation."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gexpect.dual import (
     DensityProcess,
     _PenalizedKernel,
     _Workspace,
+    _entropy_kernel,
     constant_density,
     dual_value,
     gibbs_density,
@@ -30,6 +32,7 @@ from gexpect.lattice import (
     TreeProcess,
     brownian,
     build_tree,
+    _tilted_mean,
     cond_expect,
     expectation,
     increment_matrix,
@@ -457,3 +460,75 @@ class TestOnReduction:
                 dual_value(tilt(0.3, tree), xi, quadratic_upper(0.3, 0.5), tree)
             with pytest.raises(ValueError, match="terminal slice"):
                 gibbs_density(0.5, xi, tree)
+
+
+def _materialized(tree, c):
+    """The constant density c stored as one full slice per depth."""
+    return DensityProcess(TreeProcess(tree, [np.full(tree.n_nodes(k), c)
+                                             for k in range(tree.steps)]))
+
+
+class TestConstantDensity:
+    """A constant density, stored as one value per depth, computes what the
+    same density stored node by node computes, bit for bit."""
+
+    CASES = [(FULL, 10), (RECOMBINING, 300)]
+
+    @pytest.mark.parametrize("layout,N", CASES)
+    @pytest.mark.parametrize("c", [-1.5, -0.0, 0.0, 0.7])
+    def test_constant_equals_materialized(self, layout, N, c):
+        tree = build_tree(1.0, N, layout)
+        xi = call(0.0).evaluate(tree)
+        const, full = tilt(constant_density(tree, c)), tilt(_materialized(tree, c))
+        got, want = relative_entropy(const), relative_entropy(full)
+        assert_slices_bitwise(got.discrete.values, want.discrete.values)
+        assert_slices_bitwise(got.continuum.values, want.continuum.values)
+        for depth in (0, N // 2):
+            assert_slices_bitwise(cond_expect(-xi, depth, measure=const, tree=tree).values,
+                                  cond_expect(-xi, depth, measure=full, tree=tree).values)
+        assert np.float64(expectation(xi, measure=const, tree=tree)).tobytes() \
+            == np.float64(expectation(xi, measure=full, tree=tree)).tobytes()
+        work = _Workspace(tree)
+        for g in (quadratic_upper(0.3, 0.5), sublinear_interval(-1.0, 1.0)):
+            got, want = dual_value(const, xi, g), dual_value(full, xi, g)
+            assert_slices_bitwise(got.process.values, want.process.values)
+            assert (got.feasible, got.infeasible_nodes) \
+                == (want.feasible, want.infeasible_nodes)
+            roots = [work.root(-xi, _PenalizedKernel(m, g)) for m in (const, full)]
+            assert np.float64(roots[0]).tobytes() == np.float64(roots[1]).tobytes()
+        for kernel, terminal in ((_entropy_kernel, work.zeros), (_tilted_mean, -xi)):
+            roots = [work.root(terminal, kernel(m)) for m in (const, full)]
+            assert np.float64(roots[0]).tobytes() == np.float64(roots[1]).tobytes()
+
+    def test_constant_slices_are_read_only(self):
+        tree = build_tree(1.0, 6, FULL)
+        for m in (tilt(constant_density(tree, 0.7)), tilt(_materialized(tree, 0.7))):
+            for k in (0, 3):
+                for v in (m.density.q.values[k], m.p_up(k)):
+                    assert v.shape == (tree.n_nodes(k),)
+                    with pytest.raises(ValueError):
+                        v[0] = 0.0
+
+    def test_constant_density_stores_one_value_per_depth(self):
+        tree = build_tree(1.0, 20, FULL)
+        tracemalloc.start()
+        try:
+            tilt(constant_density(tree, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one slice of the deepest step alone would take 4 MiB
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("layout,N,nodes", [(FULL, 16, 65535),
+                                                (RECOMBINING, 300, 45150)])
+    def test_infinite_penalties_count_nodes(self, layout, N, nodes):
+        # q = 1.2 leaves the slopes [-1, 1]: every node of depths 0..N-1 pays +inf
+        tree = build_tree(1.0, N, layout)
+        assert nodes == sum(tree.n_nodes(k) for k in range(N))
+        m, g = tilt(1.2, tree), sublinear_interval(-1.0, 1.0)
+        xi = call(0.0).evaluate(tree)
+        assert dual_value(m, xi, g, tree).infeasible_nodes == nodes
+        kernel = _PenalizedKernel(m, g)
+        assert _Workspace(tree).root(-xi, kernel) == -math.inf
+        assert kernel.infinite == nodes

@@ -7,8 +7,9 @@ explicit scheme (no exp/log in the solves).  The four suite configs are
 full N=6 trees and between them cover ``fail`` checks with witnesses,
 ``skipped`` axioms, a ``skipped`` envelope and an envelope ``fail`` with a
 witness.  ``dual_call`` sweeps conjugate-penalized dual values on a full
-N=6 tree; ``penalize_recombining`` runs the penalization schedule on a
-recombining N=40 tree.  ``penalize_full_exact`` and ``penalize_full_stop``
+N=6 tree, ``dual_recombining`` on a recombining N=120 tree, where every
+row but the selection is a constant density.  ``penalize_recombining``
+runs the penalization schedule on a recombining N=40 tree.  ``penalize_full_exact`` and ``penalize_full_stop``
 run it on a full N=8 tree and stop early: the exact drift at the first
 level with a -0 target gap, the continuum drift at level 256 of the
 default schedule.  The two ``solve`` configs write the per-depth
@@ -20,8 +21,10 @@ is NaN.  The ``represent`` configs read the driver of a measure back on
 driver on a recombining N=64 tree, ``represent_full_scaled_abs`` the
 sublinear |z| driver on a full N=8 tree.
 
-``converge_entropic`` and ``represent_entropic`` go through the exact
-entropic recursion, whose exp/log may differ in the last bit between numpy
+``converge_entropic``, ``represent_entropic`` and ``dual_entropic`` (the
+entropic sweep on a full N=10 tree, penalized by the discrete relative
+entropy, with its random and Gibbs rows) go through the exact entropic
+recursion, whose exp/log may differ in the last bit between numpy
 builds; their files must match token for token, numbers to 1e-9 relative.
 """
 import re
@@ -40,6 +43,7 @@ CASES = {
     "domination_skipped": ("domination", 0),
     "domination_fail": ("domination", 1),
     "dual_call": ("dual", 0),
+    "dual_recombining": ("dual", 0),
     "penalize_recombining": ("penalize", 0),
     "penalize_full_exact": ("penalize", 0),
     "penalize_full_stop": ("penalize", 0),
@@ -78,6 +82,10 @@ def test_converge_matches_golden_files_to_rounding(tmp_path):
 
 def test_represent_entropic_matches_golden_files_to_rounding(tmp_path):
     _assert_matches_to_rounding("represent_entropic", "represent", tmp_path)
+
+
+def test_dual_entropic_matches_golden_files_to_rounding(tmp_path):
+    _assert_matches_to_rounding("dual_entropic", "dual", tmp_path)
 
 
 def _assert_matches_to_rounding(name, task, out_dir):
