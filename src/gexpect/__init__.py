@@ -11,8 +11,9 @@ inequalities, not Monte Carlo estimates.
 Every export is read by the library, the demos, the benchmark or the
 acceptance suite, or says why it stays in a ``# kept:`` comment
 (tests/test_public_surface.py holds the list to this).  The result types
-(``SolvedBSDE``, ``CheckReport``, ``DualityReport``, ...) are exported
-because public functions return them.
+(``SolvedBSDE``, ``DualityReport``, ``CheckReport``: the verdicts of the
+suites and of ``verify_class``, ...) are exported because public functions
+return them.
 """
 
 from .lattice import (
@@ -49,7 +50,7 @@ from .generators import (
     CONVEX,
     DOMINATED,
     SUBLINEAR,
-    ClassReport,
+    CheckReport,
     ConjugatePoint,
     Generator,
     conjugate,
@@ -70,7 +71,6 @@ from .bsde import (
 )
 from .risk import (
     AXIOMS,
-    CheckReport,
     DynamicRiskMeasure,
     check_axioms,
     check_domination,

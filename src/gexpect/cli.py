@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -23,11 +24,11 @@ import numpy as np
 from .bsde import entropy_step, euler_step
 from .claims import FAMILIES, SAMPLE_KINDS, Claim, from_spec, sample_claims
 from .dual import verify_duality
-from .generators import BUILTINS, entropy
+from .generators import BUILTINS, CheckReport, entropy
 from .lattice import FULL, RECOMBINING, auto_layout, backward_reduce, build_tree
 from .penalization import DRIFTS, canonical_drift, doob_meyer
 from .reporting import render_csv, render_structured
-from .risk import (AXIOMS, CheckReport, DynamicRiskMeasure, check_axioms, check_domination,
+from .risk import (AXIOMS, DynamicRiskMeasure, check_axioms, check_domination,
                    entropic, from_generator, represent, rho_solved)
 
 # The default of a key that must be given: a signature's own marker.
@@ -101,20 +102,22 @@ def _section(raw: dict, key: str, required: bool = False):
 def _convert(value, kind, where: str):
     """``value`` as ``kind`` (see _PARAMS); a ConfigError naming ``where`` otherwise.
 
-    An int must be integral, a JSON boolean is no number, only true/false is
-    a bool and only a JSON array a list.
+    Only a JSON number is a number (not a string, not a boolean); an int
+    must be integral and a float finite.  Only true/false is a bool and only
+    a JSON array a list.
     """
     if isinstance(kind, list) and isinstance(value, list):
         return [_convert(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
     if isinstance(kind, tuple) and value in kind or kind is bool and isinstance(value, bool):
         return value
-    if kind in (int, float) and not isinstance(value, bool):
+    if kind in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = kind(value)
-            if kind is float or not isinstance(value, float) or number == value:
-                return number
-        except (TypeError, ValueError, OverflowError):
+        except (ValueError, OverflowError):  # int() of a non-finite, float() of a huge int
             pass
+        else:
+            if number == value if kind is int else math.isfinite(number):
+                return number
     expected = ("a list" if isinstance(kind, list) else
                 f"one of {list(kind)}" if isinstance(kind, tuple) else
                 {int: "an integer", float: "a number", bool: "true or false"}[kind])

@@ -145,7 +145,8 @@ def tilt(q, tree: ScenarioTree | None = None,
         raise ValueError("a tree is required when passing raw density values")
     if np.isscalar(q):
         return TiltedMeasure(constant_density(tree, float(q), delta))
-    slices = [np.broadcast_to(np.asarray(v, dtype=float), (tree.n_nodes(k),)).copy()
+    # Copy, then broadcast: a per-depth scalar stays one float, aliasing nothing.
+    slices = [np.broadcast_to(np.array(v, dtype=float), (tree.n_nodes(k),))
               for k, v in enumerate(q)]
     return TiltedMeasure(DensityProcess(TreeProcess(tree, slices, copy=False), delta))
 

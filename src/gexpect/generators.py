@@ -7,7 +7,10 @@ given by a sup over an interval of slopes, and the scaled absolute value.
 
 Structural facts that the risk layer relies on (convexity, sublinearity,
 one-sided domination) travel as flags; :func:`verify_class` re-checks them
-numerically on grids and reports witnesses for violations.  The
+numerically on grids and returns a :class:`CheckReport` with witnesses.
+Every worst-gap check of the library (``verify_class`` and the ``risk``
+suites) folds its gaps through ``_GapTracker`` into ``AxiomCheck``
+verdicts, so which gap is the worst is decided in one place.  The
 Legendre-Fenchel conjugate and the subdifferential come in closed form for
 the built-ins and via guarded grid refinement otherwise.
 """
@@ -18,6 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .lattice import ScenarioTree, TreeProcess
 
 CONVEX = "convex"
 SUBLINEAR = "sublinear"
@@ -292,32 +297,112 @@ def subdifferential_slices(g: Generator, t: float, z: np.ndarray) -> tuple[np.nd
 
 
 # ---------------------------------------------------------------------------
-# Class membership checks
+# Check verdicts: every worst-gap check of the library reports through these
 
 
 @dataclass
-class ClassReport:
-    """Outcome of the numeric class checks, with witnesses for failures."""
+class AxiomCheck:
+    name: str
+    status: str  # "pass" | "fail" | "skipped"
+    max_gap: float
+    tol: float
+    comparisons: int
+    witness: dict | None = None
+    note: str = ""
 
+
+@dataclass
+class CheckReport:
+    """Verdicts of one check suite, or of :func:`verify_class`.
+
+    ``name_key`` is the key each check's name goes under in the report
+    (``"axiom"`` or ``"check"``); ``echo`` holds the suite inputs printed
+    before the verdict.
+    """
+
+    label: str
     checks: dict
-    passed: bool
+    name_key: str
+    echo: dict = field(default_factory=dict)
 
-    def witness(self, name: str):
-        return self.checks[name].get("witness")
+    @property
+    def passed(self) -> bool:
+        return not self.failing()
+
+    def failing(self) -> list[str]:
+        return [n for n, c in self.checks.items() if c.status == "fail"]
+
+    def as_report(self) -> dict:
+        return {
+            "source": self.label, **self.echo,
+            "passed": self.passed,
+            "checks": [
+                {self.name_key: c.name, "status": c.status, "max_gap": c.max_gap,
+                 "tol": c.tol, "comparisons": c.comparisons,
+                 **({f"witness_{k}": v for k, v in c.witness.items()} if c.witness else {})}
+                for c in self.checks.values()
+            ],
+        }
 
 
-def _record(checks: dict, name: str, gap: float, witness: dict | None, tol: float):
-    ok = gap <= tol
-    checks[name] = {"ok": ok, "max_gap": gap, "witness": None if ok else witness}
+class _GapTracker:
+    """Worst gap of one check: it starts at 0 and a gap replaces it only when
+    strictly larger, so the first maximum is the witness and a NaN never
+    wins.  ``tree`` is needed only for the node labels of :meth:`update`."""
+
+    def __init__(self, tree: ScenarioTree | None = None):
+        self.tree = tree
+        self.gap = 0.0
+        self.witness = None
+        self.count = 0
+
+    def fold(self, gaps: np.ndarray, witness: Callable[[int, float], dict]) -> float:
+        """Fold in an array of gaps; ``witness(i, gap)`` describes flat index i
+        and is called only when its gap becomes the worst.  Returns the
+        array's own worst gap (NaN when the array holds one)."""
+        self.count += gaps.size
+        i = int(gaps.argmax())
+        worst = gaps.item(i)
+        if worst > self.gap:
+            self.gap = worst
+            self.witness = witness(i, worst)
+        return worst
+
+    def update(self, values: np.ndarray, depth: int, tag: dict) -> float:
+        """Fold in the gaps of one depth slice, witnessed by node."""
+        return self.fold(values, lambda i, gap: {
+            **tag, "depth": depth, "node": self.tree.node_label(depth, i), "gap": gap})
+
+    def update_process(self, proc: TreeProcess, tag: dict):
+        for k, slice_ in enumerate(proc.values):
+            self.update(slice_, k, tag)
+
+    def verdict(self, name: str, atol: float, certified: bool = True,
+                note: str = "step certificate violated; refine dt") -> AxiomCheck:
+        """``skipped`` without the certificate or without a single comparison,
+        else pass iff the gap is within atol."""
+        if not certified:
+            return AxiomCheck(name, "skipped", float("nan"), atol, 0, note=note)
+        if not self.count:
+            return AxiomCheck(name, "skipped", float("nan"), atol, 0, note="nothing compared")
+        status = "pass" if self.gap <= atol else "fail"
+        return AxiomCheck(name, status, self.gap, atol, self.count, self.witness)
+
+
+# ---------------------------------------------------------------------------
+# Class membership checks
+
+
+_LAMBDAS = np.array([0.0, 0.5, 1.0, 2.0, 5.0])  # positive homogeneity factors
+_THETAS = np.array([0.1, 0.5, 0.9])  # one-sided domination parameters
 
 
 def verify_class(
     g: Generator,
     z_grid: np.ndarray | None = None,
     t_grid: np.ndarray | None = None,
-    theta_grid: np.ndarray | None = None,
     tol: float = 1e-9,
-) -> ClassReport:
+) -> CheckReport:
     """Check growth, convexity, sublinearity and one-sided domination on grids.
 
     Only properties the generator claims via flags are required to hold;
@@ -325,67 +410,53 @@ def verify_class(
     """
     z = np.linspace(-6.0, 6.0, 121) if z_grid is None else np.asarray(z_grid, dtype=float)
     ts = np.array([0.0, 0.5, 1.0]) if t_grid is None else np.asarray(t_grid, dtype=float)
-    thetas = (np.array([0.1, 0.5, 0.9]) if theta_grid is None
-              else np.asarray(theta_grid, dtype=float))
+    n = z.size
     checks: dict = {}
 
-    worst_gap, worst = 0.0, None
+    def pair(t, **extra):
+        """The witness of a gap on the (z1, z2) grid, flat index i."""
+        return lambda i, gap: {"t": float(t), "z1": float(z[i // n]),
+                               "z2": float(z[i % n]), "gap": gap, **extra}
+
+    tr = _GapTracker()
     for t in ts:
-        gap = np.abs(g(t, z)) - (g.mu * np.abs(z) + g.nu * z * z)
-        i = int(np.argmax(gap))
-        if gap[i] > worst_gap:
-            worst_gap, worst = float(gap[i]), {"t": float(t), "z": float(z[i]),
-                                               "gap": float(gap[i])}
-    _record(checks, "growth", worst_gap, worst, tol)
+        tr.fold(np.abs(g(t, z)) - (g.mu * np.abs(z) + g.nu * z * z),
+                lambda i, gap: {"t": float(t), "z": float(z[i]), "gap": gap})
+    checks["growth"] = tr.verdict("growth", tol)
 
     if g.is_(CONVEX):
-        worst_gap, worst = 0.0, None
+        tr = _GapTracker()
         for t in ts:
             vals = g(t, z)
             mid = g(t, 0.5 * (z[:, None] + z[None, :]))
-            gap = mid - 0.5 * (vals[:, None] + vals[None, :])
-            i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-            if gap[i, j] > worst_gap:
-                worst_gap = float(gap[i, j])
-                worst = {"t": float(t), "z1": float(z[i]), "z2": float(z[j]),
-                         "gap": worst_gap}
-        _record(checks, "convexity", worst_gap, worst, tol)
+            tr.fold(mid - 0.5 * (vals[:, None] + vals[None, :]), pair(t))
+        checks["convexity"] = tr.verdict("convexity", tol)
 
     if g.is_(SUBLINEAR):
-        worst_gap, worst = 0.0, None
-        lam = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
+        tr = _GapTracker()
         for t in ts:
             vals = g(t, z)
-            scaled = g(t, lam[:, None] * z[None, :])
-            gap_h = np.abs(scaled - lam[:, None] * vals[None, :])
-            i, j = np.unravel_index(int(np.argmax(gap_h)), gap_h.shape)
-            if gap_h[i, j] > worst_gap:
-                worst_gap = float(gap_h[i, j])
-                worst = {"t": float(t), "lambda": float(lam[i]), "z": float(z[j]),
-                         "gap": worst_gap, "property": "homogeneity"}
+            scaled = g(t, _LAMBDAS[:, None] * z[None, :])
+            tr.fold(np.abs(scaled - _LAMBDAS[:, None] * vals[None, :]),
+                    lambda i, gap: {"t": float(t), "lambda": float(_LAMBDAS[i // n]),
+                                    "z": float(z[i % n]), "gap": gap,
+                                    "property": "homogeneity"})
             sums = g(t, z[:, None] + z[None, :])
-            gap_s = sums - (vals[:, None] + vals[None, :])
-            i, j = np.unravel_index(int(np.argmax(gap_s)), gap_s.shape)
-            if gap_s[i, j] > worst_gap:
-                worst_gap = float(gap_s[i, j])
-                worst = {"t": float(t), "z1": float(z[i]), "z2": float(z[j]),
-                         "gap": worst_gap, "property": "subadditivity"}
-        _record(checks, "sublinearity", worst_gap, worst, tol)
+            tr.fold(sums - (vals[:, None] + vals[None, :]), pair(t, property="subadditivity"))
+        checks["sublinearity"] = tr.verdict("sublinearity", tol)
 
     if g.is_(DOMINATED):
-        worst_gap, worst = 0.0, None
+        tr = _GapTracker()
         for t in ts:
             vals = g(t, z)
-            for theta in thetas:
+            for theta in _THETAS:
                 # one-sided bound (1-theta) gbar((z - theta zt)/(1-theta))
                 diff = z[:, None] - theta * z[None, :]
                 bound = g.mu * np.abs(diff) + g.nu * diff * diff / (1.0 - theta)
-                gap = vals[:, None] - theta * vals[None, :] - bound
-                i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-                if gap[i, j] > worst_gap:
-                    worst_gap = float(gap[i, j])
-                    worst = {"t": float(t), "theta": float(theta), "z": float(z[i]),
-                             "z_tilde": float(z[j]), "gap": worst_gap}
-        _record(checks, "domination", worst_gap, worst, tol)
+                tr.fold(vals[:, None] - theta * vals[None, :] - bound,
+                        lambda i, gap: {"t": float(t), "theta": float(theta),
+                                        "z": float(z[i // n]), "z_tilde": float(z[i % n]),
+                                        "gap": gap})
+        checks["domination"] = tr.verdict("domination", tol)
 
-    return ClassReport(checks, all(c["ok"] for c in checks.values()))
+    return CheckReport(g.kind, checks, "check")

@@ -15,12 +15,14 @@ known values, convexity, subadditivity, positive homogeneity, translation
 invariance and locality on seeded claim suites, node by node, and returns
 witnesses for whatever fails.  Inequality axioms that only survive
 discretization under the step-monotonicity certificate are skipped (not
-failed) when the certificate is violated.
+failed) when the certificate is violated.  The suites and
+``supermartingale_gap`` fold their gaps through ``generators._GapTracker``
+and report ``generators.CheckReport`` verdicts, as ``verify_class`` does.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +30,8 @@ import numpy as np
 from .bsde import SolvedBSDE, StepFn, _solve, entropy_exact, entropy_step, euler_step, \
     noise_step, solve_bsde
 from .claims import Claim, StoppingTime, sample_claims, stopped_values
-from .generators import CONVEX, DOMINATED, Generator, entropy, quadratic_lower, quadratic_upper
+from .generators import CONVEX, DOMINATED, CheckReport, Generator, _GapTracker, entropy, \
+    quadratic_lower, quadratic_upper
 from .lattice import FULL, ScenarioTree, TreeProcess, _unbatched, build_tree, propagate, \
     subtree_indicator
 
@@ -135,85 +138,6 @@ def rho(drm: DynamicRiskMeasure, xi, depth: int | None = None) -> TreeProcess:
 # Check suites: axioms and domination share one skeleton
 
 
-@dataclass
-class AxiomCheck:
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    max_gap: float
-    tol: float
-    comparisons: int
-    witness: dict | None = None
-    note: str = ""
-
-
-@dataclass
-class CheckReport:
-    """Verdicts of one check suite.
-
-    ``name_key`` is the key each check's name goes under in the report
-    (``"axiom"`` or ``"check"``); ``echo`` holds the suite inputs printed
-    before the verdict.
-    """
-
-    label: str
-    checks: dict
-    name_key: str
-    echo: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failing()
-
-    def failing(self) -> list[str]:
-        return [n for n, c in self.checks.items() if c.status == "fail"]
-
-    def as_report(self) -> dict:
-        return {
-            "source": self.label, **self.echo,
-            "passed": self.passed,
-            "checks": [
-                {self.name_key: c.name, "status": c.status, "max_gap": c.max_gap,
-                 "tol": c.tol, "comparisons": c.comparisons,
-                 **({f"witness_{k}": v for k, v in c.witness.items()} if c.witness else {})}
-                for c in self.checks.values()
-            ],
-        }
-
-
-class _GapTracker:
-    """Worst gap of one check over all its node-wise comparisons."""
-
-    def __init__(self, tree: ScenarioTree):
-        self.tree = tree
-        self.gap = 0.0
-        self.witness = None
-        self.count = 0
-
-    def update(self, values: np.ndarray, depth: int, tag: dict):
-        """Fold in the gaps of one depth slice; the first maximum is the witness."""
-        self.count += values.size
-        i = int(np.argmax(values))
-        if values[i] > self.gap:
-            self.gap = float(values[i])
-            self.witness = {**tag, "depth": depth,
-                            "node": self.tree.node_label(depth, i), "gap": self.gap}
-
-    def update_process(self, proc: TreeProcess, tag: dict):
-        for k, slice_ in enumerate(proc.values):
-            self.update(slice_, k, tag)
-
-    def verdict(self, name: str, atol: float, certified: bool = True,
-                note: str = "step certificate violated; refine dt") -> AxiomCheck:
-        """``skipped`` without the certificate or without a single comparison,
-        else pass iff the gap is within atol."""
-        if not certified:
-            return AxiomCheck(name, "skipped", float("nan"), atol, 0, note=note)
-        if not self.count:
-            return AxiomCheck(name, "skipped", float("nan"), atol, 0, note="nothing compared")
-        status = "pass" if self.gap <= atol else "fail"
-        return AxiomCheck(name, status, self.gap, atol, self.count, self.witness)
-
-
 def _suite_setup(drm: DynamicRiskMeasure, claims: Sequence[Claim] | None,
                  seed: int, tol: float):
     """Terminal slices, labels, base solves, atol and claim pairs of a suite.
@@ -235,13 +159,15 @@ def _suite_setup(drm: DynamicRiskMeasure, claims: Sequence[Claim] | None,
     return xs, labels, solved, tol * scale, pairs
 
 
+_LAMBDAS = (0.0, 0.5, 2.0, 3.0)  # the positive homogeneity factors of check_axioms
+
+
 def check_axioms(
     drm: DynamicRiskMeasure,
     claims: Sequence[Claim] | None = None,
     seed: int = 0,
     depths: Sequence[int] | None = None,
     thetas: Sequence[float] = (0.25, 0.5, 0.75),
-    lambdas: Sequence[float] = (0.0, 0.5, 2.0, 3.0),
     tol: float = 1e-10,
 ) -> CheckReport:
     """Run the eight axiom checks node by node on a seeded claim suite.
@@ -328,7 +254,7 @@ def check_axioms(
     # Positive homogeneity: rho(lambda xi) = lambda rho(xi), lambda >= 0.
     tr = _GapTracker(tree)
     for i, s_i in enumerate(solved):
-        for lam in lambdas:
+        for lam in _LAMBDAS:
             s_lam = drm.solve_terminal(-(lam * xs[i]))
             tr.update_process((s_lam.Y - s_i.Y * lam).map(np.abs),
                               {"claim": labels[i], "lambda": lam})
@@ -452,19 +378,16 @@ def supermartingale_gap(drm: DynamicRiskMeasure, W: TreeProcess) -> tuple[float,
     scheme, say) is left to the checks that judge the measure and its output.
     """
     tree = drm.tree
-    gap, witness = 0.0, None
+    tr = _GapTracker(tree)
     for k, defect in one_step_defects(drm, W):
-        i = int(np.argmax(defect))  # the first NaN when there is one
-        worst = float(defect[i])
-        if worst > gap:
-            gap, witness = worst, {"depth": k, "node": tree.node_label(k, i), "gap": worst}
-        elif math.isnan(worst):
+        worst = tr.update(defect, k, {})  # NaN when the depth holds one
+        if math.isnan(worst):
             down, up = tree.split_children(W.values[k + 1])
             fault = np.isnan(defect) & (np.isnan(W.values[k]) | np.isnan(down) | np.isnan(up))
             if fault.any():
                 i = int(np.argmax(fault))
                 return worst, {"depth": k, "node": tree.node_label(k, i), "gap": worst}
-    return gap, witness
+    return tr.gap, tr.witness
 
 
 def optional_stopping_check(

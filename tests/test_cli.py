@@ -119,6 +119,12 @@ class TestParseConfig:
          "config.params.n_values must be a list of at least two step counts to form a ratio, "
          "got [64]"),
         ("converge", {"n_values": []}, "config.params.n_values must be a list of at least two"),
+        ("axioms", {"tol": "1e-10"}, "config.params.tol must be a number, got '1e-10'"),
+        ("axioms", {"n_claims": "4"}, "config.params.n_claims must be an integer, got '4'"),
+        ("axioms", {"depths": ["1"]}, "config.params.depths[0] must be an integer, got '1'"),
+        ("axioms", {"tol": math.nan}, "config.params.tol must be a number, got nan"),
+        ("axioms", {"scale": math.inf}, "config.params.scale must be a number, got inf"),
+        ("domination", {"nu": -math.inf}, "config.params.nu must be a number, got -inf"),
     ])
     def test_bad_task_param_value(self, task, params, match):
         bad = dict(BASE, task=task, params=params)
@@ -146,6 +152,15 @@ class TestParseConfig:
         ({"tree": {"steps": True}}, "config.tree.steps must be an integer, got True"),
         ({"out": ["a"]}, "config.out must be a string, got ['a']"),
         ({"out": {}}, "config.out must be a string, got {}"),
+        ({"measure": {"kind": "entropic", "nu": "inf"}},
+         "config.measure.nu must be a number, got 'inf'"),
+        ({"measure": {"kind": "entropic", "nu": math.inf}},
+         "config.measure.nu must be a number, got inf"),
+        ({"tree": {"steps": "8"}}, "config.tree.steps must be an integer, got '8'"),
+        ({"tree": {"steps": 8, "horizon": "1"}}, "config.tree.horizon must be a number, got '1'"),
+        ({"tree": {"steps": 8, "horizon": math.nan}},
+         "config.tree.horizon must be a number, got nan"),
+        ({"seed": "3"}, "config.seed must be an integer, got '3'"),
     ])
     def test_wrong_typed_value(self, override, match):
         bad = dict(BASE, **override)
@@ -221,7 +236,11 @@ class TestMain:
         {"tree": {"steps": 8, "depth_cap": "x"}}, {"tree": {"steps": 8, "depth_cap": 0}},
         {"measure": {"kind": "quadratic_upper", "mu": "x", "nu": 0.5}},
         {"claim": {"kind": "call", "strike": 0.0, "coef": "x"}}, {"tree": {"steps": 6.7}},
-        {"out": ["a"]}, {"out": {}}])
+        {"out": ["a"]}, {"out": {}},
+        # An entropic nu of "inf" once ran to rho_root nan with every check PASS.
+        {"measure": {"kind": "entropic", "nu": "inf"}},
+        {"measure": {"kind": "entropic", "nu": math.inf}}, {"tree": {"steps": "8"}},
+        {"tree": {"steps": 8, "horizon": math.nan}}, {"seed": "3"}])
     def test_wrong_typed_value_exits_two(self, tmp_path, capsys, override):
         cfg = write_cfg(tmp_path, **override)
         out = tmp_path / "out"
@@ -264,6 +283,12 @@ class TestMain:
         ("domination", {"n_claims": 0}),
         ("converge", {"n_values": [64]}),
         ("converge", {"n_values": []}),
+        ("axioms", {"tol": "1e-10"}),
+        ("axioms", {"n_claims": "4"}),
+        ("axioms", {"depths": ["1"]}),
+        ("axioms", {"tol": math.nan}),
+        ("axioms", {"scale": math.inf}),
+        ("domination", {"nu": -math.inf}),
     ])
     def test_bad_task_param_value_exits_two(self, tmp_path, capsys, task, params):
         cfg = write_cfg(tmp_path, task=task, claim=None, params=params,

@@ -520,6 +520,34 @@ class TestConstantDensity:
         # one slice of the deepest step alone would take 4 MiB
         assert peak < 2 ** 20
 
+    def test_per_depth_scalars_store_one_value_per_depth(self):
+        tree = build_tree(1.0, 20, FULL)
+        tracemalloc.start()
+        try:
+            tilt([0.5] * 20, tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("layout,N", CASES)
+    def test_per_depth_scalars_equal_the_scalar_form(self, layout, N):
+        tree = build_tree(1.0, N, layout)
+        xi = call(0.0).evaluate(tree)
+        listed, scalar = tilt([0.7] * N, tree), tilt(0.7, tree)
+        got, want = relative_entropy(listed), relative_entropy(scalar)
+        assert_slices_bitwise(got.discrete.values, want.discrete.values)
+        assert_slices_bitwise(got.continuum.values, want.continuum.values)
+        assert np.float64(expectation(xi, measure=listed, tree=tree)).tobytes() \
+            == np.float64(expectation(xi, measure=scalar, tree=tree)).tobytes()
+
+    def test_node_wide_values_are_copied(self):
+        tree = build_tree(1.0, 3, FULL)
+        slices = [np.array([0.5]), np.array([0.2, -0.2]), np.array([0.0, 0.1, -0.1, 0.3])]
+        m = tilt(slices, tree)
+        slices[2][:] = 9.0
+        assert list(m.density.q.values[2]) == [0.0, 0.1, -0.1, 0.3]
+
     @pytest.mark.parametrize("layout,N,nodes", [(FULL, 16, 65535),
                                                 (RECOMBINING, 300, 45150)])
     def test_infinite_penalties_count_nodes(self, layout, N, nodes):

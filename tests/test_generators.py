@@ -11,6 +11,7 @@ from gexpect.generators import (
     DOMINATED,
     SUBLINEAR,
     Generator,
+    _GapTracker,
     conjugate,
     conjugate_values,
     entropy,
@@ -21,6 +22,7 @@ from gexpect.generators import (
     sublinear_interval,
     verify_class,
 )
+from gexpect.lattice import FULL, build_tree
 
 Z = np.linspace(-3.0, 3.0, 41)
 
@@ -140,8 +142,8 @@ class TestVerifyClass:
                       flags=frozenset({CONVEX, DOMINATED}))
         report = verify_class(g)
         assert not report.passed
-        assert not report.checks["growth"]["ok"]
-        w = report.witness("growth")
+        assert report.checks["growth"].status == "fail"
+        w = report.checks["growth"].witness
         assert w is not None and w["gap"] > 0
 
     def test_nonconvex_flag_fails(self):
@@ -149,12 +151,128 @@ class TestVerifyClass:
                       flags=frozenset({CONVEX}))
         report = verify_class(g)
         assert not report.passed
-        assert report.witness("convexity") is not None
+        assert report.checks["convexity"].witness is not None
 
     def test_sublinear_flag_checked(self):
         g = Generator(lambda t, z: z * z, mu=0.0, nu=1.0,
                       flags=frozenset({CONVEX, DOMINATED, SUBLINEAR}))
         report = verify_class(g)
         assert not report.passed
-        w = report.witness("sublinearity")
+        w = report.checks["sublinearity"].witness
         assert w is not None and w["property"] == "homogeneity"
+
+
+class TestGapTracker:
+    def test_fold_keeps_the_first_maximum(self):
+        tr, calls = _GapTracker(), []
+
+        def witness(call):
+            return lambda i, gap: calls.append((call, i)) or {"call": call, "i": i, "gap": gap}
+
+        assert tr.fold(np.array([0.5, 2.0, 2.0]), witness(1)) == 2.0
+        assert tr.fold(np.array([[2.0, 1.0], [2.0, 0.0]]), witness(2)) == 2.0
+        assert tr.witness == {"call": 1, "i": 1, "gap": 2.0}
+        assert (tr.gap, tr.count, calls) == (2.0, 7, [(1, 1)])
+
+    def test_fold_returns_a_nan_but_never_keeps_it(self):
+        tr = _GapTracker()
+        assert math.isnan(tr.fold(np.array([1.0, np.nan, 3.0]), lambda i, gap: {}))
+        assert (tr.gap, tr.witness, tr.count) == (0.0, None, 3)
+
+    def test_update_keeps_the_first_maximum(self):
+        tree = build_tree(1.0, 3, FULL)
+        tr = _GapTracker(tree)
+        assert tr.update(np.array([0.0, 1.0, 1.0, 0.5]), 2, {"claim": "a"}) == 1.0
+        assert tr.update(np.array([1.0, 1.0]), 1, {"claim": "b"}) == 1.0
+        assert list(tr.witness.items()) == [("claim", "a"), ("depth", 2),
+                                            ("node", tree.node_label(2, 1)), ("gap", 1.0)]
+        assert tr.verdict("x", 0.5).status == "fail"
+
+
+def _nan_beyond_5(t, z):
+    return np.where(np.abs(z) > 5.0, np.nan, z * z)
+
+
+# One driver per family that can fail, plus a driver that is NaN for |z| > 5
+# (its NaN gaps are skipped: every check reads 0 there).
+PINNED_DRIVERS = {
+    "growth": Generator(lambda t, z: 2.0 * np.abs(z), 0.1, 0.0, frozenset({CONVEX, DOMINATED})),
+    "convexity": Generator(lambda t, z: -np.abs(z), 1.0, 0.0, frozenset({CONVEX})),
+    "homogeneity": Generator(lambda t, z: z * z, 0.0, 1.0, frozenset({SUBLINEAR})),
+    "subadditivity": Generator(lambda t, z: -np.abs(z), 1.0, 0.0, frozenset({SUBLINEAR})),
+    "domination": Generator(lambda t, z: z * z, 0.0, 0.25, frozenset({DOMINATED})),
+    "nan": Generator(_nan_beyond_5, 0.0, 1.0, frozenset({CONVEX, DOMINATED})),
+}
+
+# Per check: passed, max_gap as float.hex, witness items (floats as hex).
+PINNED = {
+    "growth": {
+        "growth": (False, "0x1.6cccccccccccdp+3",
+                   [("t", "0x0.0p+0"), ("z", "-0x1.8000000000000p+2"),
+                    ("gap", "0x1.6cccccccccccdp+3")]),
+        "convexity": (True, "0x0.0p+0", None),
+        "domination": (False, "0x1.6cccccccccccdp+3",
+                       [("t", "0x0.0p+0"), ("theta", "0x1.999999999999ap-4"),
+                        ("z", "-0x1.8000000000000p+2"), ("z_tilde", "0x0.0p+0"),
+                        ("gap", "0x1.6cccccccccccdp+3")]),
+    },
+    "convexity": {
+        "growth": (True, "0x0.0p+0", None),
+        "convexity": (False, "0x1.8000000000000p+2",
+                      [("t", "0x0.0p+0"), ("z1", "-0x1.8000000000000p+2"),
+                       ("z2", "0x1.8000000000000p+2"), ("gap", "0x1.8000000000000p+2")]),
+    },
+    "homogeneity": {
+        "growth": (True, "0x0.0p+0", None),
+        "sublinearity": (False, "0x1.6800000000000p+9",
+                         [("t", "0x0.0p+0"), ("lambda", "0x1.4000000000000p+2"),
+                          ("z", "-0x1.8000000000000p+2"), ("gap", "0x1.6800000000000p+9"),
+                          ("property", "homogeneity")]),
+    },
+    "subadditivity": {
+        "growth": (True, "0x0.0p+0", None),
+        "sublinearity": (False, "0x1.8000000000000p+3",
+                         [("t", "0x0.0p+0"), ("z1", "-0x1.8000000000000p+2"),
+                          ("z2", "0x1.8000000000000p+2"), ("gap", "0x1.8000000000000p+3"),
+                          ("property", "subadditivity")]),
+    },
+    "domination": {
+        "growth": (False, "0x1.b000000000000p+4",
+                   [("t", "0x0.0p+0"), ("z", "-0x1.8000000000000p+2"),
+                    ("gap", "0x1.b000000000000p+4")]),
+        "domination": (False, "0x1.a452d489718cep+4",
+                       [("t", "0x0.0p+0"), ("theta", "0x1.999999999999ap-4"),
+                        ("z", "-0x1.8000000000000p+2"), ("z_tilde", "-0x1.9999999999998p+0"),
+                        ("gap", "0x1.a452d489718cep+4")]),
+    },
+    "nan": {
+        "growth": (True, "0x0.0p+0", None),
+        "convexity": (True, "0x0.0p+0", None),
+        "domination": (True, "0x0.0p+0", None),
+    },
+}
+
+
+def _bits(v):
+    return v.hex() if isinstance(v, float) else v
+
+
+def _outcome(check):
+    """(passed, max_gap bits, witness items) of one class check.  Reads a
+    check both as a verdict object and as the plain dict verify_class once
+    returned, so the same pins hold on either side of that change."""
+    if isinstance(check, dict):
+        passed, gap, witness = check["ok"], check["max_gap"], check["witness"]
+    else:
+        passed, gap, witness = check.status == "pass", check.max_gap, check.witness
+    items = None if witness is None else [(k, _bits(v)) for k, v in witness.items()]
+    return passed, _bits(gap), items
+
+
+@pytest.mark.parametrize("driver", sorted(PINNED))
+def test_verify_class_outcomes_pinned(driver):
+    report = verify_class(PINNED_DRIVERS[driver])
+    outcomes = {name: _outcome(c) for name, c in report.checks.items()}
+    assert list(outcomes) == list(PINNED[driver])
+    assert outcomes == PINNED[driver]
+    assert report.passed == all(passed for passed, _, _ in PINNED[driver].values())
