@@ -18,10 +18,11 @@ z = (u - d)/(2 sqrt(dt)) and g_k(z) = op(k, -z sqrt(dt), z sqrt(dt)) / dt
 g-expectation of g_k.  For the quadratic recursion
 g_k(z) = log cosh(2 nu z sqrt(dt)) / (2 nu dt), which is nu z^2 up to O(dt).
 
-Every solve is one backward pass that records Z beside Y, and carries a
-step-monotonicity certificate derived from that Z,
-(mu + 2 nu max|Z|) sqrt(dt) <= 1, the sufficient condition under which
-comparison-type statements survive discretization.
+Every solve (``solve_bsde``, ``entropy_exact``, every risk measure's) is
+one ``_solve``: one backward pass that records Z beside Y and certifies,
+by its scheme's rule (see SolvedBSDE), the step monotonicity
+(mu + 2 nu max|Z|) sqrt(dt) <= 1 under which comparison-type statements
+survive discretization (Chassagneux & Richou, AAP 2016).
 
 A solve may keep only the depths 0..``keep`` of Y and Z.  The depths it
 drops are folded into a per-depth (min, max) profile as the pass goes, and
@@ -38,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .generators import Generator
+from .generators import Generator, entropy
 from .lattice import ScenarioTree, TreeProcess, _terminal_array, backward_reduce
 
 StepFn = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
@@ -49,13 +50,20 @@ class SolvedBSDE:
     """Solution pair with scheme metadata and the discretization certificate.
 
     Y and Z come from a single backward pass; nothing is recomputed to
-    check them.  ``monotone_step`` is the certificate
-    (mu + 2 nu max|Z|) sqrt(dt) <= 1; comparison and convexity assertions
-    should be gated on it.  A solve that kept only the top depths of Y and
-    Z holds the (y_min, y_max, z_min, z_max) of every deeper depth in
-    ``dropped``, top first; the z entries of the horizon are None.  The
-    solve folds those depths per block of depths, into the same floats a
-    per-depth ``min``/``max`` gives.
+    check them.  Comparison and convexity assertions should be gated on
+    ``monotone_step``, which ``_solve`` alone sets, by ``scheme``.
+    "explicit": ``step_bound`` is (mu + 2 nu max|Z|) sqrt(dt) with the
+    driver's (mu, nu), the certificate is bound <= 1 with a warning when it
+    fails, and ``generator`` is the driver.  "entropy_exact": the bound of
+    the entropy driver's (0, nu), but monotone for every step size (softmax
+    weights), so True with no warning; no generator.  "custom": no growth
+    data, so the bound is NaN (unknown), True, no warning, no generator.
+
+    A solve that kept only the top depths of Y and Z holds the
+    (y_min, y_max, z_min, z_max) of every deeper depth in ``dropped``, top
+    first; the z entries of the horizon are None.  The solve folds those
+    depths per block of depths, into the same floats a per-depth
+    ``min``/``max`` gives.
     """
 
     Y: TreeProcess
@@ -112,11 +120,11 @@ def entropy_step(nu: float, tree: ScenarioTree) -> StepFn:
     """Exact one-step recursion of the quadratic driver nu*z^2.
 
     Value = (1/2nu) log of the average of exp(2nu * child), computed with a
-    max shift so large exponents cannot overflow.
+    max shift so large exponents cannot overflow; the step ignores ``z``.
     """
     two_nu = 2.0 * float(nu)
 
-    def step(k, down, up):
+    def step(k, down, up, z=None):
         m = np.maximum(down, up)
         return m + np.log(0.5 * (np.exp(two_nu * (down - m))
                                  + np.exp(two_nu * (up - m)))) / two_nu
@@ -136,14 +144,13 @@ _BLOCK = 8192
 
 
 def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
-           keep: int | None = None):
-    """(Y, Z, dropped) in one backward pass: Z is taken, as in ``extract_z``,
-    from the same (down, up) child views the step receives, so no step runs
-    twice.  ``step(k, down, up, z)`` is handed that z, so the explicit step
-    does not compute it again; a plain three-argument step is wrapped by
-    its caller.  Y and Z keep depths 0..``keep`` (default: all); every
-    deeper depth is summarized into ``dropped`` (see SolvedBSDE) and let
-    go.
+           keep: int | None, scheme: str, g: Generator | None) -> SolvedBSDE:
+    """One backward pass of ``step`` from ``xi``, certified by the rule of
+    ``scheme`` with the growth constants of ``g`` (see SolvedBSDE).  Z is
+    taken, as in ``extract_z``, from the (down, up) child views the step
+    receives, so no step runs twice; ``step(k, down, up, z)`` is handed
+    that z.  Y and Z keep depths 0..``keep`` (None: all); every deeper depth
+    is summarized into ``dropped`` and let go.
 
     The dropped depths are summarized per block: each one's z is computed
     straight into, and its y copied into, the next ``width`` floats of two
@@ -155,29 +162,27 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
     n = tree.steps
     keep = n if keep is None else keep
     z_slices: list[np.ndarray] = [None] * min(keep + 1, n)  # type: ignore[list-item]
-    dropped: list[tuple] = [None] * (n - keep)  # type: ignore[list-item]
+    # Summaries in visit order, horizon first (widths never grow toward the root).
+    dropped = [_summary(xi, None)] if keep < n else []
     scale = 2.0 * tree.sqrt_dt
     ys = zs = None
     starts: list[int] = []  # offsets of the block's depths, deepest first
-    shallowest = used = 0
+    used = 0
 
     def fold_block():
         nonlocal used
         if starts:
             at = np.array(starts)
             y, z = ys[:used], zs[:used]
-            rows = list(zip(np.minimum.reduceat(y, at).tolist(),
-                            np.maximum.reduceat(y, at).tolist(),
-                            np.minimum.reduceat(z, at).tolist(),
-                            np.maximum.reduceat(z, at).tolist()))
-            rows.reverse()
-            first = shallowest - keep - 1
-            dropped[first:first + len(rows)] = rows
+            dropped.extend(zip(np.minimum.reduceat(y, at).tolist(),
+                               np.maximum.reduceat(y, at).tolist(),
+                               np.minimum.reduceat(z, at).tolist(),
+                               np.maximum.reduceat(z, at).tolist()))
             starts.clear()
             used = 0
 
     def step_with_z(k, down, up):
-        nonlocal ys, zs, shallowest, used
+        nonlocal ys, zs, used
         width = down.shape[-1]
         if k <= keep or width > _BLOCK:
             z = (up - down) / scale
@@ -185,14 +190,13 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
             if k <= keep:
                 z_slices[k] = z
             else:
-                dropped[k - keep - 1] = _summary(np.asarray(y, dtype=float), z)
+                dropped.append(_summary(np.asarray(y, dtype=float), z))
             return y
         if used + width > _BLOCK:
             fold_block()
         if zs is None:
             ys, zs = np.empty(_BLOCK), np.empty(_BLOCK)
         starts.append(used)
-        shallowest = k
         z = zs[used:used + width]
         np.subtract(up, down, out=z)
         np.divide(z, scale, out=z)
@@ -204,9 +208,13 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
 
     Y = backward_reduce(tree, xi, step_with_z, keep=keep)
     fold_block()
-    if dropped:
-        dropped[-1] = _summary(xi, None)
-    return Y, TreeProcess(tree, z_slices, copy=False), tuple(dropped)
+    Z, rows = TreeProcess(tree, z_slices, copy=False), tuple(reversed(dropped))
+    if scheme == "custom":
+        return SolvedBSDE(Y, Z, scheme, xi, None, float("nan"), True, (), rows)
+    bound, ok, warnings = _certificate(tree, _max_abs_z(Z, rows), g.mu, g.nu)
+    if scheme == "entropy_exact":
+        return SolvedBSDE(Y, Z, scheme, xi, None, bound, True, (), rows)
+    return SolvedBSDE(Y, Z, scheme, xi, g, bound, ok, warnings, rows)
 
 
 def _max_abs_z(Z: TreeProcess, dropped: tuple) -> float:
@@ -245,9 +253,7 @@ def solve_bsde(g: Generator, terminal, tree: ScenarioTree | None = None,
     tree, last, xi = _terminal_array(terminal, tree)
     if last != tree.steps:
         raise ValueError("terminal condition must sit at the horizon")
-    Y, Z, dropped = _solve(tree, xi, euler_step(g, tree), keep)
-    bound, ok, warnings = _certificate(tree, _max_abs_z(Z, dropped), g.mu, g.nu)
-    return SolvedBSDE(Y, Z, "explicit", xi, g, bound, ok, warnings, dropped)
+    return _solve(tree, xi, euler_step(g, tree), keep, "explicit", g)
 
 
 def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None,
@@ -263,11 +269,7 @@ def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None,
     tree, last, xi = _terminal_array(terminal, tree)
     if last != tree.steps:
         raise ValueError("terminal condition must sit at the horizon")
-    step = entropy_step(nu, tree)
-    Y, Z, dropped = _solve(tree, xi, lambda k, down, up, z: step(k, down, up), keep)
-    bound = _certificate(tree, _max_abs_z(Z, dropped), 0.0, nu)[0]
-    # The exact recursion is monotone for every step size (softmax weights).
-    return SolvedBSDE(Y, Z, "entropy_exact", xi, None, bound, True, (), dropped)
+    return _solve(tree, xi, entropy_step(nu, tree), keep, "entropy_exact", entropy(nu))
 
 
 def noise_step(one_step: StepFn, k: int, z, tree: ScenarioTree) -> np.ndarray:

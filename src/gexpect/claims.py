@@ -242,10 +242,10 @@ def first_hitting(tree: ScenarioTree, level: float) -> StoppingTime:
     return StoppingTime(tree, masks)
 
 
-def random_stopping(tree: ScenarioTree, seed: int, intensity: float = 0.25) -> StoppingTime:
-    """Seeded adapted rule: each node stops independently with the given rate."""
+def random_stopping(tree: ScenarioTree, seed: int) -> StoppingTime:
+    """Seeded adapted rule: each node stops independently with probability 1/4."""
     rng = np.random.default_rng(seed)
-    masks = [rng.uniform(size=tree.n_nodes(k)) < intensity for k in range(tree.steps)]
+    masks = [rng.uniform(size=tree.n_nodes(k)) < 0.25 for k in range(tree.steps)]
     masks.append(np.ones(tree.n_nodes(tree.steps), dtype=bool))
     return StoppingTime(tree, masks)
 

@@ -194,6 +194,10 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     # Counts below these leave a check nothing to compare.
     if typed.get("n_claims", 1) < 1:
         raise ConfigError(f"config.params.n_claims must be at least 1, got {typed['n_claims']}")
+    # A zero scale zeroes every claim (a vacuous pass); a tol <= 0 fails every check.
+    for name in ("scale", "tol"):
+        if typed.get(name, 1.0) <= 0.0:
+            raise ConfigError(f"config.params.{name} must be positive, got {typed[name]}")
     if task == "converge" and len(typed["n_values"]) < 2:
         raise ConfigError("config.params.n_values must be a list of at least two step counts "
                           f"to form a ratio, got {typed['n_values']}")

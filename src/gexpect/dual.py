@@ -40,7 +40,7 @@ from .claims import Claim
 from .generators import CONVEX, Generator, conjugate_values, subdifferential_slices
 from .lattice import (FULL, ScenarioTree, TreeProcess, _compact, _fresh, _tilted_mean,
                       _unbatched, backward_reduce)
-from .risk import DynamicRiskMeasure, rho_solved
+from .risk import DynamicRiskMeasure, _terminal_of
 
 DEFAULT_ADMISSIBILITY_MARGIN = 1e-6
 
@@ -80,8 +80,7 @@ class DensityProcess:
         return self.q.tree
 
 
-def constant_density(tree: ScenarioTree, value: float,
-                     delta: float = DEFAULT_ADMISSIBILITY_MARGIN) -> DensityProcess:
+def constant_density(tree: ScenarioTree, value: float) -> DensityProcess:
     """The density q = ``value`` at every node.
 
     Each depth is one float broadcast to the node width, a read-only
@@ -91,7 +90,7 @@ def constant_density(tree: ScenarioTree, value: float,
     one = np.array(float(value))
     q = TreeProcess(tree, [np.broadcast_to(one, (tree.n_nodes(k),))
                            for k in range(tree.steps)], copy=False)
-    return DensityProcess(q, delta)
+    return DensityProcess(q)
 
 
 class TiltedMeasure:
@@ -134,21 +133,20 @@ class TiltedMeasure:
         return self._theta
 
 
-def tilt(q, tree: ScenarioTree | None = None,
-         delta: float = DEFAULT_ADMISSIBILITY_MARGIN) -> TiltedMeasure:
+def tilt(q, tree: ScenarioTree | None = None) -> TiltedMeasure:
     """Build the tilted measure from a density (TreeProcess, array-like, or scalar)."""
     if isinstance(q, DensityProcess):
         return TiltedMeasure(q)
     if isinstance(q, TreeProcess):
-        return TiltedMeasure(DensityProcess(q, delta))
+        return TiltedMeasure(DensityProcess(q))
     if tree is None:
         raise ValueError("a tree is required when passing raw density values")
     if np.isscalar(q):
-        return TiltedMeasure(constant_density(tree, float(q), delta))
+        return TiltedMeasure(constant_density(tree, float(q)))
     # Copy, then broadcast: a per-depth scalar stays one float, aliasing nothing.
     slices = [np.broadcast_to(np.array(v, dtype=float), (tree.n_nodes(k),))
               for k, v in enumerate(q)]
-    return TiltedMeasure(DensityProcess(TreeProcess(tree, slices, copy=False), delta))
+    return TiltedMeasure(DensityProcess(TreeProcess(tree, slices, copy=False)))
 
 
 @dataclass
@@ -263,8 +261,7 @@ def dual_value(m: TiltedMeasure, xi, penalty, tree: ScenarioTree | None = None) 
     return DualValue(proc, bool(np.isfinite(proc.root())), kernel.infinite)
 
 
-def optimal_density(solved: SolvedBSDE, generator: Generator | None = None,
-                    delta: float = DEFAULT_ADMISSIBILITY_MARGIN) -> DensityProcess:
+def optimal_density(solved: SolvedBSDE, generator: Generator | None = None) -> DensityProcess:
     """Subdifferential selection along the solved martingale integrand.
 
     Picks the midpoint of [g'(Z-), g'(Z+)] at every node (any selection
@@ -292,7 +289,7 @@ def optimal_density(solved: SolvedBSDE, generator: Generator | None = None,
         q_slices.append(q)
     q_proc = TreeProcess(tree, q_slices, copy=False)
     try:
-        return DensityProcess(q_proc, delta, TreeProcess(tree, res_slices, copy=False))
+        return DensityProcess(q_proc, fenchel_residual=TreeProcess(tree, res_slices, copy=False))
     except ValueError as exc:
         raise ValueError(
             f"{exc}; the subdifferential selection needs a finer grid "
@@ -411,19 +408,18 @@ def verify_duality(
     if g is None or not g.is_(CONVEX):
         raise ValueError("duality checks need a convex driver or the entropic measure")
     tree = drm.tree
-    solved = rho_solved(drm, xi)
+    neg_xi = -_terminal_of(drm, xi)
+    solved = drm.solve_terminal(neg_xi)
     rho_root = solved.root()
     opt = optimal_density(solved, generator=g)
     # The solution is the largest array alive and the rows read only its
     # max|Z|: release it before any density is evaluated.
     z_max = solved.Z.max_abs()
     del solved
-    xi_term = xi.evaluate(tree) if isinstance(xi, Claim) else np.asarray(xi, dtype=float)
-    neg_xi = -xi_term
     tol = slack * max(1.0, abs(rho_root))
     work = _Workspace(tree)
 
-    if drm.kind == "entropy":
+    if drm.scheme == "entropy_exact":
         penalty_name = "discrete_relative_entropy"
 
         def evaluate(m: TiltedMeasure) -> tuple[float, bool]:
@@ -465,8 +461,8 @@ def verify_duality(
                          "feasible": feasible})
 
     gibbs_gap = None
-    if drm.kind == "entropy" and tree.layout == FULL:
-        gq = gibbs_density(g.nu, xi_term, tree)
+    if drm.scheme == "entropy_exact" and tree.layout == FULL:
+        gq = gibbs_density(g.nu, -neg_xi, tree)
         value, _ = evaluate(TiltedMeasure(gq))
         gibbs_gap = rho_root - value
         rows.append({"density": "gibbs", "value": value, "feasible": True})
@@ -476,7 +472,7 @@ def verify_duality(
     # Attainment allowance: exact for the scheme-matched penalty, O(dt) for
     # the entropic selection (whose exact maximizer is the Gibbs tilt).
     scale = (1.0 + z_max) * max(1.0, 2.0 * drm.bounds[1])
-    opt_allowance = max(tol, 2.0 * scale ** 3 * tree.dt) if drm.kind == "entropy" \
+    opt_allowance = max(tol, 2.0 * scale ** 3 * tree.dt) if drm.scheme == "entropy_exact" \
         else max(tol, 1e-7)
     passed = weak_ok and -tol <= optimal_gap <= opt_allowance and (
         gibbs_gap is None or abs(gibbs_gap) <= tol)

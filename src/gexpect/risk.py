@@ -3,10 +3,11 @@
 A dynamic risk measure here is the nonlinear conditional expectation of the
 negated claim: rho_t(xi) = E^g[-xi | F_t].  The minus sign lives in this
 module and nowhere else; the solver layer always works with its literal
-terminal argument.  Sources:
+terminal argument.  Sources, each solved by one ``bsde._solve`` call under
+the ``scheme`` whose certificate rule ``bsde.SolvedBSDE`` states:
 
-* ``from_generator`` -- explicit scheme for a driver g(t, z),
-* ``entropic`` -- the exact quadratic recursion, equal to
+* ``from_generator`` -- "explicit", the explicit scheme for a driver g(t, z),
+* ``entropic`` -- "entropy_exact", the exact quadratic recursion, equal to
   (1/2 nu) log E[exp(-2 nu xi) | F_t] to machine precision,
 * ``custom`` -- any vectorized map from child-value pairs to parent values.
 
@@ -27,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bsde import SolvedBSDE, StepFn, _solve, entropy_exact, entropy_step, euler_step, \
-    noise_step, solve_bsde
+from .bsde import SolvedBSDE, StepFn, _solve, entropy_step, euler_step, noise_step, \
+    solve_bsde
 from .claims import Claim, StoppingTime, sample_claims, stopped_values
 from .generators import CONVEX, DOMINATED, CheckReport, Generator, _GapTracker, entropy, \
     quadratic_lower, quadratic_upper
@@ -48,13 +49,15 @@ AXIOMS = (
 
 
 class DynamicRiskMeasure:
-    """One-step operator plus the tree it composes over."""
+    """One-step operator ``one_step(k, down, up, z=None)``, which may ignore
+    the children's z, plus the tree it composes over and the ``scheme`` its
+    solutions report."""
 
-    def __init__(self, tree: ScenarioTree, kind: str, label: str,
+    def __init__(self, tree: ScenarioTree, scheme: str, label: str,
                  one_step: StepFn, generator: Generator | None = None,
                  bounds: tuple[float, float] | None = None):
         self.tree = tree
-        self.kind = kind
+        self.scheme = scheme
         self.label = label
         self.one_step = one_step
         self.generator = generator
@@ -65,28 +68,20 @@ class DynamicRiskMeasure:
 
         ``keep`` limits the stored depths of Y and Z (see SolvedBSDE).
         """
-        if self.kind == "generator":
-            return solve_bsde(self.generator, terminal, self.tree, keep)
-        if self.kind == "entropy":
-            return entropy_exact(self.generator.nu, terminal, self.tree, keep)
-        xi = _unbatched(terminal)
-        Y, Z, dropped = _solve(self.tree, xi,
-                               lambda k, down, up, z: self.one_step(k, down, up), keep)
-        # Custom operators carry no growth data; certificate unknown, so the
-        # inequality axioms run un-gated and report what they see.
-        return SolvedBSDE(Y, Z, "custom", xi, None, float("nan"), True, (), dropped)
+        return _solve(self.tree, _unbatched(terminal), self.one_step, keep, self.scheme,
+                      self.generator)
 
     def rebind(self, tree: ScenarioTree) -> "DynamicRiskMeasure":
-        if self.kind == "generator":
+        if self.scheme == "explicit":
             return from_generator(self.generator, tree)
-        if self.kind == "entropy":
+        if self.scheme == "entropy_exact":
             return entropic(self.generator.nu, tree)
         raise ValueError("a custom one-step operator is tied to its tree")
 
 
 def from_generator(g: Generator, tree: ScenarioTree) -> DynamicRiskMeasure:
     """rho_t(xi) = E^g[-xi | F_t] via the explicit scheme."""
-    return DynamicRiskMeasure(tree, "generator", f"generator[{g.kind}]",
+    return DynamicRiskMeasure(tree, "explicit", f"generator[{g.kind}]",
                               euler_step(g, tree), generator=g,
                               bounds=(g.mu, g.nu))
 
@@ -95,7 +90,7 @@ def entropic(nu: float, tree: ScenarioTree) -> DynamicRiskMeasure:
     """The entropic risk measure, solved by the exact quadratic recursion."""
     if nu <= 0:
         raise ValueError("the entropic measure needs nu > 0")
-    return DynamicRiskMeasure(tree, "entropy", f"entropic[nu={nu:g}]",
+    return DynamicRiskMeasure(tree, "entropy_exact", f"entropic[nu={nu:g}]",
                               entropy_step(nu, tree), generator=entropy(nu),
                               bounds=(0.0, float(nu)))
 
@@ -109,7 +104,8 @@ def custom(step_fn: StepFn, tree: ScenarioTree, label: str = "custom",
     each entry a function of the two entries at its index alone.  The
     penalization sweep calls it on (levels, width) slices.
     """
-    return DynamicRiskMeasure(tree, "custom", label, step_fn, bounds=bounds)
+    return DynamicRiskMeasure(tree, "custom", label, lambda k, d, u, z=None: step_fn(k, d, u),
+                              bounds=bounds)
 
 
 def _terminal_of(drm: DynamicRiskMeasure, xi) -> np.ndarray:
@@ -480,7 +476,7 @@ def represent(
         check_tree = tree
         check_drm = drm
         if tree.layout != FULL or tree.steps > 10:
-            if drm.kind == "custom":
+            if drm.scheme == "custom":
                 raise ValueError(
                     "cannot precheck a custom source away from its own tree; "
                     "pass precheck=False only after validating it separately")

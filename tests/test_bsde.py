@@ -24,7 +24,7 @@ from gexpect.lattice import (
     build_tree,
     cond_expect,
 )
-from gexpect.risk import custom
+from gexpect.risk import custom, entropic, from_generator
 
 
 def leaf_entropic(nu, xi, p=0.5):
@@ -430,3 +430,79 @@ class TestBlockFold:
         assert bsde._BLOCK not in shapes
         solve_bsde(quadratic_upper(0.3, 0.5), xi, tree, keep=0)
         assert shapes.count(bsde._BLOCK) == 2
+
+
+def solved_fields(s):
+    """Every field of a solution but its generator, floats as bits."""
+    return ([y.tobytes() for y in s.Y.values], [z.tobytes() for z in s.Z.values],
+            s.scheme, s.terminal.tobytes(), float_bits(s.step_bound), s.monotone_step,
+            s.warnings, str(s.profile()))
+
+
+class TestSolvePaths:
+    """A measure's solve equals the solve function of its scheme, field for
+    field, on both layouts and whatever depths it keeps; a custom operator's
+    solution carries no certificate."""
+
+    CASES = [(FULL, 10), (RECOMBINING, 120)]
+
+    @staticmethod
+    def cases(layout, N):
+        tree = build_tree(1.0, N, layout)
+        terminals = (call(0.1).evaluate(tree), 3.0 * linear(1.0).evaluate(tree))
+        return tree, terminals, (None, 0, N // 2)
+
+    @pytest.mark.parametrize("layout,N", CASES)
+    def test_explicit(self, layout, N):
+        tree, terminals, keeps = self.cases(layout, N)
+        certified = set()
+        for g in (quadratic_upper(0.3, 0.5), quadratic_upper(1.0, 2.0)):
+            drm = from_generator(g, tree)
+            for xi in terminals:
+                for keep in keeps:
+                    a, b = drm.solve_terminal(xi, keep), solve_bsde(g, xi, tree, keep)
+                    assert solved_fields(a) == solved_fields(b)
+                    assert a.scheme == "explicit" and a.generator is g and b.generator is g
+                    assert a.monotone_step == (a.step_bound <= 1.0)
+                    assert bool(a.warnings) != a.monotone_step
+                    certified.add(a.monotone_step)
+        assert certified == {True, False}
+
+    @pytest.mark.parametrize("layout,N", CASES)
+    def test_entropy_exact(self, layout, N):
+        tree, terminals, keeps = self.cases(layout, N)
+        bounds = []
+        for nu in (0.5, 2.0):
+            drm = entropic(nu, tree)
+            for xi in terminals:
+                for keep in keeps:
+                    a, b = drm.solve_terminal(xi, keep), entropy_exact(nu, xi, tree, keep)
+                    assert solved_fields(a) == solved_fields(b)
+                    assert a.scheme == "entropy_exact"
+                    assert a.generator is None and b.generator is None
+                    # the exact recursion is monotone whatever its bound
+                    assert a.monotone_step is True and a.warnings == ()
+                    bounds.append(a.step_bound)
+        assert min(bounds) < 1.0 < max(bounds)
+
+    @pytest.mark.parametrize("layout,N", CASES)
+    def test_custom(self, layout, N):
+        tree, terminals, keeps = self.cases(layout, N)
+        g = quadratic_upper(0.3, 0.5)
+        step = euler_step(g, tree)
+        drm = custom(lambda k, down, up: step(k, down, up), tree)  # three arguments
+        for xi in terminals:
+            for keep in keeps:
+                a, b = drm.solve_terminal(xi, keep), solve_bsde(g, xi, tree, keep)
+                assert solved_fields(a)[:2] == solved_fields(b)[:2]
+                assert str(a.profile()) == str(b.profile())
+                assert a.scheme == "custom" and a.generator is None
+                assert math.isnan(a.step_bound)
+                assert a.monotone_step is True and a.warnings == ()
+
+    @pytest.mark.parametrize("nu", [0.0, -0.5])
+    def test_entropy_exact_rejects_nu_first(self, nu):
+        # the terminal is the wrong width, so any later check would say so
+        tree = build_tree(1.0, 4, FULL)
+        with pytest.raises(ValueError, match=r"^entropy_exact needs nu > 0$"):
+            entropy_exact(nu, np.zeros(3), tree)

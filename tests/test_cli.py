@@ -125,6 +125,12 @@ class TestParseConfig:
         ("axioms", {"tol": math.nan}, "config.params.tol must be a number, got nan"),
         ("axioms", {"scale": math.inf}, "config.params.scale must be a number, got inf"),
         ("domination", {"nu": -math.inf}, "config.params.nu must be a number, got -inf"),
+        ("axioms", {"scale": 0.0}, "config.params.scale must be positive, got 0.0"),
+        ("axioms", {"scale": -0.5}, "config.params.scale must be positive, got -0.5"),
+        ("axioms", {"tol": -1.0}, "config.params.tol must be positive, got -1.0"),
+        ("axioms", {"tol": 0}, "config.params.tol must be positive, got 0.0"),
+        ("domination", {"scale": 0.0}, "config.params.scale must be positive, got 0.0"),
+        ("domination", {"tol": -1e-10}, "config.params.tol must be positive, got -1e-10"),
     ])
     def test_bad_task_param_value(self, task, params, match):
         bad = dict(BASE, task=task, params=params)
@@ -289,6 +295,12 @@ class TestMain:
         ("axioms", {"tol": math.nan}),
         ("axioms", {"scale": math.inf}),
         ("domination", {"nu": -math.inf}),
+        ("axioms", {"scale": 0.0}),
+        ("axioms", {"scale": -0.5}),
+        ("axioms", {"tol": -1.0}),
+        ("axioms", {"tol": 0}),
+        ("domination", {"scale": 0.0}),
+        ("domination", {"tol": -1e-10}),
     ])
     def test_bad_task_param_value_exits_two(self, tmp_path, capsys, task, params):
         cfg = write_cfg(tmp_path, task=task, claim=None, params=params,

@@ -21,11 +21,13 @@ is NaN.  The ``represent`` configs read the driver of a measure back on
 driver on a recombining N=64 tree, ``represent_full_scaled_abs`` the
 sublinear |z| driver on a full N=8 tree.
 
-``converge_entropic``, ``represent_entropic`` and ``dual_entropic`` (the
+``converge_entropic``, ``represent_entropic``, ``dual_entropic`` (the
 entropic sweep on a full N=10 tree, penalized by the discrete relative
-entropy, with its random and Gibbs rows) go through the exact entropic
-recursion, whose exp/log may differ in the last bit between numpy
-builds; their files must match token for token, numbers to 1e-9 relative.
+entropy, with its random and Gibbs rows) and ``solve_entropic`` (the
+profile and certificate of an entropic solve on a recombining N=40 tree,
+``scheme: entropy_exact``) go through the exact entropic recursion, whose
+exp/log may differ in the last bit between numpy builds; their files must
+match token for token, numbers to 1e-9 relative.
 """
 import re
 from pathlib import Path
@@ -86,6 +88,10 @@ def test_represent_entropic_matches_golden_files_to_rounding(tmp_path):
 
 def test_dual_entropic_matches_golden_files_to_rounding(tmp_path):
     _assert_matches_to_rounding("dual_entropic", "dual", tmp_path)
+
+
+def test_solve_entropic_matches_golden_files_to_rounding(tmp_path):
+    _assert_matches_to_rounding("solve_entropic", "solve", tmp_path)
 
 
 def _assert_matches_to_rounding(name, task, out_dir):

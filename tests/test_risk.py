@@ -73,6 +73,20 @@ class TestRho:
         assert drm.rebind(build_tree(1.0, 4, FULL)).generator.nu == 0.5
         assert not hasattr(drm, "nu")
 
+    @pytest.mark.parametrize("layout", [FULL, RECOMBINING])
+    def test_scheme_is_the_one_its_solutions_report(self, layout):
+        tree = build_tree(1.0, 6, layout)
+        g = quadratic_upper(0.3, 0.5)
+        step = from_generator(g, tree).one_step
+        for drm, scheme in ((from_generator(g, tree), "explicit"),
+                            (entropic(0.5, tree), "entropy_exact"),
+                            (custom(lambda k, down, up: step(k, down, up), tree), "custom")):
+            assert drm.scheme == scheme and not hasattr(drm, "kind")
+            for keep in (None, 0, 3):
+                assert rho_solved(drm, call(0.1), keep).scheme == scheme
+            if scheme != "custom":
+                assert drm.rebind(build_tree(1.0, 4, layout)).scheme == scheme
+
     def test_rho_solved_carries_certificate(self):
         tree = build_tree(1.0, 8, FULL)
         s = rho_solved(entropic(0.5, tree), call(0.0).evaluate(tree))
