@@ -194,8 +194,8 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     # Counts below these leave a check nothing to compare.
     if typed.get("n_claims", 1) < 1:
         raise ConfigError(f"config.params.n_claims must be at least 1, got {typed['n_claims']}")
-    # A zero scale zeroes every claim (a vacuous pass); a tol <= 0 fails every check.
-    for name in ("scale", "tol"):
+    # A zero scale zeroes every claim (a vacuous pass); a tolerance <= 0 fails its check.
+    for name in ("scale", "tol", "slack", "rel_tol", "surplus_tol", "ratio_tol"):
         if typed.get(name, 1.0) <= 0.0:
             raise ConfigError(f"config.params.{name} must be positive, got {typed[name]}")
     if task == "converge" and len(typed["n_values"]) < 2:
@@ -393,12 +393,11 @@ def _run_represent(cfg: ScenarioConfig, report: RunReport) -> None:
     rows = []
     max_err, max_rel = 0.0, 0.0
     for t in p["t_grid"]:
-        for z in z_grid:
-            g_hat, ref = float(ghat(t, float(z))), g(t, float(z))
+        for z, g_hat, ref in zip(z_grid.tolist(), ghat(t, z_grid).tolist(), g(t, z_grid).tolist()):
             err = abs(g_hat - ref)
             max_err = max(max_err, err)
             max_rel = max(max_rel, err / max(abs(ref), 1e-12) if ref else 0.0)
-            rows.append([t, float(z), g_hat, ref, err])
+            rows.append([t, z, g_hat, ref, err])
     report.tables["generator"] = (["t", "z", "g_hat", "g_ref", "abs_err"], rows)
     report.results = {"flags": sorted(ghat.flags), "kind": ghat.kind,
                       "points": len(rows), "max_abs_err": max_err, "max_rel_err": max_rel}

@@ -123,7 +123,7 @@ def quadratic_lower(mu: float, nu: float) -> Generator:
             return np.where(np.abs(x) <= _GROWTH_TOL, 0.0, np.inf)
         return np.full_like(x, np.inf)
 
-    return Generator(fn, mu, nu, frozenset({DOMINATED}), "quadratic_lower",
+    return Generator(fn, mu, nu, frozenset(), "quadratic_lower",
                      {"mu": mu, "nu": nu}, conj, None)
 
 

@@ -23,7 +23,7 @@ and report ``generators.CheckReport`` verdicts, as ``verify_class`` does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +31,8 @@ import numpy as np
 from .bsde import SolvedBSDE, StepFn, _solve, entropy_step, euler_step, noise_step, \
     solve_bsde
 from .claims import Claim, StoppingTime, sample_claims, stopped_values
-from .generators import CONVEX, DOMINATED, CheckReport, Generator, _GapTracker, entropy, \
-    quadratic_lower, quadratic_upper
+from .generators import CONVEX, DOMINATED, SUBLINEAR, CheckReport, Generator, _GapTracker, \
+    entropy, quadratic_lower, quadratic_upper, verify_class
 from .lattice import FULL, ScenarioTree, TreeProcess, _unbatched, build_tree, propagate, \
     subtree_indicator
 
@@ -443,16 +443,17 @@ def represent(
     k = round(t / dt) (clamped to the tree), divided by dt: the g_k of
     ``bsde.noise_step``, read for any z, so ``from_generator`` of the result
     reproduces the measure on its tree.  The grids only decide the flags:
-    CONVEX and DOMINATED are asserted when every row g_k(z_grid), one per t
-    in ``t_grid``, is numerically convex on at least three z points.
+    ``verify_class`` runs on them (g_k is exact off the grid too), and CONVEX,
+    SUBLINEAR and DOMINATED are asserted iff convexity, sublinearity, and
+    growth within the bounds and domination pass.
 
     Before reading it, the measure must pass monotonicity, time
     consistency, value preservation, convexity, translation invariance and
-    the domination checks on a sample suite; failures abort with the
-    witness.  Generator- and entropy-backed measures run the precheck on a
-    small full companion tree when their own tree is large or recombining.
-    The domination bounds are the measure's own (``custom(bounds=...)`` for
-    a custom source).
+    the domination checks on a sample suite; a failed or skipped check
+    aborts with its witness or note.  Generator- and entropy-backed
+    measures run the precheck on a small full companion tree when their own
+    tree is large or recombining.  The domination bounds are the measure's
+    own (``custom(bounds=...)`` for a custom source).
     """
     tree = drm.tree
     z = np.asarray(sorted(float(v) for v in z_grid), dtype=float)
@@ -473,8 +474,7 @@ def represent(
     mu_bar, nu_bar = drm.bounds
 
     if precheck:
-        check_tree = tree
-        check_drm = drm
+        check_tree, check_drm = tree, drm
         if tree.layout != FULL or tree.steps > 10:
             if drm.scheme == "custom":
                 raise ValueError(
@@ -486,29 +486,30 @@ def represent(
         report = check_axioms(check_drm, suite, seed=seed)
         required = ("monotonicity", "time_consistency", "constant_preservation",
                     "convexity", "translation_invariance")
-        bad = [n for n in required if report.checks[n].status == "fail"]
-        if bad:
-            raise ValueError(
-                f"{drm.label} fails {bad[0]} on the sample suite; "
-                f"witness: {report.checks[bad[0]].witness}")
+        _require_proven(drm.label, [report.checks[n] for n in required],
+                        lambda name: f"fails {name} on the sample suite")
         dom = check_domination(check_drm, mu_bar, nu_bar, suite, seed=seed)
-        if not dom.passed:
-            name = dom.failing()[0]
-            raise ValueError(
-                f"{drm.label} violates domination with bounds ({mu_bar}, {nu_bar}); "
-                f"witness: {dom.checks[name].witness}")
+        _require_proven(drm.label, dom.checks.values(),
+                        lambda name: f"violates domination with bounds ({mu_bar}, {nu_bar})")
 
     def fn(t, zq):
         k = min(max(int(round(t / tree.dt)), 0), tree.steps - 1)
         return noise_step(drm.one_step, k, zq, tree) / tree.dt
 
-    convex = z.size >= 3  # two points compare nothing
-    for t in ts:
-        row = fn(t, z)
-        second = np.diff(row, 2) / np.diff(z)[:-1] ** 2
-        convex &= bool(np.all(second >= -1e-8 * max(1.0, np.max(np.abs(row)))))
+    needs = {CONVEX: {"convexity"}, SUBLINEAR: {"sublinearity"},
+             DOMINATED: {"growth", "domination"}}
+    candidate = Generator(fn, mu_bar, nu_bar, frozenset(needs), "one_step",
+                          {"source": drm.label, "z_min": float(z[0]), "z_max": float(z[-1]),
+                           "t_points": len(ts), "z_points": len(z)})
+    passed = {n for n, c in verify_class(candidate, z, ts).checks.items() if c.status == "pass"}
+    return replace(candidate, flags=frozenset(f for f, n in needs.items() if n <= passed))
 
-    flags = frozenset({CONVEX, DOMINATED}) if convex else frozenset()
-    return Generator(fn, mu_bar, nu_bar, flags, "tabulated",
-                     {"source": drm.label, "z_min": float(z[0]), "z_max": float(z[-1]),
-                      "t_points": len(ts), "z_points": len(z)})
+
+def _require_proven(label: str, checks, fails) -> None:
+    """Raise on the first failed check, else on the first skipped one."""
+    for c in sorted(checks, key=lambda c: c.status != "fail"):  # stable
+        if c.status == "fail":
+            raise ValueError(f"{label} {fails(c.name)}; witness: {c.witness}")
+        if c.status == "skipped":
+            raise ValueError(f"{label} skipped {c.name} on the sample suite, "
+                             f"so it is not proven: {c.note}")

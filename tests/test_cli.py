@@ -131,6 +131,12 @@ class TestParseConfig:
         ("axioms", {"tol": 0}, "config.params.tol must be positive, got 0.0"),
         ("domination", {"scale": 0.0}, "config.params.scale must be positive, got 0.0"),
         ("domination", {"tol": -1e-10}, "config.params.tol must be positive, got -1e-10"),
+        ("dual", {"slack": -1.0}, "config.params.slack must be positive, got -1.0"),
+        ("dual", {"slack": 0}, "config.params.slack must be positive, got 0.0"),
+        ("represent", {"rel_tol": -1.0}, "config.params.rel_tol must be positive, got -1.0"),
+        ("penalize", {"surplus_tol": 0.0},
+         "config.params.surplus_tol must be positive, got 0.0"),
+        ("converge", {"ratio_tol": -0.2}, "config.params.ratio_tol must be positive, got -0.2"),
     ])
     def test_bad_task_param_value(self, task, params, match):
         bad = dict(BASE, task=task, params=params)
@@ -301,6 +307,11 @@ class TestMain:
         ("axioms", {"tol": 0}),
         ("domination", {"scale": 0.0}),
         ("domination", {"tol": -1e-10}),
+        ("dual", {"slack": -1.0}),
+        ("dual", {"slack": 0}),
+        ("represent", {"rel_tol": -1.0}),
+        ("penalize", {"surplus_tol": 0.0}),
+        ("converge", {"ratio_tol": -0.2}),
     ])
     def test_bad_task_param_value_exits_two(self, tmp_path, capsys, task, params):
         cfg = write_cfg(tmp_path, task=task, claim=None, params=params,

@@ -132,7 +132,7 @@ class TestSubdifferential:
 class TestVerifyClass:
     def test_builtins_pass(self):
         for g in (entropy(0.5), quadratic_upper(1.0, 1.0),
-                  sublinear_interval(-1.0, 1.0)):
+                  sublinear_interval(-1.0, 1.0), quadratic_lower(0.3, 0.5), scaled_abs(0.4)):
             report = verify_class(g)
             assert report.passed, report.checks
 

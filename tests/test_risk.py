@@ -7,8 +7,11 @@ import pytest
 
 from gexpect.bsde import noise_step
 from gexpect.claims import call, constant, linear, sample_claims
+from gexpect.dual import verify_duality
 from gexpect.generators import (
     CONVEX,
+    DOMINATED,
+    SUBLINEAR,
     entropy,
     quadratic_lower,
     quadratic_upper,
@@ -359,7 +362,7 @@ class TestRepresent:
                else from_generator(quadratic_upper(0.3, 0.5), tree))
         ghat = represent(drm, z_grid, (0.0, 0.5))
         assert ghat.scalar(0.0, 0.0) == 0.0
-        assert ghat.is_(CONVEX) == (len(z_grid) >= 3)
+        assert ghat.is_(CONVEX)
 
     @pytest.mark.parametrize("make", [lambda tree: entropic(0.5, tree),
                                       lambda tree: from_generator(quadratic_upper(0.3, 0.5), tree),
@@ -384,11 +387,54 @@ class TestRepresent:
                                           noise_step(drm.one_step, k, zs, tree) / tree.dt)
 
     def test_two_point_grid_asserts_no_flag(self):
-        # Two points hold no curvature; quadratic_lower is concave.
         drm = from_generator(quadratic_lower(0.3, 0.5), build_tree(1.0, 6, FULL))
         ghat = represent(drm, [0.0, 1.0], precheck=False)
         assert ghat.flags == frozenset()
         assert ghat.scalar(0.0, 1.0) == pytest.approx(-0.8)
+
+    def test_precheck_refuses_a_skipped_required_check(self):
+        # nu = 0.8 breaks the step certificate on full N=6: monotonicity is
+        # skipped, so nothing proves the operator monotone.
+        drm = from_generator(quadratic_upper(0.3, 0.8), build_tree(1.0, 6, FULL))
+        with pytest.raises(ValueError, match="skipped monotonicity on the sample suite.*"
+                                             "step certificate violated"):
+            represent(drm, np.linspace(-1, 1, 5))
+
+    def test_precheck_refuses_a_skipped_domination_check(self):
+        # The linear expectation passes every axiom, but the envelope of the
+        # bounds (0, 2) breaks its own certificate, so the envelope is unchecked.
+        drm = custom(lambda k, d, u: 0.5 * (d + u), build_tree(1.0, 6, FULL),
+                     bounds=(0.0, 2.0))
+        with pytest.raises(ValueError, match="skipped two_sided_envelope on the sample suite"
+                                             ".*envelope solver certificate violated"):
+            represent(drm, np.linspace(-1, 1, 5))
+
+    def test_growth_beyond_the_bounds_is_not_dominated(self):
+        # g_0(3) = 4.40 > nu_bar * 9 = 0.9: convex, but outside the bounds.
+        tree = build_tree(1.0, 64, RECOMBINING)
+        drm = custom(entropic(0.5, tree).one_step, tree, bounds=(0.0, 0.1))
+        ghat = represent(drm, np.linspace(-3.0, 3.0, 41), precheck=False)
+        assert ghat.flags == frozenset({CONVEX})
+
+    @pytest.mark.parametrize("make,sublinear", [
+        (lambda tree: from_generator(scaled_abs(0.5), tree), True),
+        (lambda tree: from_generator(sublinear_interval(-1.0, 1.0), tree), True),
+        (lambda tree: from_generator(quadratic_upper(0.3, 0.5), tree), False),
+        (lambda tree: entropic(0.5, tree), False)],
+        ids=["scaled_abs", "sublinear_interval", "quadratic_upper", "entropic"])
+    def test_coherent_sources_are_sublinear(self, make, sublinear):
+        ghat = represent(make(build_tree(1.0, 64, RECOMBINING)), np.linspace(-3.0, 3.0, 41))
+        assert ghat.flags == {CONVEX, DOMINATED} | ({SUBLINEAR} if sublinear else set())
+
+    @pytest.mark.parametrize("make", [lambda tree: from_generator(quadratic_upper(0.3, 0.5), tree),
+                                      lambda tree: from_generator(scaled_abs(0.4), tree),
+                                      lambda tree: entropic(0.5, tree)],
+                             ids=["quadratic_upper", "scaled_abs", "entropic"])
+    def test_recovered_driver_attains_the_dual(self, make):
+        # The paper's chain: measure -> its driver -> the dual representation.
+        tree = build_tree(1.0, 8, FULL)
+        ghat = represent(make(tree), np.linspace(-2.0, 2.0, 41), (0.0, 0.5))
+        assert verify_duality(from_generator(ghat, tree), call(0.0)).passed
 
     def test_precheck_requires_translation_invariance(self):
         # Convex, monotone and constant-preserving, but the drift x^2/(10 - m)
