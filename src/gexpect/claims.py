@@ -1,48 +1,42 @@
 """Terminal claims and stopping rules on scenario trees.
 
-A claim is a bounded payoff observed at the horizon.  Named families cover
+A claim is a bounded payoff observed at the horizon, held as one rule: a
+function of the tree that returns its terminal slice.  Named families cover
 what the command line and the test suites need: constants, linear and
 call-style functions of the terminal noise level, terminal indicators, the
-running maximum and raw per-path value vectors.
-Claims evaluated from the terminal level alone are flagged
-``path_independent`` and may ride the recombining layout.
+running maximum and raw per-path value vectors.  Sums and multiples of
+claims evaluate their parts on the same tree and add or scale the slices.
+Claims read from the terminal level alone are flagged ``path_independent``
+and may ride the recombining layout; path functionals such as the running
+maximum fold over the tree's own slices, so they evaluate on every full
+tree ``build_tree`` accepts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .lattice import FULL, ScenarioTree, TreeProcess, increment_matrix
+from .lattice import FULL, ScenarioTree, TreeProcess
 
 
 @dataclass(frozen=True)
 class Claim:
-    """Payoff at the horizon.  Exactly one of the three rules is set."""
+    """Payoff at the horizon: ``rule(tree)`` is its terminal slice."""
 
     label: str
     path_independent: bool
-    terminal_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    path_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    leaf_values: np.ndarray | None = field(default=None, repr=False)
+    rule: Callable[[ScenarioTree], np.ndarray]
 
     def evaluate(self, tree: ScenarioTree) -> np.ndarray:
         """Terminal slice of payoffs on the given tree."""
-        if self.terminal_fn is not None:
-            return np.asarray(self.terminal_fn(tree.brownian_slice(tree.steps)), dtype=float)
-        if tree.layout != FULL:
+        if not self.path_independent and tree.layout != FULL:
             raise ValueError(
                 f"claim {self.label!r} is path dependent and needs the full layout"
             )
-        if self.leaf_values is not None:
-            vals = np.asarray(self.leaf_values, dtype=float)
-            if vals.shape != (tree.n_nodes(tree.steps),):
-                raise ValueError("leaf value vector does not match this tree")
-            return vals
-        assert self.path_fn is not None
-        return np.asarray(self.path_fn(increment_matrix(tree)), dtype=float)
+        return np.asarray(self.rule(tree), dtype=float)
 
     def __add__(self, other: "Claim") -> "Claim":
         return combine(self, other)
@@ -53,76 +47,77 @@ class Claim:
     __rmul__ = __mul__
 
 
+def _of_terminal(label: str, fn: Callable[[np.ndarray], np.ndarray]) -> Claim:
+    """The path-independent claim ``fn(B_T)``."""
+    return Claim(label, True, lambda tree: fn(tree.brownian_slice(tree.steps)))
+
+
 def constant(value: float) -> Claim:
     v = float(value)
-    return Claim(f"const({v:g})", True, terminal_fn=lambda b: np.full_like(b, v))
+    return _of_terminal(f"const({v:g})", lambda b: np.full_like(b, v))
 
 
 def linear(coef: float) -> Claim:
     """coef times the terminal noise level."""
     c = float(coef)
-    return Claim(f"linear({c:g})", True, terminal_fn=lambda b: c * b)
+    return _of_terminal(f"linear({c:g})", lambda b: c * b)
 
 
 def call(strike: float, coef: float = 1.0) -> Claim:
     """Call-style payoff coef * max(B_T - strike, 0)."""
     k, c = float(strike), float(coef)
-    return Claim(
-        f"call(K={k:g},c={c:g})", True,
-        terminal_fn=lambda b: c * np.maximum(b - k, 0.0),
-    )
+    return _of_terminal(f"call(K={k:g},c={c:g})", lambda b: c * np.maximum(b - k, 0.0))
 
 
 def indicator(threshold: float) -> Claim:
     """Indicator of the terminal level reaching the threshold."""
     h = float(threshold)
-    return Claim(f"indicator(>={h:g})", True,
-                 terminal_fn=lambda b: (b >= h).astype(float))
+    return _of_terminal(f"indicator(>={h:g})", lambda b: (b >= h).astype(float))
 
 
 def path_maximum() -> Claim:
-    """Running maximum of the noise over the whole path (path dependent)."""
+    """Running maximum of the noise over the whole path, time 0 included
+    (path dependent): each depth's running maximum is its parent's, repeated
+    over both children, against the children's own level."""
 
-    def rule(increments: np.ndarray) -> np.ndarray:
-        levels = np.cumsum(increments, axis=1)
-        return np.maximum(levels.max(axis=1), 0.0)
+    def rule(tree: ScenarioTree) -> np.ndarray:
+        running = np.zeros(1)
+        for k in range(1, tree.steps + 1):
+            running = np.repeat(running, 2)
+            np.maximum(running, tree.brownian_slice(k), out=running)
+        return running
 
-    return Claim("path_max", False, path_fn=rule)
+    return Claim("path_max", False, rule)
 
 
 def from_leaf_values(values: np.ndarray, label: str = "leaf_vector") -> Claim:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
-    return Claim(label, False, leaf_values=arr)
+
+    def rule(tree: ScenarioTree) -> np.ndarray:
+        if arr.shape != (tree.n_nodes(tree.steps),):
+            raise ValueError("leaf value vector does not match this tree")
+        return arr
+
+    return Claim(label, False, rule)
 
 
 def combine(a: Claim, b: Claim) -> Claim:
-    label = f"{a.label}+{b.label}"
-    if a.terminal_fn is not None and b.terminal_fn is not None:
-        fa, fb = a.terminal_fn, b.terminal_fn
-        return Claim(label, True, terminal_fn=lambda x: fa(x) + fb(x))
-    # Fall back to evaluation-time addition through a path rule wrapper.
-    def rule(increments: np.ndarray) -> np.ndarray:
-        levels = increments.sum(axis=1)
-        va = a.path_fn(increments) if a.path_fn is not None else (
-            a.terminal_fn(levels) if a.terminal_fn is not None else a.leaf_values)
-        vb = b.path_fn(increments) if b.path_fn is not None else (
-            b.terminal_fn(levels) if b.terminal_fn is not None else b.leaf_values)
-        return np.asarray(va, dtype=float) + np.asarray(vb, dtype=float)
-
-    return Claim(label, False, path_fn=rule)
+    return Claim(f"{a.label}+{b.label}", a.path_independent and b.path_independent,
+                 lambda tree: a.evaluate(tree) + b.evaluate(tree))
 
 
 def scale(c: Claim, factor: float) -> Claim:
     s = float(factor)
-    label = f"{s:g}*{c.label}"
-    if c.terminal_fn is not None:
-        fn = c.terminal_fn
-        return Claim(label, True, terminal_fn=lambda x: s * fn(x))
-    if c.leaf_values is not None:
-        return from_leaf_values(s * c.leaf_values, label)
-    fn = c.path_fn
-    return Claim(label, False, path_fn=lambda m: s * fn(m))
+    return Claim(f"{s:g}*{c.label}", c.path_independent, lambda tree: s * c.evaluate(tree))
+
+
+def _terminal_of(tree: ScenarioTree, xi) -> np.ndarray:
+    """``xi``, a Claim or an array, as the horizon slice of ``tree``."""
+    arr = xi.evaluate(tree) if isinstance(xi, Claim) else np.asarray(xi, dtype=float)
+    if arr.shape != (tree.n_nodes(tree.steps),):
+        raise ValueError("terminal slice does not match the tree horizon")
+    return arr
 
 
 # Named families of the command line: each kind maps to its builder, with the

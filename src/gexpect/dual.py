@@ -36,11 +36,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bsde import SolvedBSDE
-from .claims import Claim
+from .claims import _terminal_of
 from .generators import CONVEX, Generator, conjugate_values, subdifferential_slices
 from .lattice import (FULL, ScenarioTree, TreeProcess, _compact, _fresh, _tilted_mean,
-                      _unbatched, backward_reduce)
-from .risk import DynamicRiskMeasure, _terminal_of
+                      backward_reduce)
+from .risk import DynamicRiskMeasure
 
 DEFAULT_ADMISSIBILITY_MARGIN = 1e-6
 
@@ -191,14 +191,11 @@ def _entropy_kernel(m: TiltedMeasure):
 
 def relative_entropy(m: TiltedMeasure) -> EntropyEstimates:
     tree = m.tree
-
-    def continuum(k, down, up):
-        p, q = m.p_up(k), m.density.q.values[k]
-        return (1.0 - p) * down + p * up + 0.5 * q * q * tree.dt
-
-    zero = np.zeros(tree.n_nodes(tree.steps))
+    zero = np.broadcast_to(0.0, tree.n_nodes(tree.steps))  # one float, read-only
+    # E_Q[(1/2) sum q^2 dt]: the penalized tilted step with the cost -q^2/2
+    continuum = _PenalizedKernel(m, lambda t, q: -0.5 * q * q)
     return EntropyEstimates(backward_reduce(tree, zero, _fresh(_entropy_kernel(m))),
-                            backward_reduce(tree, zero, continuum))
+                            backward_reduce(tree, zero, _fresh(continuum)))
 
 
 @dataclass
@@ -253,11 +250,8 @@ def dual_value(m: TiltedMeasure, xi, penalty, tree: ScenarioTree | None = None) 
     tree = m.tree if tree is None else tree
     if tree != m.tree:
         raise ValueError("measure and tree disagree")
-    if isinstance(xi, Claim):
-        xi = xi.evaluate(tree)
-    xi = _unbatched(xi)
     kernel = _PenalizedKernel(m, penalty)
-    proc = backward_reduce(tree, -xi, _fresh(kernel))
+    proc = backward_reduce(tree, -_terminal_of(tree, xi), _fresh(kernel))
     return DualValue(proc, bool(np.isfinite(proc.root())), kernel.infinite)
 
 
@@ -305,9 +299,7 @@ def gibbs_density(nu: float, xi, tree: ScenarioTree) -> DensityProcess:
     """
     if tree.layout != FULL:
         raise ValueError("the Gibbs tilt enumerates paths; use the full layout")
-    if isinstance(xi, Claim):
-        xi = xi.evaluate(tree)
-    log_w = -2.0 * float(nu) * _unbatched(xi)
+    log_w = -2.0 * float(nu) * _terminal_of(tree, xi)
     q_slices: list[np.ndarray] = [None] * tree.steps  # type: ignore[list-item]
 
     def partition(k, down, up):
@@ -408,7 +400,7 @@ def verify_duality(
     if g is None or not g.is_(CONVEX):
         raise ValueError("duality checks need a convex driver or the entropic measure")
     tree = drm.tree
-    neg_xi = -_terminal_of(drm, xi)
+    neg_xi = -_terminal_of(tree, xi)
     solved = drm.solve_terminal(neg_xi)
     rho_root = solved.root()
     opt = optimal_density(solved, generator=g)

@@ -196,11 +196,12 @@ class _Sweep:
         return A, np.max(worst, axis=0, initial=0.0)
 
 
-def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, z: float,
-              schedule: Sequence[float], check: bool, tol: float) -> int:
-    """Check the target and run the supermartingale precheck; returns how
-    many levels lead the schedule before the first one that is not positive
-    (the caller raises for that level when it reaches it)."""
+def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, W: TreeProcess | None,
+              schedule: Sequence[float], tol: float) -> int:
+    """Check the target and, given ``W = Y + z B``, run the supermartingale
+    precheck on it; returns how many levels lead the schedule before the
+    first one that is not positive (the caller raises for that level when it
+    reaches it)."""
     tree = drm.tree
     if Y.tree != tree:
         raise ValueError("target process lives on a different tree")
@@ -209,8 +210,8 @@ def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, z: float,
     count = next((j for j, n in enumerate(schedule) if not n > 0), len(schedule))
     if not count:
         raise ValueError("penalization level must be positive")
-    if check:
-        worst, witness = supermartingale_gap(drm, Y + float(z) * brownian(tree))
+    if W is not None:
+        worst, witness = supermartingale_gap(drm, W)
         if not worst <= tol * (1.0 + Y.max_abs()):
             # Without a witness the NaN is a leaf of Y that the operator ignores.
             where = f"{witness['node']} (depth {witness['depth']})" if witness else "the horizon"
@@ -281,7 +282,7 @@ def solve_penalized(
     certificate for when that is guaranteed).  This is the one-level case of
     the sweep :func:`doob_meyer` runs.
     """
-    _validate(drm, Y, z, [n], check, tol)
+    _validate(drm, Y, Y + float(z) * brownian(drm.tree) if check else None, [n], tol)
     sw = _sweep(drm, Y, z, [n], keep_y=True)
     sw.check_path_independent(0)
     A, _ = sw.compensate(1)
@@ -316,7 +317,7 @@ def doob_meyer(
         raise ValueError("empty penalization schedule")
     W = Y + float(z) * brownian(drm.tree)
     scale = 1.0 + Y.max_abs()
-    count = _validate(drm, Y, z, schedule, True, tol)
+    count = _validate(drm, Y, W, schedule, tol)
     sw = _sweep(drm, Y, z, schedule[:count])
 
     targets: list[float] = []

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bsde import SolvedBSDE, StepFn, _solve, entropy_step, euler_step, noise_step, \
     solve_bsde
-from .claims import Claim, StoppingTime, sample_claims, stopped_values
+from .claims import Claim, StoppingTime, _terminal_of, sample_claims, stopped_values
 from .generators import CONVEX, DOMINATED, SUBLINEAR, CheckReport, Generator, _GapTracker, \
     entropy, quadratic_lower, quadratic_upper, verify_class
 from .lattice import FULL, ScenarioTree, TreeProcess, _unbatched, build_tree, propagate, \
@@ -108,17 +108,8 @@ def custom(step_fn: StepFn, tree: ScenarioTree, label: str = "custom",
                               bounds=bounds)
 
 
-def _terminal_of(drm: DynamicRiskMeasure, xi) -> np.ndarray:
-    if isinstance(xi, Claim):
-        return xi.evaluate(drm.tree)
-    arr = np.asarray(xi, dtype=float)
-    if arr.shape != (drm.tree.n_nodes(drm.tree.steps),):
-        raise ValueError("claim slice does not match the tree horizon")
-    return arr
-
-
 def rho_solved(drm: DynamicRiskMeasure, xi, keep: int | None = None) -> SolvedBSDE:
-    return drm.solve_terminal(-_terminal_of(drm, xi), keep=keep)
+    return drm.solve_terminal(-_terminal_of(drm.tree, xi), keep=keep)
 
 
 def rho(drm: DynamicRiskMeasure, xi, depth: int | None = None) -> TreeProcess:
@@ -147,7 +138,7 @@ def _suite_setup(drm: DynamicRiskMeasure, claims: Sequence[Claim] | None,
                                scale_to=0.5)
     if not claims:
         raise ValueError("a check suite needs at least one claim")
-    xs = [_terminal_of(drm, c) for c in claims]
+    xs = [_terminal_of(tree, c) for c in claims]
     labels = [c.label for c in claims]
     solved = [drm.solve_terminal(-x) for x in xs]
     scale = max(1.0, max(float(np.max(np.abs(x))) for x in xs))

@@ -35,15 +35,12 @@ class TestFamilies:
         np.testing.assert_allclose(constant(4.0).evaluate(tree), np.full(4, 4.0))
 
     def test_path_maximum_oracle(self):
-        tree = build_tree(1.0, 5, FULL)
-        got = path_maximum().evaluate(tree)
-        paths = increment_matrix(tree)
-        running = np.maximum.accumulate(np.cumsum(paths, axis=1), axis=1)
-        expected = np.maximum(running[:, -1] * 0 + running.max(axis=1), 0.0)
-        # the path max includes time 0 where B = 0
-        np.testing.assert_allclose(got, np.maximum(running.max(axis=1), 0.0),
-                                   atol=1e-14)
-        np.testing.assert_allclose(got, expected, atol=1e-14)
+        # the path max includes time 0 where B = 0; the fold over the tree's
+        # slices adds the increments in the path matrix's order, bit for bit
+        tree = build_tree(1.0, 12, FULL)
+        levels = np.cumsum(increment_matrix(tree), axis=1)
+        np.testing.assert_array_equal(path_maximum().evaluate(tree),
+                                      np.maximum(levels.max(axis=1), 0.0))
 
     def test_path_claims_need_full_layout(self):
         rec = build_tree(1.0, 30, RECOMBINING)
@@ -70,9 +67,50 @@ class TestFamilies:
         other = build_tree(1.0, 4, FULL)
         with pytest.raises(ValueError):
             from_leaf_values(v).evaluate(other)
-        rule = Claim("path_rule", False, path_fn=lambda m: m.sum(axis=1))
+        rule = Claim("path_rule", False, lambda t: increment_matrix(t).sum(axis=1))
         np.testing.assert_allclose(rule.evaluate(tree),
                                    brownian(tree).terminal, atol=1e-14)
+
+    def test_path_maximum_past_the_path_matrix(self):
+        # the running maximum folds over the tree's slices, so it evaluates
+        # where the 2^N x N path matrix is refused; the oracle counts up-moves
+        tree = build_tree(1.0, 18, FULL)
+        idx = np.arange(2 ** 18)
+        ups = np.zeros_like(idx)
+        best = np.zeros_like(idx)  # in units of sqrt(dt), time 0 included
+        for k in range(1, 19):
+            ups += (idx >> (18 - k)) & 1
+            best = np.maximum(best, 2 * ups - k)
+        np.testing.assert_allclose(path_maximum().evaluate(tree), best * tree.sqrt_dt,
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("a", [linear(1.0), call(0.2, -1.5),
+                                   from_leaf_values(np.sin(np.arange(2 ** 12)))])
+    def test_sum_with_path_claim_adds_the_slices(self, a):
+        tree = build_tree(1.0, 12, FULL)
+        pm = path_maximum()
+        total = combine(a, pm)
+        assert not total.path_independent
+        np.testing.assert_array_equal(total.evaluate(tree),
+                                      a.evaluate(tree) + pm.evaluate(tree))
+        np.testing.assert_array_equal(scale(total, -0.5).evaluate(tree),
+                                      -0.5 * total.evaluate(tree))
+        with pytest.raises(ValueError, match="full layout"):
+            total.evaluate(build_tree(1.0, 12, RECOMBINING))
+
+    def test_leaf_sum_past_the_path_matrix(self):
+        tree = build_tree(1.0, 17, FULL)
+        v = np.random.default_rng(0).uniform(-1.0, 1.0, 2 ** 17)
+        np.testing.assert_array_equal((from_leaf_values(v) + constant(1.5)).evaluate(tree),
+                                      v + 1.5)
+
+    def test_wrong_length_leaf_vector_in_a_sum(self):
+        tree = build_tree(1.0, 4, FULL)
+        for claim in (linear(1.0) + from_leaf_values([2.0]),
+                      from_leaf_values([2.0]) + linear(1.0),
+                      scale(from_leaf_values([2.0]), 3.0)):
+            with pytest.raises(ValueError, match="leaf value vector does not match this tree"):
+                claim.evaluate(tree)
 
     def test_from_spec(self):
         tree = build_tree(1.0, 3, FULL)

@@ -211,6 +211,14 @@ class TestMain:
                     for k, y in enumerate(s.Y.values)]
         assert rows == expected
 
+    @pytest.mark.parametrize("layout", ["full", "auto"])
+    def test_path_max_solves_past_the_path_matrix(self, tmp_path, layout):
+        # a path functional evaluates on the tree's own slices, so a full
+        # N=18 tree (above the 2^N x N path matrix's N <= 16) solves
+        cfg = write_cfg(tmp_path, tree={"steps": 18, "layout": layout},
+                        claim={"kind": "path_max"})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     def test_deterministic_output_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path, task="dual",
                         tree={"steps": 10, "layout": "full"})
