@@ -5,7 +5,8 @@ dispatches to the named task, and writes a structured text report and/or
 CSV tables whose numeric content is byte-identical across reruns of the
 same configuration (timing is printed to the console only).  Exit status
 is 0 when every check in the run passed, 1 otherwise, 2 for configuration
-errors.
+errors.  The library's result types carry results only; the task runners
+here lay them out as report sections and tables.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 from .bsde import entropy_step, euler_step
 from .claims import FAMILIES, SAMPLE_KINDS, Claim, from_spec, sample_claims
 from .dual import verify_duality
-from .generators import BUILTINS, CheckReport, entropy
+from .generators import BUILTINS, CheckReport, Generator, entropy
 from .lattice import FULL, RECOMBINING, auto_layout, backward_reduce, build_tree
 from .penalization import DRIFTS, canonical_drift, doob_meyer
 from .reporting import render_csv, render_structured
@@ -184,9 +185,16 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
                     "config")
 
     tree = _typed(_section(raw, "tree", required=True), _TREE, "config.tree")
-    if tree["depth_cap"] is not None and tree["depth_cap"] < 1:
-        raise ConfigError(f"config.tree.depth_cap must be positive, got {tree['depth_cap']}")
+    for name in ("horizon", "steps", "depth_cap"):
+        if tree[name] is not None and not tree[name] > 0:
+            raise ConfigError(f"config.tree.{name} must be positive, got {tree[name]}")
     measure = _section(raw, "measure", required=True)
+    kind_params = _kind_params(measure, _DRIVERS, "config.measure")
+    try:
+        _driver(kind_params)
+    except ValueError as exc:
+        raise ConfigError(f"config.measure must be a valid {kind_params['kind']} measure: "
+                          f"{exc}") from None
     claim = _section(raw, "claim")
     task = _convert(_require(raw, "task", "config"), TASKS, "config.task")
     params = _section(raw, "params") or {}
@@ -206,7 +214,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
         raise ConfigError(f"config.out must be a string, got {out!r}")
     return ScenarioConfig(
         **tree,
-        measure=_kind_params(measure, _DRIVERS, "config.measure"),
+        measure=kind_params,
         claim=None if claim is None else _kind_params(claim, FAMILIES, "config.claim"),
         task=task,
         params=typed,
@@ -248,11 +256,15 @@ def _build_tree(cfg: ScenarioConfig, claim: Claim | None):
     return build_tree(cfg.horizon, cfg.steps, cfg.layout, cfg.depth_cap)
 
 
+def _driver(measure: dict) -> Generator:
+    """The driver that a measure section's kind and parameters build."""
+    spec = dict(measure)
+    return _DRIVERS[spec.pop("kind")](**spec)
+
+
 def _build_measure(cfg: ScenarioConfig, tree) -> DynamicRiskMeasure:
-    spec = dict(cfg.measure)
-    kind = spec.pop("kind")
-    g = _DRIVERS[kind](**spec)
-    return entropic(g.nu, tree) if kind == "entropic" else from_generator(g, tree)
+    g = _driver(cfg.measure)
+    return entropic(g.nu, tree) if cfg.measure["kind"] == "entropic" else from_generator(g, tree)
 
 
 def _build_claim(cfg: ScenarioConfig) -> Claim:
@@ -288,21 +300,28 @@ def _run_solve(cfg: ScenarioConfig, report: RunReport) -> None:
                            "passed": not solved.warnings})
 
 
-def _record_suite(report: RunReport, table: str, prefix: str, rep: CheckReport,
-                  expect_fail=()) -> None:
-    """Table, results and one summary line per check of a check suite."""
-    header = [rep.name_key, "status", "max_gap", "tol", "comparisons"]
-    rows = [[c.name, c.status, c.max_gap, c.tol, c.comparisons]
-            for c in rep.checks.values()]
-    report.tables[table] = (header, rows)
-    report.results = rep.as_report()
+def _record_suite(report: RunReport, table: str, prefix: str, name_key: str,
+                  rep: CheckReport, echo: dict, expect_fail=()) -> None:
+    """Table, results and one summary line per check of a check suite.
+
+    Each check is one row of the table, and the same row under the same
+    keys, with its witness, is its entry in the results; there the check's
+    name goes under ``name_key``, and ``echo``, the suite inputs, is printed
+    before the verdict."""
+    header = [name_key, "status", "max_gap", "tol", "comparisons"]
+    rows, checks = [], []
     for c in rep.checks.values():
+        rows.append([c.name, c.status, c.max_gap, c.tol, c.comparisons])
+        checks.append({**dict(zip(header, rows[-1])),
+                       **{f"witness_{k}": v for k, v in (c.witness or {}).items()}})
         if c.name in expect_fail:
             report.summary.append({"check": f"{prefix}_{c.name}_fails_as_expected",
                                    "passed": c.status == "fail"})
         else:
             report.summary.append({"check": f"{prefix}_{c.name}",
                                    "passed": c.status != "fail"})
+    report.tables[table] = (header, rows)
+    report.results = {"source": rep.label, **echo, "passed": rep.passed, "checks": checks}
 
 
 def _suite_inputs(cfg: ScenarioConfig, claim_kind: str):
@@ -318,7 +337,7 @@ def _run_axioms(cfg: ScenarioConfig, report: RunReport) -> None:
     p = cfg.params
     drm, claims = _suite_inputs(cfg, p["claim_kind"])
     rep = check_axioms(drm, claims, seed=cfg.seed, depths=p["depths"], tol=p["tol"])
-    _record_suite(report, "axioms", "axiom", rep, p["expect_fail"])
+    _record_suite(report, "axioms", "axiom", "axiom", rep, {}, p["expect_fail"])
 
 
 def _run_domination(cfg: ScenarioConfig, report: RunReport) -> None:
@@ -328,7 +347,7 @@ def _run_domination(cfg: ScenarioConfig, report: RunReport) -> None:
     nu = drm.bounds[1] if p["nu"] is None else p["nu"]
     rep = check_domination(drm, mu, nu, claims, seed=cfg.seed, thetas=p["thetas"],
                            z_grid=p["z_grid"], tol=p["tol"])
-    _record_suite(report, "domination", "domination", rep)
+    _record_suite(report, "domination", "domination", "check", rep, {"mu": mu, "nu": nu})
 
 
 def _run_dual(cfg: ScenarioConfig, report: RunReport) -> None:
@@ -340,7 +359,12 @@ def _run_dual(cfg: ScenarioConfig, report: RunReport) -> None:
     rows = [[r["density"], r["value"], r.get("gap", ""), r["feasible"]]
             for r in rep.rows]
     report.tables["dual_sweep"] = (header, rows)
-    report.results = rep.as_report()
+    report.results = {
+        "source": rep.label, "rho_root": rep.rho_root, "penalty": rep.penalty,
+        "optimal_gap": rep.optimal_gap, "weak_duality_ok": rep.weak_duality_ok,
+        "passed": rep.passed, "sweep": rep.rows,
+        **({} if rep.gibbs_gap is None else {"gibbs_gap": rep.gibbs_gap}),
+    }
     report.summary.append({"check": "weak_duality", "passed": rep.weak_duality_ok})
     report.summary.append({"check": "duality_attained", "passed": rep.passed})
 

@@ -358,20 +358,6 @@ class DualityReport:
     gibbs_gap: float | None
     passed: bool
 
-    def as_report(self) -> dict:
-        out = {
-            "source": self.label,
-            "rho_root": self.rho_root,
-            "penalty": self.penalty,
-            "optimal_gap": self.optimal_gap,
-            "weak_duality_ok": self.weak_duality_ok,
-            "passed": self.passed,
-            "sweep": self.rows,
-        }
-        if self.gibbs_gap is not None:
-            out["gibbs_gap"] = self.gibbs_gap
-        return out
-
 
 def verify_duality(
     drm: DynamicRiskMeasure,

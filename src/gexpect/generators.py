@@ -10,15 +10,17 @@ one-sided domination) travel as flags; :func:`verify_class` re-checks them
 numerically on grids and returns a :class:`CheckReport` with witnesses.
 Every worst-gap check of the library (``verify_class`` and the ``risk``
 suites) folds its gaps through ``_GapTracker`` into ``AxiomCheck``
-verdicts, so which gap is the worst is decided in one place.  The
+verdicts, so which gap is the worst is decided in one place; the suites
+compare processes depth slice by depth slice through
+:meth:`_GapTracker.compare`.  The
 Legendre-Fenchel conjugate and the subdifferential come in closed form for
 the built-ins and via guarded grid refinement otherwise.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,7 +48,6 @@ class Generator:
     nu: float
     flags: frozenset = frozenset()
     kind: str = "custom"
-    params: dict = field(default_factory=dict)
     conjugate_fn: Callable[[float, np.ndarray], np.ndarray] | None = None
     subdiff_fn: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
@@ -105,8 +106,7 @@ def quadratic_upper(mu: float, nu: float) -> Generator:
     flags = {CONVEX, DOMINATED}
     if nu == 0.0:
         flags.add(SUBLINEAR)
-    return Generator(fn, mu, nu, frozenset(flags), "quadratic_upper",
-                     {"mu": mu, "nu": nu}, conj, subdiff)
+    return Generator(fn, mu, nu, frozenset(flags), "quadratic_upper", conj, subdiff)
 
 
 def quadratic_lower(mu: float, nu: float) -> Generator:
@@ -123,8 +123,7 @@ def quadratic_lower(mu: float, nu: float) -> Generator:
             return np.where(np.abs(x) <= _GROWTH_TOL, 0.0, np.inf)
         return np.full_like(x, np.inf)
 
-    return Generator(fn, mu, nu, frozenset(), "quadratic_lower",
-                     {"mu": mu, "nu": nu}, conj, None)
+    return Generator(fn, mu, nu, frozenset(), "quadratic_lower", conj, None)
 
 
 def entropy(nu: float) -> Generator:
@@ -145,8 +144,7 @@ def entropy(nu: float) -> Generator:
         s = 2.0 * nu * z
         return s, s.copy()
 
-    return Generator(fn, 0.0, nu, frozenset({CONVEX, DOMINATED}), "entropy",
-                     {"nu": nu}, conj, subdiff)
+    return Generator(fn, 0.0, nu, frozenset({CONVEX, DOMINATED}), "entropy", conj, subdiff)
 
 
 def sublinear_interval(lo: float, hi: float) -> Generator:
@@ -171,14 +169,13 @@ def sublinear_interval(lo: float, hi: float) -> Generator:
         return l, h
 
     return Generator(fn, mu, 0.0, frozenset({CONVEX, SUBLINEAR, DOMINATED}),
-                     "sublinear_interval", {"lo": lo, "hi": hi}, conj, subdiff)
+                     "sublinear_interval", conj, subdiff)
 
 
 def scaled_abs(mu: float) -> Generator:
     """g(z) = mu*|z|, the symmetric sublinear driver."""
     g = sublinear_interval(-float(mu), float(mu))
-    return Generator(g.fn, g.mu, 0.0, g.flags, "scaled_abs", {"mu": float(mu)},
-                     g.conjugate_fn, g.subdiff_fn)
+    return Generator(g.fn, g.mu, 0.0, g.flags, "scaled_abs", g.conjugate_fn, g.subdiff_fn)
 
 
 # Built-in kinds by name; a kind's parameters are those of its builder.
@@ -313,17 +310,10 @@ class AxiomCheck:
 
 @dataclass
 class CheckReport:
-    """Verdicts of one check suite, or of :func:`verify_class`.
-
-    ``name_key`` is the key each check's name goes under in the report
-    (``"axiom"`` or ``"check"``); ``echo`` holds the suite inputs printed
-    before the verdict.
-    """
+    """Verdicts of one check suite, or of :func:`verify_class`, by check name."""
 
     label: str
     checks: dict
-    name_key: str
-    echo: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -331,18 +321,6 @@ class CheckReport:
 
     def failing(self) -> list[str]:
         return [n for n, c in self.checks.items() if c.status == "fail"]
-
-    def as_report(self) -> dict:
-        return {
-            "source": self.label, **self.echo,
-            "passed": self.passed,
-            "checks": [
-                {self.name_key: c.name, "status": c.status, "max_gap": c.max_gap,
-                 "tol": c.tol, "comparisons": c.comparisons,
-                 **({f"witness_{k}": v for k, v in c.witness.items()} if c.witness else {})}
-                for c in self.checks.values()
-            ],
-        }
 
 
 class _GapTracker:
@@ -373,9 +351,14 @@ class _GapTracker:
         return self.fold(values, lambda i, gap: {
             **tag, "depth": depth, "node": self.tree.node_label(depth, i), "gap": gap})
 
-    def update_process(self, proc: TreeProcess, tag: dict):
-        for k, slice_ in enumerate(proc.values):
-            self.update(slice_, k, tag)
+    def compare(self, gap: Callable[..., np.ndarray], processes: Sequence[TreeProcess],
+                tag: dict, depths: Iterable[int] | None = None) -> None:
+        """Fold in ``gap(*slices)`` of the processes' slices at each depth, in
+        the order of ``depths``: by default every depth that all of them hold."""
+        if depths is None:
+            depths = range(min(p.last_depth for p in processes) + 1)
+        for k in depths:
+            self.update(gap(*(p.values[k] for p in processes)), k, tag)
 
     def verdict(self, name: str, atol: float, certified: bool = True,
                 note: str = "step certificate violated; refine dt") -> AxiomCheck:
@@ -459,4 +442,4 @@ def verify_class(
                                         "gap": gap})
         checks["domination"] = tr.verdict("domination", tol)
 
-    return CheckReport(g.kind, checks, "check")
+    return CheckReport(g.kind, checks)

@@ -86,11 +86,12 @@ class _Sweep:
 
     ``y`` holds one row per level, at every depth or only at the root (see
     :func:`_sweep`).  The folds have one row per level and one column per
-    depth: ``gap_min`` / ``gap_max`` of Y - y (depths 0..N), ``inc_lo`` /
-    ``inc_hi`` of the penalty increments n dt (Y - y) (depths 0..N-1;
-    ``inc_hi`` on the recombining layout only), and ``drop`` / ``drop_at``
-    the first largest drop of y from the level before and its node (depths
-    0..N; NaN in the first row, which has no level before it).  On the full
+    depth: ``gap_min`` / ``gap_max`` of Y - y (depths 0..N), and ``drop`` /
+    ``drop_at`` the first largest drop of y from the level before and its
+    node (depths 0..N; NaN in the first row, which has no level before it).
+    The extremes of the penalty increments n dt (Y - y) at depths 0..N-1
+    are ``n dt`` times those of the gaps bit for bit, since rounding a
+    product by n dt > 0 is monotone (see :meth:`_inc_bounds`).  On the full
     layout, where A is a path functional, ``incs`` keeps the increments
     themselves, one ``(levels, width)`` slice per depth.
     """
@@ -102,10 +103,14 @@ class _Sweep:
     incs: list | None
     gap_min: np.ndarray
     gap_max: np.ndarray
-    inc_lo: np.ndarray
-    inc_hi: np.ndarray
     drop: np.ndarray
     drop_at: np.ndarray
+
+    def _inc_bounds(self, rows):
+        """Per-depth minimum and maximum of the penalty increments of the
+        levels in ``rows`` (an index or a slice), depths 0..N-1."""
+        n_dt = self.n_dt[rows, None]
+        return n_dt * self.gap_min[rows, :-1], n_dt * self.gap_max[rows, :-1]
 
     def gap_to_target(self, i: int) -> float:
         """max(Y - y) of level i; Python's fold keeps a NaN only at depth 0."""
@@ -116,7 +121,7 @@ class _Sweep:
         n_dt = float(self.n_dt[i])
         over = -min(self.gap_min[i].tolist())
         below = over <= tol * (1.0 + scale)
-        worst_inc = min(self.inc_lo[i].tolist())
+        worst_inc = min(self._inc_bounds(i)[0].tolist())
         increasing = worst_inc >= -tol * (1.0 + n_dt * scale)
         violation = max(over, -worst_inc, 0.0) if not (below and increasing) else 0.0
         return PenalizedCertificate(below, increasing, violation)
@@ -127,7 +132,7 @@ class _Sweep:
         deterministic targets).  Raises at the first depth where it is not."""
         if self.incs is not None:
             return
-        lo, hi = self.inc_lo[i], self.inc_hi[i]
+        lo, hi = self._inc_bounds(i)
         spread = hi - lo
         bad = spread > 1e-12 * (1.0 + np.abs(hi))
         if bad.any():
@@ -177,12 +182,14 @@ class _Sweep:
         last = [np.zeros(1)]
         m = None if W is None else W.values[0] + a
         worst = []
+        if self.incs is None:
+            lo, hi = self._inc_bounds(rows)
         for k in range(tree.steps):
             if self.incs is not None:
                 a_next = np.repeat(a + self.incs[k][rows], 2, axis=-1)
                 last.append(a_next[-1])
             else:
-                a_next = a + 0.5 * (self.inc_lo[rows, k] + self.inc_hi[rows, k])[:, None]
+                a_next = a + 0.5 * (lo[:, k] + hi[:, k])[:, None]
                 last.append(np.full(k + 2, a_next[-1, 0]))
             if W is not None:
                 m_next = W.values[k + 1] + a_next
@@ -233,7 +240,6 @@ def _sweep(drm: DynamicRiskMeasure, Y: TreeProcess, z: float, levels: Sequence[f
     count = len(n_dt)
     w, shift = n_dt[:, None], float(z) * tree.sqrt_dt
     gap_min, gap_max = np.empty((count, N + 1)), np.empty((count, N + 1))
-    inc_lo, inc_hi = np.empty((count, N)), np.empty((count, N))
     incs = [None] * N if tree.layout == FULL else None
     drop = np.full((count, N + 1), np.nan)
     drop_at = np.zeros((count, N + 1), dtype=np.intp)
@@ -242,13 +248,8 @@ def _sweep(drm: DynamicRiskMeasure, Y: TreeProcess, z: float, levels: Sequence[f
     def fold(k, y):
         gap = Y.values[k] - y
         gap_min[:, k], gap_max[:, k] = gap.min(axis=-1), gap.max(axis=-1)
-        if k < N:
-            inc = w * gap
-            inc_lo[:, k] = inc.min(axis=-1)
-            if incs is None:  # the recombining A reads the spread
-                inc_hi[:, k] = inc.max(axis=-1)
-            else:
-                incs[k] = inc
+        if k < N and incs is not None:
+            incs[k] = w * gap
         if count > 1:
             d = y[:-1] - y[1:]
             drop_at[1:, k] = d.argmax(axis=-1)
@@ -261,7 +262,7 @@ def _sweep(drm: DynamicRiskMeasure, Y: TreeProcess, z: float, levels: Sequence[f
 
     terminal = fold(N, np.broadcast_to(Y.terminal, (count, Y.terminal.size)))
     y = backward_reduce(tree, terminal, implicit_step, keep=None if keep_y else 0)
-    return _Sweep(drm, Y, n_dt, y, incs, gap_min, gap_max, inc_lo, inc_hi, drop, drop_at)
+    return _Sweep(drm, Y, n_dt, y, incs, gap_min, gap_max, drop, drop_at)
 
 
 def solve_penalized(

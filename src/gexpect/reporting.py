@@ -11,10 +11,10 @@ Every scalar is formatted by its exact type through one table, after
 is its own exact type, so it never formats as an int, and a numpy scalar
 gives the same bytes as its built-in.  A dict whose keys are str and whose
 values are all plain scalars is passed through ``to_plain`` as it is, not
-copied.  Such a dict, and a CSV row of ints and floats, is written with one
-``str.format`` call: its template is derived from that same table once per
-row shape (the keys and the exact type of every cell), so a table is not
-dispatched cell by cell.
+copied.  Such a dict as an entry of a block list, and a CSV row of ints
+and floats, is written with one ``str.format`` call: its template is
+derived from that same table once per row shape (the keys and the exact
+type of every cell), so a table is not dispatched cell by cell.
 """
 from __future__ import annotations
 
@@ -121,9 +121,6 @@ def _render(node, out: io.StringIO, level: int) -> None:
     """Write ``to_plain`` output: its only containers are dict and list."""
     pad = INDENT * level
     if isinstance(node, dict):
-        if _is_flat(node):
-            out.write(_template(pad, node).format(*node.values()))
-            return
         for key, value in node.items():
             if isinstance(value, dict) and not value:
                 out.write(f"{pad}{key}: {{}}\n")

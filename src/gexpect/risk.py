@@ -16,9 +16,11 @@ known values, convexity, subadditivity, positive homogeneity, translation
 invariance and locality on seeded claim suites, node by node, and returns
 witnesses for whatever fails.  Inequality axioms that only survive
 discretization under the step-monotonicity certificate are skipped (not
-failed) when the certificate is violated.  The suites and
-``supermartingale_gap`` fold their gaps through ``generators._GapTracker``
-and report ``generators.CheckReport`` verdicts, as ``verify_class`` does.
+failed) when the certificate is violated.  Every check of both suites is
+one gap function compared slice by slice over its solutions through
+``generators._GapTracker.compare``, so no check builds a process of gaps;
+the suites report ``generators.CheckReport`` verdicts, as ``verify_class``
+does, and ``supermartingale_gap`` folds through the same tracker.
 """
 from __future__ import annotations
 
@@ -188,7 +190,7 @@ def check_axioms(
         eta = xs[i] - np.abs(xs[j])
         s_eta = drm.solve_terminal(-eta)
         cert &= s_eta.monotone_step
-        tr.update_process(solved[i].Y - s_eta.Y, {"claim": labels[i], "minus": labels[j]})
+        tr.compare(np.subtract, (solved[i].Y, s_eta.Y), {"claim": labels[i], "minus": labels[j]})
     checks["monotonicity"] = tr.verdict("monotonicity", atol, cert)
 
     # Time consistency: rho_s(-rho_t(xi)) = rho_s(xi) for s <= t.
@@ -196,9 +198,8 @@ def check_axioms(
     for i, s_i in enumerate(solved):
         for t in depths:
             outer = drm.solve_terminal(np.repeat(s_i.Y.values[t], 2 ** (n - t))).Y
-            for s in range(t + 1):
-                tr.update(np.abs(outer.values[s] - s_i.Y.values[s]), s,
-                          {"claim": labels[i], "restart_depth": t})
+            tr.compare(lambda o, a: np.abs(o - a), (outer, s_i.Y),
+                       {"claim": labels[i], "restart_depth": t}, range(t + 1))
     checks["time_consistency"] = tr.verdict("time_consistency", atol)
 
     # Preservation of known values: rho_t(xi) = -xi for F_t-measurable xi.
@@ -208,9 +209,8 @@ def check_axioms(
         for vals, tag in ((level * level, "squared_level"), (np.full(tree.n_nodes(t), 0.3), "constant")):
             known = propagate(tree, t, vals)
             R = drm.solve_terminal(-known.terminal).Y
-            for s in range(t, n + 1):
-                tr.update(np.abs(R.values[s] + known.values[s]), s,
-                          {"claim": tag, "measurable_at": t})
+            tr.compare(lambda r, k: np.abs(r + k), (R, known),
+                       {"claim": tag, "measurable_at": t}, range(t, n + 1))
     checks["constant_preservation"] = tr.verdict("constant_preservation", atol)
 
     # Convexity in the claim.
@@ -220,12 +220,9 @@ def check_axioms(
         for th in thetas:
             mix = drm.solve_terminal(-(th * xs[i] + (1.0 - th) * xs[j]))
             cert &= mix.monotone_step
-            # Built slice by slice: process arithmetic would make four
-            # TreeProcess objects per theta where this makes one.
-            gap = [m - (th * a + (1.0 - th) * b) for m, a, b in
-                   zip(mix.Y.values, solved[i].Y.values, solved[j].Y.values)]
-            tr.update_process(TreeProcess(tree, gap, copy=False),
-                              {"claims": f"{labels[i]}|{labels[j]}", "theta": th})
+            tr.compare(lambda m, a, b: m - (th * a + (1.0 - th) * b),
+                       (mix.Y, solved[i].Y, solved[j].Y),
+                       {"claims": f"{labels[i]}|{labels[j]}", "theta": th})
     checks["convexity"] = tr.verdict("convexity", atol, cert)
 
     # Subadditivity.
@@ -234,8 +231,8 @@ def check_axioms(
     for i, j in pairs:
         s_sum = drm.solve_terminal(-(xs[i] + xs[j]))
         cert &= s_sum.monotone_step
-        tr.update_process(s_sum.Y - (solved[i].Y + solved[j].Y),
-                          {"claims": f"{labels[i]}|{labels[j]}"})
+        tr.compare(lambda s, a, b: s - (a + b), (s_sum.Y, solved[i].Y, solved[j].Y),
+                   {"claims": f"{labels[i]}|{labels[j]}"})
     checks["subadditivity"] = tr.verdict("subadditivity", atol, cert)
 
     # Positive homogeneity: rho(lambda xi) = lambda rho(xi), lambda >= 0.
@@ -243,8 +240,8 @@ def check_axioms(
     for i, s_i in enumerate(solved):
         for lam in _LAMBDAS:
             s_lam = drm.solve_terminal(-(lam * xs[i]))
-            tr.update_process((s_lam.Y - s_i.Y * lam).map(np.abs),
-                              {"claim": labels[i], "lambda": lam})
+            tr.compare(lambda m, a: np.abs(m - a * lam), (s_lam.Y, s_i.Y),
+                       {"claim": labels[i], "lambda": lam})
     checks["positive_homogeneity"] = tr.verdict("positive_homogeneity", atol)
 
     # Translation invariance: rho_t(xi + zeta) = rho_t(xi) - zeta, zeta in F_t.
@@ -253,9 +250,8 @@ def check_axioms(
         for t in depths:
             zeta = propagate(tree, t, 0.5 * np.cos(tree.brownian_slice(t)))
             shifted = drm.solve_terminal(-(xs[i] + zeta.terminal)).Y
-            for s in range(t, n + 1):
-                tr.update(np.abs(shifted.values[s] - (s_i.Y.values[s] - zeta.values[s])), s,
-                          {"claim": labels[i], "shift_depth": t})
+            tr.compare(lambda m, a, c: np.abs(m - (a - c)), (shifted, s_i.Y, zeta),
+                       {"claim": labels[i], "shift_depth": t}, range(t, n + 1))
     checks["translation_invariance"] = tr.verdict("translation_invariance", atol)
 
     # Regularity (locality): rho_t(1_A xi) = 1_A rho_t(xi) on depth-t subtrees.
@@ -268,11 +264,11 @@ def check_axioms(
             masked = drm.solve_terminal(-(xs[i] * ind_term)).Y
             ind_t = np.zeros(tree.n_nodes(t))
             ind_t[node] = 1.0
-            tr.update(np.abs(masked.values[t] - ind_t * s_i.Y.values[t]), t,
-                      {"claim": labels[i], "event_node": tree.node_label(t, node)})
+            tr.compare(lambda m, a: np.abs(m - ind_t * a), (masked, s_i.Y),
+                       {"claim": labels[i], "event_node": tree.node_label(t, node)}, (t,))
     checks["regularity"] = tr.verdict("regularity", atol)
 
-    return CheckReport(drm.label, checks, "axiom")
+    return CheckReport(drm.label, checks)
 
 
 def check_domination(
@@ -307,8 +303,8 @@ def check_domination(
         s_up = solve_bsde(g_up, -xs[i], tree)
         s_lo = solve_bsde(g_lo, -xs[i], tree)
         cert &= s_up.monotone_step and s_lo.monotone_step
-        tr.update_process(s_i.Y - s_up.Y, {"claim": labels[i], "side": "upper"})
-        tr.update_process(s_lo.Y - s_i.Y, {"claim": labels[i], "side": "lower"})
+        tr.compare(np.subtract, (s_i.Y, s_up.Y), {"claim": labels[i], "side": "upper"})
+        tr.compare(np.subtract, (s_lo.Y, s_i.Y), {"claim": labels[i], "side": "lower"})
     checks["two_sided_envelope"] = tr.verdict(
         "two_sided_envelope", atol, cert,
         note="envelope solver certificate violated; refine dt")
@@ -317,8 +313,9 @@ def check_domination(
     for i, j in pairs:
         for th in thetas:
             stretched = drm.solve_terminal(-((xs[i] - th * xs[j]) / (1.0 - th))).Y
-            tr.update_process((solved[i].Y - th * solved[j].Y) - (1.0 - th) * stretched,
-                              {"claims": f"{labels[i]}|{labels[j]}", "theta": th})
+            tr.compare(lambda a, b, s: (a - b * th) - s * (1.0 - th),
+                       (solved[i].Y, solved[j].Y, stretched),
+                       {"claims": f"{labels[i]}|{labels[j]}", "theta": th})
     checks["theta_domination"] = tr.verdict("theta_domination", atol)
 
     tr = _GapTracker(tree)
@@ -328,11 +325,11 @@ def check_domination(
         for z in z_grid:
             a = drm.solve_terminal(-(xs[i] - z * B_T)).Y
             b = drm.solve_terminal(-(xs[j] - z * B_T)).Y
-            tr.update_process((a - b).map(np.abs) - sup_diff,
-                              {"claims": f"{labels[i]}|{labels[j]}", "z": z})
+            tr.compare(lambda u, v: np.abs(u - v) - sup_diff, (a, b),
+                       {"claims": f"{labels[i]}|{labels[j]}", "z": z})
     checks["sup_norm_bound"] = tr.verdict("sup_norm_bound", atol)
 
-    return CheckReport(drm.label, checks, "check", {"mu": mu, "nu": nu})
+    return CheckReport(drm.label, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +486,7 @@ def represent(
 
     needs = {CONVEX: {"convexity"}, SUBLINEAR: {"sublinearity"},
              DOMINATED: {"growth", "domination"}}
-    candidate = Generator(fn, mu_bar, nu_bar, frozenset(needs), "one_step",
-                          {"source": drm.label, "z_min": float(z[0]), "z_max": float(z[-1]),
-                           "t_points": len(ts), "z_points": len(z)})
+    candidate = Generator(fn, mu_bar, nu_bar, frozenset(needs), "one_step")
     passed = {n for n, c in verify_class(candidate, z, ts).checks.items() if c.status == "pass"}
     return replace(candidate, flags=frozenset(f for f, n in needs.items() if n <= passed))
 

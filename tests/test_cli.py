@@ -173,6 +173,18 @@ class TestParseConfig:
         ({"tree": {"steps": 8, "horizon": math.nan}},
          "config.tree.horizon must be a number, got nan"),
         ({"seed": "3"}, "config.seed must be an integer, got '3'"),
+        # Values of the right type that the tree or the measure's builder rejects.
+        ({"tree": {"steps": 0}}, "config.tree.steps must be positive, got 0"),
+        ({"tree": {"steps": 8, "horizon": -1.0}},
+         "config.tree.horizon must be positive, got -1.0"),
+        ({"measure": {"kind": "quadratic_upper", "mu": -0.3, "nu": 0.5}},
+         "config.measure must be a valid quadratic_upper measure: "
+         "growth constants must be nonnegative"),
+        ({"measure": {"kind": "entropic", "nu": 0.0}},
+         "config.measure must be a valid entropic measure: the entropic driver needs nu > 0"),
+        ({"measure": {"kind": "sublinear_interval", "lo": 1.0, "hi": 0.0}},
+         "config.measure must be a valid sublinear_interval measure: "
+         "empty slope interval [1.0, 0.0]"),
     ])
     def test_wrong_typed_value(self, override, match):
         bad = dict(BASE, **override)
@@ -260,7 +272,11 @@ class TestMain:
         # An entropic nu of "inf" once ran to rho_root nan with every check PASS.
         {"measure": {"kind": "entropic", "nu": "inf"}},
         {"measure": {"kind": "entropic", "nu": math.inf}}, {"tree": {"steps": "8"}},
-        {"tree": {"steps": 8, "horizon": math.nan}}, {"seed": "3"}])
+        {"tree": {"steps": 8, "horizon": math.nan}}, {"seed": "3"},
+        {"tree": {"steps": 0}}, {"tree": {"steps": 8, "horizon": -1.0}},
+        {"measure": {"kind": "quadratic_upper", "mu": -0.3, "nu": 0.5}},
+        {"measure": {"kind": "entropic", "nu": -1.0}},
+        {"measure": {"kind": "sublinear_interval", "lo": 1.0, "hi": 0.0}}])
     def test_wrong_typed_value_exits_two(self, tmp_path, capsys, override):
         cfg = write_cfg(tmp_path, **override)
         out = tmp_path / "out"

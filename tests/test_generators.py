@@ -22,7 +22,7 @@ from gexpect.generators import (
     sublinear_interval,
     verify_class,
 )
-from gexpect.lattice import FULL, build_tree
+from gexpect.lattice import FULL, TreeProcess, build_tree
 
 Z = np.linspace(-3.0, 3.0, 41)
 
@@ -187,6 +187,36 @@ class TestGapTracker:
         assert list(tr.witness.items()) == [("claim", "a"), ("depth", 2),
                                             ("node", tree.node_label(2, 1)), ("gap", 1.0)]
         assert tr.verdict("x", 0.5).status == "fail"
+
+    def test_compare_covers_the_depths_every_process_holds(self):
+        tree = build_tree(1.0, 3, FULL)
+        long = TreeProcess(tree, [np.full(2 ** k, float(k)) for k in range(4)])
+        short = TreeProcess(tree, [np.zeros(2 ** k) for k in range(3)])
+        tr, seen = _GapTracker(tree), []
+        tr.compare(lambda a, b: seen.append(a.size) or a - b, (long, short), {})
+        assert seen == [1, 2, 4]
+        assert (tr.gap, tr.count, tr.witness["depth"]) == (2.0, 7, 2)
+
+    def test_compare_runs_explicit_depths_in_the_given_order(self):
+        tree = build_tree(1.0, 3, FULL)
+        flat = TreeProcess(tree, [np.ones(2 ** k) for k in range(4)])
+        tr, seen = _GapTracker(tree), []
+        tr.compare(lambda a: seen.append(a.size) or a, (flat,), {"claim": "a"}, (3, 1))
+        assert seen == [8, 2]
+        # Equal gaps at both depths: the first one compared is the witness.
+        assert tr.witness == {"claim": "a", "depth": 3, "node": tree.node_label(3, 0),
+                              "gap": 1.0}
+        assert tr.count == 10
+
+    def test_compare_keeps_the_first_maximum(self):
+        tree = build_tree(1.0, 2, FULL)
+        gaps = TreeProcess(tree, [np.array([0.5]), np.array([0.0, 3.0]),
+                                  np.array([3.0, 1.0, 3.0, 2.0])])
+        tr = _GapTracker(tree)
+        tr.compare(np.negative, (TreeProcess(tree, [-v for v in gaps.values]),), {"i": 0})
+        tr.compare(lambda g: g, (gaps,), {"i": 1})
+        assert tr.witness == {"i": 0, "depth": 1, "node": tree.node_label(1, 1), "gap": 3.0}
+        assert (tr.gap, tr.count) == (3.0, 14)
 
 
 def _nan_beyond_5(t, z):

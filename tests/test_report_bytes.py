@@ -55,6 +55,15 @@ CASES = {
     "represent_full_scaled_abs": ("represent", 0),
 }
 
+# Configs through the exact entropic recursion (see above): config name ->
+# subcommand.  Each exits 0.
+ROUNDED = {
+    "converge_entropic": "converge",
+    "represent_entropic": "represent",
+    "dual_entropic": "dual",
+    "solve_entropic": "solve",
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_and_tables_match_golden_files(name, tmp_path):
@@ -78,25 +87,10 @@ def _written(name, task, code, out_dir):
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf)")
 
 
-def test_converge_matches_golden_files_to_rounding(tmp_path):
-    _assert_matches_to_rounding("converge_entropic", "converge", tmp_path)
-
-
-def test_represent_entropic_matches_golden_files_to_rounding(tmp_path):
-    _assert_matches_to_rounding("represent_entropic", "represent", tmp_path)
-
-
-def test_dual_entropic_matches_golden_files_to_rounding(tmp_path):
-    _assert_matches_to_rounding("dual_entropic", "dual", tmp_path)
-
-
-def test_solve_entropic_matches_golden_files_to_rounding(tmp_path):
-    _assert_matches_to_rounding("solve_entropic", "solve", tmp_path)
-
-
-def _assert_matches_to_rounding(name, task, out_dir):
-    for file_name in _written(name, task, 0, out_dir):
-        got, want = ((d / file_name).read_text() for d in (out_dir, DATA))
+@pytest.mark.parametrize("name", sorted(ROUNDED))
+def test_report_and_tables_match_golden_files_to_rounding(name, tmp_path):
+    for file_name in _written(name, ROUNDED[name], 0, tmp_path):
+        got, want = ((d / file_name).read_text() for d in (tmp_path, DATA))
         assert _NUMBER.split(got) == _NUMBER.split(want), file_name
         assert [float(x) for x in _NUMBER.findall(got)] == pytest.approx(
             [float(x) for x in _NUMBER.findall(want)], rel=1e-9, abs=0.0), file_name

@@ -172,6 +172,19 @@ class TestAxioms:
             check_domination(drm, 0.0, 0.5, [])
 
 
+def test_suites_compare_without_process_arithmetic(monkeypatch):
+    """Every check compares solution slices; none builds a process of gaps."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("TreeProcess arithmetic in a check suite")
+
+    monkeypatch.setattr(TreeProcess, "_binary", refuse)
+    monkeypatch.setattr(TreeProcess, "map", refuse)
+    tree = build_tree(1.0, 4, FULL)
+    for drm in (entropic(0.5, tree), from_generator(quadratic_upper(0.3, 0.5), tree)):
+        assert set(check_axioms(drm, seed=2).checks) == set(AXIOMS)
+        assert len(check_domination(drm, *drm.bounds, seed=2).checks) == 3
+
+
 def unreachable_step(k, down, up):
     raise AssertionError("a solve ran before the inputs were checked")
 
