@@ -8,12 +8,13 @@ from observed operators, and the penalized Doob-Meyer decomposition of
 supermartingales.  Everything is exact on the tree: checks are node-wise
 inequalities, not Monte Carlo estimates.
 
-Every export is read by the library, the demos, the benchmark or the
-acceptance suite, or says why it stays in a ``# kept:`` comment
-(tests/test_public_surface.py holds the list to this).  The result types
-(``SolvedBSDE``, ``DualityReport``, ``CheckReport``: the verdicts of the
-suites and of ``verify_class``, ...) are exported because public functions
-return them.
+Every export, and every public function and class of each module, is read
+by the library, the demos, the benchmark or the acceptance suite, or says
+why it stays in a ``# kept:`` comment (tests/test_public_surface.py holds
+both to this); the tests keep their reference computations in
+tests/oracles.py.  The result types (``SolvedBSDE``, ``DualityReport``,
+``CheckReport``: the verdicts of the suites and of ``verify_class``, ...)
+are exported because public functions return them.
 """
 
 from .lattice import (
@@ -59,14 +60,12 @@ from .generators import (
     quadratic_lower,
     quadratic_upper,
     scaled_abs,
-    subdifferential,  # kept: the one-point form of subdifferential_slices
     sublinear_interval,
     verify_class,
 )
 from .bsde import (
     SolvedBSDE,
     entropy_exact,
-    extract_z,  # kept: the two-pass reference test_bsde checks the one-pass Z against
     solve_bsde,
 )
 from .risk import (
@@ -88,7 +87,7 @@ from .dual import (
     DualityReport,
     DualValue,
     EntropyEstimates,
-    TiltedMeasure,  # its theta() is the Bayes reference of test_dual
+    TiltedMeasure,
     constant_density,
     dual_value,
     gibbs_density,

@@ -69,7 +69,6 @@ class SolvedBSDE:
     Y: TreeProcess
     Z: TreeProcess
     scheme: str
-    terminal: np.ndarray
     generator: Generator | None
     step_bound: float
     monotone_step: bool
@@ -88,16 +87,6 @@ class SolvedBSDE:
         kept = [_summary(ys, self.Z.values[k] if k < len(self.Z.values) else None)
                 for k, ys in enumerate(self.Y.values)]
         return kept + list(self.dropped)
-
-
-def extract_z(Y: TreeProcess) -> TreeProcess:
-    """Martingale integrand from child differences: (up - down) / (2 sqrt dt)."""
-    tree = Y.tree
-    slices = []
-    for k in range(Y.last_depth):
-        down, up = tree.split_children(Y.values[k + 1])
-        slices.append((up - down) / (2.0 * tree.sqrt_dt))
-    return TreeProcess(tree, slices, copy=False)
 
 
 def euler_step(g: Generator, tree: ScenarioTree) -> StepFn:
@@ -147,10 +136,10 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
            keep: int | None, scheme: str, g: Generator | None) -> SolvedBSDE:
     """One backward pass of ``step`` from ``xi``, certified by the rule of
     ``scheme`` with the growth constants of ``g`` (see SolvedBSDE).  Z is
-    taken, as in ``extract_z``, from the (down, up) child views the step
-    receives, so no step runs twice; ``step(k, down, up, z)`` is handed
-    that z.  Y and Z keep depths 0..``keep`` (None: all); every deeper depth
-    is summarized into ``dropped`` and let go.
+    taken from the (down, up) child views the step receives, so no step runs
+    twice; ``step(k, down, up, z)`` is handed that z.  Y and Z keep depths
+    0..``keep`` (None: all); every deeper depth is summarized into
+    ``dropped`` and let go.
 
     The dropped depths are summarized per block: each one's z is computed
     straight into, and its y copied into, the next ``width`` floats of two
@@ -210,11 +199,11 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
     fold_block()
     Z, rows = TreeProcess(tree, z_slices, copy=False), tuple(reversed(dropped))
     if scheme == "custom":
-        return SolvedBSDE(Y, Z, scheme, xi, None, float("nan"), True, (), rows)
+        return SolvedBSDE(Y, Z, scheme, None, float("nan"), True, (), rows)
     bound, ok, warnings = _certificate(tree, _max_abs_z(Z, rows), g.mu, g.nu)
     if scheme == "entropy_exact":
-        return SolvedBSDE(Y, Z, scheme, xi, None, bound, True, (), rows)
-    return SolvedBSDE(Y, Z, scheme, xi, g, bound, ok, warnings, rows)
+        return SolvedBSDE(Y, Z, scheme, None, bound, True, (), rows)
+    return SolvedBSDE(Y, Z, scheme, g, bound, ok, warnings, rows)
 
 
 def _max_abs_z(Z: TreeProcess, dropped: tuple) -> float:

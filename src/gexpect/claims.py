@@ -4,8 +4,9 @@ A claim is a bounded payoff observed at the horizon, held as one rule: a
 function of the tree that returns its terminal slice.  Named families cover
 what the command line and the test suites need: constants, linear and
 call-style functions of the terminal noise level, terminal indicators, the
-running maximum and raw per-path value vectors.  Sums and multiples of
-claims evaluate their parts on the same tree and add or scale the slices.
+running maximum and raw per-path value vectors.  Sums (``combine`` or
+``+``) and multiples (``scale``) of claims evaluate their parts on the same
+tree and add or scale the slices.
 Claims read from the terminal level alone are flagged ``path_independent``
 and may ride the recombining layout; path functionals such as the running
 maximum fold over the tree's own slices, so they evaluate on every full
@@ -40,11 +41,6 @@ class Claim:
 
     def __add__(self, other: "Claim") -> "Claim":
         return combine(self, other)
-
-    def __mul__(self, scalar: float) -> "Claim":
-        return scale(self, scalar)
-
-    __rmul__ = __mul__
 
 
 def _of_terminal(label: str, fn: Callable[[np.ndarray], np.ndarray]) -> Claim:

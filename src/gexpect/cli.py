@@ -68,6 +68,8 @@ _PARAMS = {
     "converge": {"n_values": ([int], (64, 128, 256, 512, 1024)), "ratio_tol": (float, 0.2)},
 }
 TASKS = tuple(_PARAMS)
+# The tasks whose runner reads config.claim.
+_CLAIM_TASKS = ("solve", "dual", "converge")
 
 # Measure kinds by the builder of their driver, whose parameters a config
 # gives: "entropic" is the exact recursion of the entropy driver (nu
@@ -212,7 +214,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"config.out must be a string, got {out!r}")
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         **tree,
         measure=kind_params,
         claim=None if claim is None else _kind_params(claim, FAMILIES, "config.claim"),
@@ -222,6 +224,15 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
         out=out,
         given={"measure": measure, "claim": claim, "params": params},
     )
+    # Build the trees the task will run on (a tree holds no slices until read),
+    # so a depth cap or a layout the claim cannot ride is a configuration error.
+    built = _build_claim(cfg) if task in _CLAIM_TASKS else None
+    for steps in typed["n_values"] if task == "converge" else [cfg.steps]:
+        try:
+            _build_tree(replace(cfg, steps=steps), built)
+        except ValueError as exc:
+            raise ConfigError(f"config.tree: {exc}") from None
+    return cfg
 
 
 @dataclass
@@ -250,9 +261,11 @@ class RunReport:
 
 
 def _build_tree(cfg: ScenarioConfig, claim: Claim | None):
+    path_independent = claim.path_independent if claim else True
     if cfg.layout == "auto":
-        return auto_layout(cfg.horizon, cfg.steps,
-                           claim.path_independent if claim else True, cfg.depth_cap)
+        return auto_layout(cfg.horizon, cfg.steps, path_independent, cfg.depth_cap)
+    if cfg.layout == RECOMBINING and not path_independent:
+        raise ValueError(f"claim {claim.label!r} is path dependent and needs the full layout")
     return build_tree(cfg.horizon, cfg.steps, cfg.layout, cfg.depth_cap)
 
 

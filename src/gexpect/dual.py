@@ -101,7 +101,6 @@ class TiltedMeasure:
         self.tree = density.tree
         self._p_up = [np.broadcast_to(0.5 * (1.0 + _compact(v) * self.tree.sqrt_dt),
                                       v.shape) for v in density.q.values]
-        self._theta: TreeProcess | None = None
 
     def p_up(self, depth: int) -> np.ndarray:
         """Read-only up probabilities at ``depth``, one per node.
@@ -110,27 +109,6 @@ class TiltedMeasure:
         gives a stride-0 view of one probability.
         """
         return self._p_up[depth]
-
-    def theta(self) -> TreeProcess:
-        """Likelihood ratio process theta_k = dQ/dP restricted to depth k.
-
-        Multiplicative form theta_{k+1} = theta_k (1 + q dB); full layout
-        only, since the running product is a path functional.
-        """
-        if self.tree.layout != FULL:
-            raise ValueError("the likelihood ratio process needs the full layout")
-        if self._theta is None:
-            sdt = self.tree.sqrt_dt
-            slices = [np.ones(1)]
-            for k in range(self.tree.steps):
-                parent = slices[k]
-                q = self.density.q.values[k]
-                child = np.empty(2 * parent.size)
-                child[0::2] = parent * (1.0 - q * sdt)
-                child[1::2] = parent * (1.0 + q * sdt)
-                slices.append(child)
-            self._theta = TreeProcess(self.tree, slices, copy=False)
-        return self._theta
 
 
 def tilt(q, tree: ScenarioTree | None = None) -> TiltedMeasure:

@@ -197,16 +197,16 @@ _GRID_POINTS = 1025  # odd, so the window center (and incumbent) is a grid point
 _ZOOM = 16.0
 
 
-def conjugate(g: Generator, t: float, x: float, force_numeric: bool = False) -> ConjugatePoint:
+def conjugate(g: Generator, t: float, x: float) -> ConjugatePoint:
     """Pointwise conjugate f(t, x) = sup_z (x z - g(t, z)).
 
-    Closed forms attached to the generator are used unless ``force_numeric``
-    is set.  The numeric path runs three grid refinement passes, each
-    zooming by a factor 16 around the incumbent argmax; infinite values are
-    returned explicitly (never as a large sentinel).
+    A closed form attached to the generator is used when there is one.  The
+    numeric path runs three grid refinement passes, each zooming by a factor
+    16 around the incumbent argmax; infinite values are returned explicitly
+    (never as a large sentinel).
     """
     x = float(x)
-    if g.conjugate_fn is not None and not force_numeric:
+    if g.conjugate_fn is not None:
         val = float(np.asarray(g.conjugate_fn(t, np.asarray([x]))).ravel()[0])
         return ConjugatePoint(x, val, 0.0)
     if g.nu == 0.0:
@@ -266,12 +266,6 @@ def conjugate_values(g: Generator, t: float, x: np.ndarray) -> np.ndarray:
 
 
 _DIFF_STEP = 2.0 ** -20
-
-
-def subdifferential(g: Generator, t: float, z: float) -> tuple[float, float]:
-    """The interval [g'(z-), g'(z+)] of a convex driver at one z."""
-    lo, hi = subdifferential_slices(g, t, np.asarray([float(z)]))
-    return float(np.ravel(lo)[0]), float(np.ravel(hi)[0])
 
 
 def subdifferential_slices(g: Generator, t: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -199,10 +199,9 @@ class TreeProcess:
 
     ``values[k]`` has length ``tree.n_nodes(k)`` in its last axis.  A batch
     of B processes on one tree is a process whose slices all share one
-    leading shape, ``(B, tree.n_nodes(k))``; arithmetic broadcasts a plain
-    process against a batch.  Arrays are marked read-only; build new
-    processes instead of mutating.  A process may end before the terminal
-    depth (integrand processes end at N-1).
+    leading shape, ``(B, tree.n_nodes(k))``.  Arrays are marked read-only;
+    build new processes instead of mutating.  A process may end before the
+    terminal depth (integrand processes end at N-1).
     """
 
     __slots__ = ("tree", "values")
@@ -243,34 +242,6 @@ class TreeProcess:
 
     def root(self) -> float:
         return float(self.values[0][0])
-
-    def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "TreeProcess":
-        return TreeProcess(self.tree, [fn(v) for v in self.values], copy=False)
-
-    def _binary(self, other, op) -> "TreeProcess":
-        if isinstance(other, TreeProcess):
-            if other.tree != self.tree:
-                raise ValueError("processes live on different trees")
-            n = min(self.last_depth, other.last_depth)
-            return TreeProcess(
-                self.tree, [op(self.values[k], other.values[k]) for k in range(n + 1)],
-                copy=False,
-            )
-        return self.map(lambda v: op(v, other))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        return self.map(lambda v: v * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.map(np.negative)
 
     def max_abs(self) -> float:
         """Largest |value| over all depths; NaN when any slice holds NaN."""
@@ -478,16 +449,3 @@ def subtree_indicator(tree: ScenarioTree, depth: int, index: int) -> np.ndarray:
     flag[index] = 1.0
     return np.repeat(flag, 2 ** (tree.steps - depth))
 
-
-def increment_matrix(tree: ScenarioTree) -> np.ndarray:
-    """All +/- sqrt(dt) increment paths, one row per terminal node (full layout).
-
-    Materializes 2^N x N floats; guarded to modest depths.
-    """
-    if tree.layout != FULL:
-        raise ValueError("path enumeration requires the full layout")
-    if tree.steps > 16:
-        raise ValueError("path matrix limited to N <= 16; use slice recursions instead")
-    idx = np.arange(tree.n_nodes(tree.steps))[:, None]
-    bits = (idx >> np.arange(tree.steps - 1, -1, -1)[None, :]) & 1
-    return (2.0 * bits - 1.0) * tree.sqrt_dt

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .bsde import noise_step
-from .lattice import FULL, ScenarioTree, TreeProcess, backward_reduce, brownian
+from .lattice import FULL, ScenarioTree, TreeProcess, backward_reduce
 from .risk import DynamicRiskMeasure, supermartingale_gap
 
 DEFAULT_SCHEDULE = tuple(2 ** j for j in range(1, 15))
@@ -203,12 +203,19 @@ class _Sweep:
         return A, np.max(worst, axis=0, initial=0.0)
 
 
-def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, W: TreeProcess | None,
-              schedule: Sequence[float], tol: float) -> int:
-    """Check the target and, given ``W = Y + z B``, run the supermartingale
-    precheck on it; returns how many levels lead the schedule before the
-    first one that is not positive (the caller raises for that level when it
-    reaches it)."""
+def _plus_noise(Y: TreeProcess, z: float) -> TreeProcess:
+    """W = Y + z B, slice by slice."""
+    tree, z = Y.tree, float(z)
+    return TreeProcess(tree, [y + z * tree.brownian_slice(k) for k, y in enumerate(Y.values)],
+                       copy=False)
+
+
+def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, z: float | None,
+              schedule: Sequence[float], tol: float) -> tuple[int, TreeProcess | None]:
+    """Check the target and, given ``z``, run the supermartingale precheck on
+    W = Y + z B.  Returns how many levels lead the schedule before the first
+    one that is not positive (the caller raises for that level when it
+    reaches it), and W (None without ``z``)."""
     tree = drm.tree
     if Y.tree != tree:
         raise ValueError("target process lives on a different tree")
@@ -217,15 +224,17 @@ def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, W: TreeProcess | None,
     count = next((j for j, n in enumerate(schedule) if not n > 0), len(schedule))
     if not count:
         raise ValueError("penalization level must be positive")
-    if W is not None:
-        worst, witness = supermartingale_gap(drm, W)
-        if not worst <= tol * (1.0 + Y.max_abs()):
-            # Without a witness the NaN is a leaf of Y that the operator ignores.
-            where = f"{witness['node']} (depth {witness['depth']})" if witness else "the horizon"
-            raise ValueError(
-                f"input is not a rho-supermartingale: one-step violation "
-                f"{worst:.3g} at {where}")
-    return count
+    if z is None:
+        return count, None
+    W = _plus_noise(Y, z)
+    worst, witness = supermartingale_gap(drm, W)
+    if not worst <= tol * (1.0 + Y.max_abs()):
+        # Without a witness the NaN is a leaf of Y that the operator ignores.
+        where = f"{witness['node']} (depth {witness['depth']})" if witness else "the horizon"
+        raise ValueError(
+            f"input is not a rho-supermartingale: one-step violation "
+            f"{worst:.3g} at {where}")
+    return count, W
 
 
 def _sweep(drm: DynamicRiskMeasure, Y: TreeProcess, z: float, levels: Sequence[float],
@@ -283,7 +292,7 @@ def solve_penalized(
     certificate for when that is guaranteed).  This is the one-level case of
     the sweep :func:`doob_meyer` runs.
     """
-    _validate(drm, Y, Y + float(z) * brownian(drm.tree) if check else None, [n], tol)
+    _validate(drm, Y, z if check else None, [n], tol)
     sw = _sweep(drm, Y, z, [n], keep_y=True)
     sw.check_path_independent(0)
     A, _ = sw.compensate(1)
@@ -316,9 +325,8 @@ def doob_meyer(
     schedule = sorted(n_schedule) if n_schedule is not None else list(DEFAULT_SCHEDULE)
     if not schedule:
         raise ValueError("empty penalization schedule")
-    W = Y + float(z) * brownian(drm.tree)
     scale = 1.0 + Y.max_abs()
-    count = _validate(drm, Y, W, schedule, tol)
+    count, W = _validate(drm, Y, z, schedule, tol)
     sw = _sweep(drm, Y, z, schedule[:count])
 
     targets: list[float] = []
@@ -389,5 +397,4 @@ def canonical_supermartingale(
     :func:`doob_meyer` measures the drift surplus over the measure's own
     needs.  See :func:`canonical_drift` for the ``drift="exact"`` variant.
     """
-    return canonical_drift(mu_bar, nu_bar, z, tree, drift, drm) \
-        + float(z) * brownian(tree)
+    return _plus_noise(canonical_drift(mu_bar, nu_bar, z, tree, drift, drm), z)

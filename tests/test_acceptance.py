@@ -3,6 +3,7 @@
 Each test prints one PASS/FAIL line (run with -s to see them on success).
 Tolerances are stated inline; timed criteria assert their budget.
 """
+import dataclasses
 import math
 import time
 from contextlib import contextmanager
@@ -162,12 +163,12 @@ def test_06_conjugate_closed_form():
     with criterion(6, "numeric conjugate of mu|z| + nu z^2 matches its "
                       "closed form on 1000 points to 1e-6"):
         for mu, nu in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.25)):
-            g = quadratic_upper(mu, nu)
+            g = dataclasses.replace(quadratic_upper(mu, nu), conjugate_fn=None)
             xs = np.linspace(-6.0, 6.0, 1000)
             closed = np.maximum(np.abs(xs) - mu, 0.0) ** 2 / (4 * nu)
             worst = 0.0
             for x, c in zip(xs, closed):
-                pt = conjugate(g, 0.0, float(x), force_numeric=True)
+                pt = conjugate(g, 0.0, float(x))
                 worst = max(worst, abs(pt.value - c))
             assert worst <= 1e-6
 

@@ -9,7 +9,6 @@ from gexpect.bsde import (
     entropy_exact,
     entropy_step,
     euler_step,
-    extract_z,
     noise_step,
     solve_bsde,
 )
@@ -25,6 +24,7 @@ from gexpect.lattice import (
     cond_expect,
 )
 from gexpect.risk import custom, entropic, from_generator
+from oracles import extract_z
 
 
 def leaf_entropic(nu, xi, p=0.5):
@@ -298,7 +298,6 @@ class TestOnePass:
                 assert same_float(part.step_bound, full.step_bound)
                 assert (part.monotone_step, part.warnings) == \
                     (full.monotone_step, full.warnings)
-                assert part.terminal.tobytes() == full.terminal.tobytes()
 
     @pytest.mark.parametrize("layout,N", CASES)
     def test_explicit_step_takes_z_bit_for_bit(self, layout, N):
@@ -435,7 +434,7 @@ class TestBlockFold:
 def solved_fields(s):
     """Every field of a solution but its generator, floats as bits."""
     return ([y.tobytes() for y in s.Y.values], [z.tobytes() for z in s.Z.values],
-            s.scheme, s.terminal.tobytes(), float_bits(s.step_bound), s.monotone_step,
+            s.scheme, float_bits(s.step_bound), s.monotone_step,
             s.warnings, str(s.profile()))
 
 

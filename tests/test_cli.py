@@ -285,21 +285,43 @@ class TestMain:
         assert not out.exists()
 
     def test_converge_honours_depth_cap(self, tmp_path, capsys):
-        # converge builds each of its trees like solve: the cap applies to
-        # all, with an explicit layout and with auto alike
+        # parse_config builds every tree its task will run on, converge one
+        # per n_values entry: the cap applies to all, with an explicit layout
+        # and with auto alike, and is a configuration error
         for layout in ("full", "auto"):
             tree = {"steps": 4, "layout": layout, "depth_cap": 3}
             for task, params in (("solve", {}), ("converge", {"n_values": [4, 8, 16]})):
                 cfg = write_cfg(tmp_path, task=task, tree=tree, params=params)
-                assert main([task, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+                assert main([task, "--config", str(cfg), "--out", str(tmp_path)]) == 2
                 assert "exceeds the depth cap 3" in capsys.readouterr().err
             capped = dict(BASE, task="converge", params={"n_values": [4, 8, 16]},
                           tree={"steps": 4, "layout": layout, "depth_cap": 8})
-            with pytest.raises(ValueError, match="N=16 exceeds the depth cap 8"):
-                run(parse_config(json.dumps(capped)))
+            with pytest.raises(ConfigError, match="N=16 exceeds the depth cap 8"):
+                parse_config(json.dumps(capped))
             solve = dict(BASE, tree={"steps": 12, "layout": layout, "depth_cap": 8})
-            with pytest.raises(ValueError, match="N=12 exceeds the depth cap 8"):
-                run(parse_config(json.dumps(solve)))
+            with pytest.raises(ConfigError, match="N=12 exceeds the depth cap 8"):
+                parse_config(json.dumps(solve))
+
+    @pytest.mark.parametrize("task,tree,params,message", [
+        ("solve", {"steps": 30, "layout": "full"}, {}, "N=30 exceeds the depth cap 22"),
+        ("axioms", {"steps": 30, "layout": "full"}, {}, "N=30 exceeds the depth cap 22"),
+        ("solve", {"steps": 30}, {}, "only supports path-independent claims"),
+        ("solve", {"steps": 8, "layout": "recombining"}, {}, "path dependent"),
+        ("dual", {"steps": 8, "layout": "recombining"}, {}, "path dependent"),
+        ("converge", {"steps": 8, "layout": "recombining"}, {"n_values": [4, 8]},
+         "path dependent")])
+    def test_tree_the_task_cannot_run_on_exits_two(self, tmp_path, capsys, task, tree,
+                                                   params, message):
+        cfg = write_cfg(tmp_path, task=task, tree=tree, params=params,
+                        claim={"kind": "path_max"})
+        assert main([task, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_task_that_reads_no_claim_ignores_its_layout(self):
+        cfg = dict(BASE, task="penalize", claim={"kind": "path_max"},
+                   tree={"steps": 8, "layout": "recombining"})
+        assert run(parse_config(json.dumps(cfg))).passed
 
     def test_missing_measure_param_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, measure={"kind": "quadratic_upper", "mu": 0.3})

@@ -1,4 +1,5 @@
 """Driver families, convex conjugates, and class verification."""
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from gexpect.generators import (
     quadratic_lower,
     quadratic_upper,
     scaled_abs,
-    subdifferential,
+    subdifferential_slices,
     sublinear_interval,
     verify_class,
 )
@@ -71,8 +72,8 @@ class TestConjugate:
         g = quadratic_upper(0.8, 1.3)
         xs = np.linspace(-5, 5, 1001)
         closed = conjugate_values(g, 0.0, xs)
-        numeric = np.array(
-            [conjugate(g, 0.0, float(x), force_numeric=True).value for x in xs])
+        numeric_only = dataclasses.replace(g, conjugate_fn=None)
+        numeric = np.array([conjugate(numeric_only, 0.0, float(x)).value for x in xs])
         assert np.max(np.abs(numeric - closed)) <= 1e-6
 
     def test_entropy_conjugate(self):
@@ -114,19 +115,19 @@ class TestConjugate:
 class TestSubdifferential:
     def test_smooth_point(self):
         g = entropy(0.5)
-        lo, hi = subdifferential(g, 0.0, 1.2)
+        (lo,), (hi,) = subdifferential_slices(g, 0.0, [1.2])
         assert lo == pytest.approx(hi, abs=1e-7)
         assert lo == pytest.approx(2 * 0.5 * 1.2, abs=1e-6)
 
     def test_kink_is_interval(self):
         g = scaled_abs(2.0)
-        lo, hi = subdifferential(g, 0.0, 0.0)
+        (lo,), (hi,) = subdifferential_slices(g, 0.0, [0.0])
         assert lo == pytest.approx(-2.0, abs=1e-6)
         assert hi == pytest.approx(2.0, abs=1e-6)
 
     def test_rejects_nonconvex(self):
         with pytest.raises(ValueError, match="convex"):
-            subdifferential(quadratic_lower(1.0, 1.0), 0.0, 0.5)
+            subdifferential_slices(quadratic_lower(1.0, 1.0), 0.0, [0.5])
 
 
 class TestVerifyClass:

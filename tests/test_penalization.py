@@ -25,12 +25,13 @@ from gexpect.generators import quadratic_upper
 from gexpect.claims import call
 from gexpect.risk import custom, entropic, from_generator, one_step_defects, rho_solved, \
     supermartingale_gap
+from oracles import add, scale
 
 
 def identity_gap(drm, sol):
     """Worst one-step defect |rho_k(-M_{k+1}) - M_k| of M = y + zB + A, folded
     depth by depth: the rho-martingale identity the implicit step solves."""
-    M = sol.y + sol.z * brownian(sol.tree) + sol.A
+    M = add(sol.y, scale(brownian(sol.tree), sol.z), sol.A)
     worst = 0.0
     for _, defect in one_step_defects(drm, M):
         worst = max(worst, float(np.max(np.abs(defect))))
@@ -91,7 +92,7 @@ class TestSolvePenalized:
         drm = entropic(0.5, tree)
         # drift too weak for the driver at this slope
         Y = canonical_drift(0.0, 0.25, 4.0, tree)
-        gap, witness = supermartingale_gap(drm, Y + 4.0 * brownian(tree))
+        gap, witness = supermartingale_gap(drm, add(Y, scale(brownian(tree), 4.0)))
         assert gap > 0
         with pytest.raises(ValueError, match="supermartingale"):
             solve_penalized(drm, Y, 4.0, 16.0)
@@ -270,7 +271,7 @@ def reference_penalized(drm, Y, z, n, tol=1e-10):
         y[k] = (phi + n_dt * Y.values[k]) / (1.0 + n_dt)
     increments = [n_dt * (Y.values[k] - y[k]) for k in range(N)]
     A = reference_accumulate(tree, increments)
-    M = TreeProcess(tree, y, copy=False) + z * brownian(tree) + A
+    M = add(TreeProcess(tree, y, copy=False), scale(brownian(tree), z), A)
     worst = 0.0
     for k in range(M.last_depth):
         down, up = tree.split_children(M.values[k + 1])
@@ -340,7 +341,7 @@ class TestOnReduction:
 
 def martingale_gap(drm, W, A):
     """Worst one-step defect of W + A folded depth by depth, as a level reports it."""
-    worst = [float(np.max(np.abs(d))) for _, d in one_step_defects(drm, W + A)]
+    worst = [float(np.max(np.abs(d))) for _, d in one_step_defects(drm, add(W, A))]
     return float(np.max(worst, initial=0.0))
 
 
@@ -353,7 +354,7 @@ class TestOneSweep:
         schedule = (2.0, 16.0, 128.0, 1024.0, 4096.0)
         for drm, Y, z in penalization_cases(layout, N):
             dec = doob_meyer(drm, Y, z, n_schedule=schedule, rel_stop=0.0)
-            W = Y + z * brownian(drm.tree)
+            W = add(Y, scale(brownian(drm.tree), z))
             assert [lv["n"] for lv in dec.levels] == list(schedule)
             for lv in dec.levels:
                 sol = solve_penalized(drm, Y, z, lv["n"], check=False)
@@ -485,7 +486,7 @@ class TestErrorPrecedence:
         # ... and where the schedule reaches it
         with pytest.raises(ValueError, match="level must be positive"):
             doob_meyer(drm, Y, 1.0, n_schedule=(4.0, float("nan"), -2.0, 8.0))
-        with pytest.raises(ValueError, match="processes live on different trees"):
+        with pytest.raises(ValueError, match="target process lives on a different tree"):
             doob_meyer(drm, canonical_drift(1.0, 0.5, 1.0, build_tree(1.0, 8, RECOMBINING)),
                        1.0)
         with pytest.raises(ValueError, match="must reach the terminal depth"):

@@ -34,6 +34,7 @@ from gexpect.risk import (
 )
 from gexpect.claims import first_hitting, fixed_depth, random_stopping
 from gexpect.penalization import canonical_supermartingale
+from oracles import scale
 
 
 class TestRho:
@@ -172,19 +173,6 @@ class TestAxioms:
             check_domination(drm, 0.0, 0.5, [])
 
 
-def test_suites_compare_without_process_arithmetic(monkeypatch):
-    """Every check compares solution slices; none builds a process of gaps."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("TreeProcess arithmetic in a check suite")
-
-    monkeypatch.setattr(TreeProcess, "_binary", refuse)
-    monkeypatch.setattr(TreeProcess, "map", refuse)
-    tree = build_tree(1.0, 4, FULL)
-    for drm in (entropic(0.5, tree), from_generator(quadratic_upper(0.3, 0.5), tree)):
-        assert set(check_axioms(drm, seed=2).checks) == set(AXIOMS)
-        assert len(check_domination(drm, *drm.bounds, seed=2).checks) == 3
-
-
 def unreachable_step(k, down, up):
     raise AssertionError("a solve ran before the inputs were checked")
 
@@ -263,7 +251,7 @@ class TestNanPrecheck:
         drm = custom(lambda k, down, up: np.where(down > 0.5, np.nan, step(k, down, up)),
                      tree)
         with np.errstate(invalid="ignore"):
-            gap, witness = supermartingale_gap(drm, brownian(tree) * 2.0)
+            gap, witness = supermartingale_gap(drm, scale(brownian(tree), 2.0))
         assert gap > 0 and witness["gap"] == gap
 
     def test_optional_stopping_rejects_nan(self):
@@ -301,7 +289,7 @@ class TestOptionalStopping:
         tree = build_tree(1.0, 8, FULL)
         drm = entropic(0.5, tree)
         # B_t itself is a rho-submartingale here, not a supermartingale
-        W = brownian(tree) * 2.0
+        W = scale(brownian(tree), 2.0)
         with pytest.raises(ValueError, match="supermartingale"):
             optional_stopping_check(drm, W, fixed_depth(tree, 2),
                                     fixed_depth(tree, 6))
