@@ -83,12 +83,10 @@ from .risk import (
     supermartingale_gap,
 )
 from .dual import (
-    DensityProcess,
     DualityReport,
     DualValue,
     EntropyEstimates,
     TiltedMeasure,
-    constant_density,
     dual_value,
     gibbs_density,
     optimal_density,

@@ -24,12 +24,13 @@ by its scheme's rule (see SolvedBSDE), the step monotonicity
 (mu + 2 nu max|Z|) sqrt(dt) <= 1 under which comparison-type statements
 survive discretization (Chassagneux & Richou, AAP 2016).
 
-A solve may keep only the depths 0..``keep`` of Y and Z.  The depths it
-drops are folded into a per-depth (min, max) profile as the pass goes, and
-the certificate reads max|Z| off that fold, so a root-only solve on the
-recombining layout runs in O(N) memory.  The fold runs per block of
-depths: consecutive dropped depths are packed into one small buffer and
-reduced together, with the same values a depth-by-depth fold gives.
+A measure's solve (``solve_terminal``, ``risk.rho_solved``) may keep only
+the depths 0..``keep`` of Y and Z.  The depths it drops are folded into a
+per-depth (min, max) profile as the pass goes, and the certificate reads
+max|Z| off that fold, so a root-only solve on the recombining layout runs
+in O(N) memory.  The fold runs per block of depths: consecutive dropped
+depths are packed into one small buffer and reduced together, with the
+same values a depth-by-depth fold gives.
 """
 from __future__ import annotations
 
@@ -229,36 +230,33 @@ def _certificate(tree: ScenarioTree, max_z: float, mu: float, nu: float):
     return bound, False, ("step-monotonicity certificate fails: " + detail,)
 
 
-def solve_bsde(g: Generator, terminal, tree: ScenarioTree | None = None,
-               keep: int | None = None) -> SolvedBSDE:
+def solve_bsde(g: Generator, terminal, tree: ScenarioTree | None = None) -> SolvedBSDE:
     """Solve the backward equation with driver ``g`` by the explicit scheme.
 
     ``terminal`` is the literal terminal condition (a depth-N slice or a
     TreeProcess whose last slice is used); risk-measure sign conventions
     live one layer up.  Never fails at solve time: if the step-monotonicity
-    certificate does not hold, a warning is attached instead.  ``keep``
-    limits the stored depths (see SolvedBSDE).
+    certificate does not hold, a warning is attached instead.
     """
     tree, last, xi = _terminal_array(terminal, tree)
     if last != tree.steps:
         raise ValueError("terminal condition must sit at the horizon")
-    return _solve(tree, xi, euler_step(g, tree), keep, "explicit", g)
+    return _solve(tree, xi, euler_step(g, tree), None, "explicit", g)
 
 
-def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None,
-                  keep: int | None = None) -> SolvedBSDE:
+def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None) -> SolvedBSDE:
     """Exact solution for the driver nu*z^2 via the log-sum-exp recursion.
 
     Node values equal (1/2nu) log E[exp(2nu * xi) | node] to machine
     precision; the recursion *is* that conditional expectation factorized
-    one step at a time.  ``keep`` limits the stored depths (see SolvedBSDE).
+    one step at a time.
     """
     if nu <= 0:
         raise ValueError("entropy_exact needs nu > 0")
     tree, last, xi = _terminal_array(terminal, tree)
     if last != tree.steps:
         raise ValueError("terminal condition must sit at the horizon")
-    return _solve(tree, xi, entropy_step(nu, tree), keep, "entropy_exact", entropy(nu))
+    return _solve(tree, xi, entropy_step(nu, tree), None, "entropy_exact", entropy(nu))
 
 
 def noise_step(one_step: StepFn, k: int, z, tree: ScenarioTree) -> np.ndarray:

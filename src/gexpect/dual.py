@@ -1,11 +1,11 @@
 """Measure changes on the tree and the dual view of convex risk measures.
 
-A density process q tilts the one-step probabilities to
-p_up = (1 + q sqrt(dt)) / 2, the discrete Girsanov move: the noise gains
-drift exactly q dt per step.  The likelihood ratio is the multiplicative
-(Doleans) product theta_{k+1} = theta_k (1 + q dB), an exact reference
-martingale, and Bayes' rule ties tilted and reference conditionals together
-with no truncation error.
+A measure Q on the tree is its tilt rates q (a ``TiltedMeasure``), which
+set the one-step probabilities to p_up = (1 + q sqrt(dt)) / 2, the discrete
+Girsanov move: the noise gains drift exactly q dt per step.  The likelihood
+ratio is the multiplicative (Doleans) product theta_{k+1} =
+theta_k (1 + q dB), an exact reference martingale, and Bayes' rule ties
+tilted and reference conditionals together with no truncation error.
 
 With f the Legendre-Fenchel conjugate of a convex driver, every admissible
 q gives the lower bound E_Q[-xi - int f(s, q_s) ds] <= rho_0(xi), attained
@@ -23,10 +23,11 @@ root-only, with all its reductions writing into one workspace allocated
 once per call, so a sweep over many densities on a large full tree does not
 allocate, and fault in, fresh slices for each one.
 
-A constant density holds one float per depth as a stride-0 view, and so do
-its up probabilities.  The kernels evaluate the terms of q alone (1 - p,
-log1p(-+q sqrt(dt)), the penalty) once per depth for it, and its entropy
-row, whose terminal is zero, runs at width 1 all the way to the root.
+A constant tilt (``tilt(value, tree)``) holds one float per depth as a
+stride-0 view, and so do its up probabilities.  The kernels evaluate the
+terms of q alone (1 - p, log1p(-+q sqrt(dt)), the penalty) once per depth
+for it, and its entropy row, whose terminal is zero, runs at width 1 all
+the way to the root, where ``lattice._fresh`` keeps one float per depth.
 """
 from __future__ import annotations
 
@@ -45,9 +46,9 @@ from .risk import DynamicRiskMeasure
 DEFAULT_ADMISSIBILITY_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
-class DensityProcess:
-    """Adapted tilt rates q_k, one slice per step 0..N-1.
+class TiltedMeasure:
+    """The probability measure of adapted tilt rates q_k, one slice per step
+    0..N-1: p_up = (1 + q sqrt(dt)) / 2 at every node.
 
     Admissibility requires a finite |q| sqrt(dt) <= 1 - delta at every node
     so both tilted one-step probabilities stay inside (0, 1).
@@ -55,16 +56,13 @@ class DensityProcess:
     how far each node's rate is from satisfying the conjugacy equality.
     """
 
-    q: TreeProcess
-    delta: float = DEFAULT_ADMISSIBILITY_MARGIN
-    fenchel_residual: TreeProcess | None = None
-
-    def __post_init__(self):
-        tree = self.q.tree
-        if self.q.last_depth != tree.steps - 1:
+    def __init__(self, q: TreeProcess, delta: float = DEFAULT_ADMISSIBILITY_MARGIN,
+                 fenchel_residual: TreeProcess | None = None):
+        tree = q.tree
+        if q.last_depth != tree.steps - 1:
             raise ValueError("a density process needs exactly one slice per step")
-        cap = 1.0 - self.delta
-        for k, slice_ in enumerate(self.q.values):
+        cap = 1.0 - delta
+        for k, slice_ in enumerate(q.values):
             slice_ = _compact(slice_)  # a constant slice's witness is node 0
             worst = int(np.argmax(np.abs(slice_)))  # a NaN rate wins argmax
             size = abs(slice_[worst]) * tree.sqrt_dt
@@ -74,33 +72,9 @@ class DensityProcess:
                 raise ValueError(
                     f"inadmissible density: {detail} at depth {k}, "
                     f"node {tree.node_label(k, worst)}")
-
-    @property
-    def tree(self) -> ScenarioTree:
-        return self.q.tree
-
-
-def constant_density(tree: ScenarioTree, value: float) -> DensityProcess:
-    """The density q = ``value`` at every node.
-
-    Each depth is one float broadcast to the node width, a read-only
-    stride-0 view, so the density takes constant memory at any depth and
-    the tilted kernels run its q terms once per depth.
-    """
-    one = np.array(float(value))
-    q = TreeProcess(tree, [np.broadcast_to(one, (tree.n_nodes(k),))
-                           for k in range(tree.steps)], copy=False)
-    return DensityProcess(q)
-
-
-class TiltedMeasure:
-    """The probability measure induced by a density process."""
-
-    def __init__(self, density: DensityProcess):
-        self.density = density
-        self.tree = density.tree
-        self._p_up = [np.broadcast_to(0.5 * (1.0 + _compact(v) * self.tree.sqrt_dt),
-                                      v.shape) for v in density.q.values]
+        self.q, self.delta, self.fenchel_residual, self.tree = q, delta, fenchel_residual, tree
+        self._p_up = [np.broadcast_to(0.5 * (1.0 + _compact(v) * tree.sqrt_dt), v.shape)
+                      for v in q.values]
 
     def p_up(self, depth: int) -> np.ndarray:
         """Read-only up probabilities at ``depth``, one per node.
@@ -112,19 +86,22 @@ class TiltedMeasure:
 
 
 def tilt(q, tree: ScenarioTree | None = None) -> TiltedMeasure:
-    """Build the tilted measure from a density (TreeProcess, array-like, or scalar)."""
-    if isinstance(q, DensityProcess):
-        return TiltedMeasure(q)
+    """The tilted measure of ``q``: a TiltedMeasure (returned as it is), a
+    TreeProcess of rates, or, given ``tree``, a scalar or one array-like per
+    depth.  A scalar, and each per-depth scalar, is one float broadcast to
+    the node width (a read-only stride-0 view)."""
+    if isinstance(q, TiltedMeasure):
+        return q
     if isinstance(q, TreeProcess):
-        return TiltedMeasure(DensityProcess(q))
+        return TiltedMeasure(q)
     if tree is None:
         raise ValueError("a tree is required when passing raw density values")
     if np.isscalar(q):
-        return TiltedMeasure(constant_density(tree, float(q)))
+        q = [float(q)] * tree.steps
     # Copy, then broadcast: a per-depth scalar stays one float, aliasing nothing.
     slices = [np.broadcast_to(np.array(v, dtype=float), (tree.n_nodes(k),))
               for k, v in enumerate(q)]
-    return TiltedMeasure(DensityProcess(TreeProcess(tree, slices, copy=False)))
+    return TiltedMeasure(TreeProcess(tree, slices, copy=False))
 
 
 @dataclass
@@ -145,7 +122,7 @@ def _entropy_kernel(m: TiltedMeasure):
     entropy of the tilt: ``(1 - p) (down + log1p(-q sqrt(dt)))
     + p (up + log1p(q sqrt(dt)))``, in that order (see ``lattice._tilted_mean``).
     The terms of q alone fill the first width(q) scratch entries."""
-    q, sdt = m.density.q.values, m.tree.sqrt_dt
+    q, sdt = m.q.values, m.tree.sqrt_dt
 
     def kernel(k, down, up, out, a, b):
         qk, p, down, up = (_compact(v) for v in (q[k], m.p_up(k), down, up))
@@ -208,7 +185,7 @@ class _PenalizedKernel:
 
     def __call__(self, k, down, up, out, a, b):
         dt = self.m.tree.dt
-        q = self.m.density.q.values[k]
+        q = self.m.q.values[k]
         qc = _compact(q)
         wq = qc.shape[-1]
         cost = np.asarray(self.penalty_fn(k * dt, qc), dtype=float)
@@ -233,7 +210,7 @@ def dual_value(m: TiltedMeasure, xi, penalty, tree: ScenarioTree | None = None) 
     return DualValue(proc, bool(np.isfinite(proc.root())), kernel.infinite)
 
 
-def optimal_density(solved: SolvedBSDE, generator: Generator | None = None) -> DensityProcess:
+def optimal_density(solved: SolvedBSDE, generator: Generator | None = None) -> TiltedMeasure:
     """Subdifferential selection along the solved martingale integrand.
 
     Picks the midpoint of [g'(Z-), g'(Z+)] at every node (any selection
@@ -261,14 +238,14 @@ def optimal_density(solved: SolvedBSDE, generator: Generator | None = None) -> D
         q_slices.append(q)
     q_proc = TreeProcess(tree, q_slices, copy=False)
     try:
-        return DensityProcess(q_proc, fenchel_residual=TreeProcess(tree, res_slices, copy=False))
+        return TiltedMeasure(q_proc, fenchel_residual=TreeProcess(tree, res_slices, copy=False))
     except ValueError as exc:
         raise ValueError(
             f"{exc}; the subdifferential selection needs a finer grid "
             "(|q| sqrt(dt) must stay below 1)") from None
 
 
-def gibbs_density(nu: float, xi, tree: ScenarioTree) -> DensityProcess:
+def gibbs_density(nu: float, xi, tree: ScenarioTree) -> TiltedMeasure:
     """Density of the Gibbs measure dQ proportional to exp(-2 nu xi) dP.
 
     This is the exact maximizer of E_Q[-xi] - (1/2nu) H(Q | P) over all
@@ -291,7 +268,7 @@ def gibbs_density(nu: float, xi, tree: ScenarioTree) -> DensityProcess:
     margin = 1.0 - q.max_abs() * tree.sqrt_dt
     if margin <= 0.0:
         raise ValueError("degenerate Gibbs tilt: a one-step probability hit 0 or 1")
-    return DensityProcess(q, min(DEFAULT_ADMISSIBILITY_MARGIN, 0.5 * margin))
+    return TiltedMeasure(q, min(DEFAULT_ADMISSIBILITY_MARGIN, 0.5 * margin))
 
 
 class _Workspace:
@@ -390,7 +367,7 @@ def verify_duality(
             return root, bool(np.isfinite(root))
 
     rows: list[dict] = []
-    opt_value, opt_feasible = evaluate(TiltedMeasure(opt))
+    opt_value, opt_feasible = evaluate(opt)
     optimal_gap = rho_root - opt_value
     rows.append({"density": "subdifferential_selection", "value": opt_value,
                  "feasible": opt_feasible,
@@ -402,7 +379,7 @@ def verify_duality(
         q_cap = min(g.mu + 2.0 * g.nu * z_cap, 0.9 / tree.sqrt_dt)
         q_sweep = np.linspace(-q_cap, q_cap, 9)
     for qv in q_sweep:
-        value, feasible = evaluate(TiltedMeasure(constant_density(tree, float(qv))))
+        value, feasible = evaluate(tilt(float(qv), tree))
         rows.append({"density": f"constant[{float(qv):.6g}]", "value": value,
                      "feasible": feasible})
 
@@ -412,14 +389,14 @@ def verify_duality(
         for i in range(n_random):
             q = TreeProcess(tree, [rng.uniform(-cap, cap, tree.n_nodes(k))
                                    for k in range(tree.steps)], copy=False)
-            value, feasible = evaluate(TiltedMeasure(DensityProcess(q)))
+            value, feasible = evaluate(TiltedMeasure(q))
             rows.append({"density": f"random[{i}]", "value": value,
                          "feasible": feasible})
 
     gibbs_gap = None
     if drm.scheme == "entropy_exact" and tree.layout == FULL:
         gq = gibbs_density(g.nu, -neg_xi, tree)
-        value, _ = evaluate(TiltedMeasure(gq))
+        value, _ = evaluate(gq)
         gibbs_gap = rho_root - value
         rows.append({"density": "gibbs", "value": value, "feasible": True})
 

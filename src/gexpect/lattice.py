@@ -34,11 +34,12 @@ processes along a leading axis (the penalization schedule solves all its
 levels this way).
 
 A slice that repeats one value may be a read-only stride-0 view of that
-value (``np.broadcast_to``), as the rates of a constant density and the
+value (``np.broadcast_to``), as the rates of a constant tilt and the
 zero terminal of a relative entropy are.  The in-place tilted kernels
 compute at the width their inputs vary over (:func:`_compact`) and return
-the result at that width; the caller (:func:`_fresh`, or the root-only
-workspace of ``dual``) broadcasts it back to the node width.  A reduction
+the result at that width; the caller (:func:`_fresh`, which copies a
+narrower result out of its buffers, or the root-only workspace of
+``dual``) broadcasts it back to the node width.  A reduction
 whose terminal and measure are both constant so runs at width 1 from the
 horizon to the root, and every value equals, bit for bit, the one computed
 node by node.
@@ -387,11 +388,16 @@ def _tilted_mean(measure):
 
 
 def _fresh(kernel):
-    """The one-step function of an in-place kernel: new arrays at every step."""
+    """The one-step function of an in-place kernel: new arrays at every step.
+
+    A result narrower than the node width is copied out of its node-width
+    buffer, so a constant row keeps one float per depth, not the buffer."""
 
     def step(k, down, up):
         out = kernel(k, down, up, np.empty_like(down), np.empty_like(down),
                      np.empty_like(down))
+        if out.shape[-1] < down.shape[-1]:
+            out = out.copy()
         return np.broadcast_to(out, down.shape)
 
     return step
@@ -412,9 +418,10 @@ def cond_expect(proc, depth: int, measure=None, tree: ScenarioTree | None = None
     full layout, slices below ``depth`` repeat the depth value on each
     subtree so the object represents that single random variable everywhere.
 
-    ``measure`` may be anything exposing ``p_up(depth) -> slice`` of one-step
-    up probabilities (see :class:`gexpect.dual.TiltedMeasure`); the default
-    is the reference measure with p_up = 1/2.
+    ``measure`` is a :class:`gexpect.dual.TiltedMeasure` (``dual.tilt``
+    builds one from rates), or anything else exposing ``p_up(depth) ->
+    slice`` of one-step up probabilities; the default is the reference
+    measure with p_up = 1/2.
     """
     tree, last, values = _terminal_array(proc, tree)
     if not 0 <= depth <= last:

@@ -211,21 +211,20 @@ def _plus_noise(Y: TreeProcess, z: float) -> TreeProcess:
 
 
 def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, z: float | None,
-              schedule: Sequence[float], tol: float) -> tuple[int, TreeProcess | None]:
-    """Check the target and, given ``z``, run the supermartingale precheck on
-    W = Y + z B.  Returns how many levels lead the schedule before the first
-    one that is not positive (the caller raises for that level when it
-    reaches it), and W (None without ``z``)."""
+              schedule: Sequence[float], tol: float) -> TreeProcess | None:
+    """Check the target and every level of ``schedule`` and, given ``z``,
+    run the supermartingale precheck on W = Y + z B.  Returns W (None
+    without ``z``)."""
     tree = drm.tree
     if Y.tree != tree:
         raise ValueError("target process lives on a different tree")
     if Y.last_depth != tree.steps:
         raise ValueError("target process must reach the terminal depth")
-    count = next((j for j, n in enumerate(schedule) if not n > 0), len(schedule))
-    if not count:
-        raise ValueError("penalization level must be positive")
+    for n in schedule:
+        if not (math.isfinite(n) and n > 0):
+            raise ValueError(f"penalization level must be positive and finite, got {n}")
     if z is None:
-        return count, None
+        return None
     W = _plus_noise(Y, z)
     worst, witness = supermartingale_gap(drm, W)
     if not worst <= tol * (1.0 + Y.max_abs()):
@@ -234,7 +233,7 @@ def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, z: float | None,
         raise ValueError(
             f"input is not a rho-supermartingale: one-step violation "
             f"{worst:.3g} at {where}")
-    return count, W
+    return W
 
 
 def _sweep(drm: DynamicRiskMeasure, Y: TreeProcess, z: float, levels: Sequence[float],
@@ -319,21 +318,21 @@ def doob_meyer(
     the one-step martingale defect of Y + zB + A, which must shrink along
     the schedule.
 
-    All levels are solved in one sweep.  Errors and the stop follow level
-    order, then depth order, so a level past the stop is never judged.
+    Every level must be finite and positive; any other raises before the
+    precheck.  All levels are solved in one sweep.  The checks and the stop
+    follow level order, then depth order, so a level past the stop is never
+    judged.
     """
     schedule = sorted(n_schedule) if n_schedule is not None else list(DEFAULT_SCHEDULE)
     if not schedule:
         raise ValueError("empty penalization schedule")
     scale = 1.0 + Y.max_abs()
-    count, W = _validate(drm, Y, z, schedule, tol)
-    sw = _sweep(drm, Y, z, schedule[:count])
+    W = _validate(drm, Y, z, schedule, tol)
+    sw = _sweep(drm, Y, z, schedule)
 
     targets: list[float] = []
     converged = False
     for j, n in enumerate(schedule):
-        if j == count:
-            raise ValueError("penalization level must be positive")
         sw.check_path_independent(j)
         if j:
             sw.check_increase(j, schedule[j - 1], n, tol * scale)

@@ -109,10 +109,10 @@ def to_plain(obj):
     return obj
 
 
-def render_structured(data: Mapping[str, Any], title: str = "report") -> str:
-    """One hierarchical text document; keys keep insertion order."""
+def render_structured(data: Mapping[str, Any]) -> str:
+    """One hierarchical text document under ``report:``; keys keep insertion order."""
     out = io.StringIO()
-    out.write(f"{title}:\n")
+    out.write("report:\n")
     _render(to_plain(data), out, 1)
     return out.getvalue()
 

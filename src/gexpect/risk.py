@@ -114,13 +114,9 @@ def rho_solved(drm: DynamicRiskMeasure, xi, keep: int | None = None) -> SolvedBS
     return drm.solve_terminal(-_terminal_of(drm.tree, xi), keep=keep)
 
 
-def rho(drm: DynamicRiskMeasure, xi, depth: int | None = None) -> TreeProcess:
-    """The risk process rho_t(xi) at every depth (terminal slice is -xi).
-
-    ``depth`` truncates the returned process; values are identical to the
-    untruncated ones, and the solve stores no deeper slice.
-    """
-    return rho_solved(drm, xi, keep=depth).Y
+def rho(drm: DynamicRiskMeasure, xi) -> TreeProcess:
+    """The risk process rho_t(xi) at every depth (terminal slice is -xi)."""
+    return rho_solved(drm, xi).Y
 
 
 # ---------------------------------------------------------------------------

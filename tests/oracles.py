@@ -64,7 +64,7 @@ def theta(measure) -> TreeProcess:
     slices = [np.ones(1)]
     for k in range(tree.steps):
         parent = slices[k]
-        q = measure.density.q.values[k]
+        q = measure.q.values[k]
         child = np.empty(2 * parent.size)
         child[0::2] = parent * (1.0 - q * sdt)
         child[1::2] = parent * (1.0 + q * sdt)

@@ -274,9 +274,9 @@ class TestOnePass:
         g = quadratic_upper(0.3, 0.5)
         if solve == "overflow":
             tree, xi = overflowing_claim()
-        run = {"explicit": lambda keep: solve_bsde(g, xi, tree, keep),
-               "overflow": lambda keep: solve_bsde(g, xi, tree, keep),
-               "entropy": lambda keep: entropy_exact(0.5, xi, tree, keep),
+        run = {"explicit": lambda keep: from_generator(g, tree).solve_terminal(xi, keep),
+               "overflow": lambda keep: from_generator(g, tree).solve_terminal(xi, keep),
+               "entropy": lambda keep: entropic(0.5, tree).solve_terminal(xi, keep),
                "custom": lambda keep: custom(euler_step(g, tree), tree).solve_terminal(
                    xi, keep)}[solve]
         with np.errstate(all="ignore"):
@@ -354,8 +354,8 @@ class TestBlockFold:
     @staticmethod
     def solver(kind, tree, xi):
         g = quadratic_upper(0.3, 0.5)
-        return {"explicit": lambda keep: solve_bsde(g, xi, tree, keep),
-                "entropy": lambda keep: entropy_exact(0.5, xi, tree, keep),
+        return {"explicit": lambda keep: from_generator(g, tree).solve_terminal(xi, keep),
+                "entropy": lambda keep: entropic(0.5, tree).solve_terminal(xi, keep),
                 "custom": lambda keep: custom(euler_step(g, tree), tree).solve_terminal(
                     xi, keep),
                 "sign_keeping": lambda keep: custom(sign_keeping_step, tree).solve_terminal(
@@ -424,24 +424,28 @@ class TestBlockFold:
             return real_empty(shape, *args, **kwargs)
 
         monkeypatch.setattr(bsde.np, "empty", spy)
-        solve_bsde(quadratic_upper(0.3, 0.5), xi, tree)
-        solve_bsde(quadratic_upper(0.3, 0.5), xi, tree, keep=39)
+        drm = from_generator(quadratic_upper(0.3, 0.5), tree)
+        drm.solve_terminal(xi)
+        drm.solve_terminal(xi, 39)
         assert bsde._BLOCK not in shapes
-        solve_bsde(quadratic_upper(0.3, 0.5), xi, tree, keep=0)
+        drm.solve_terminal(xi, 0)
         assert shapes.count(bsde._BLOCK) == 2
 
 
-def solved_fields(s):
-    """Every field of a solution but its generator, floats as bits."""
-    return ([y.tobytes() for y in s.Y.values], [z.tobytes() for z in s.Z.values],
+def solved_fields(s, keep=None):
+    """Every field of a solution but its generator, floats as bits; ``keep``
+    cuts Y and Z to the depths a solve keeping 0..keep stores (its profile
+    is the whole one)."""
+    ys, zs = (v.values if keep is None else v.values[: keep + 1] for v in (s.Y, s.Z))
+    return ([y.tobytes() for y in ys], [z.tobytes() for z in zs],
             s.scheme, float_bits(s.step_bound), s.monotone_step,
             s.warnings, str(s.profile()))
 
 
 class TestSolvePaths:
     """A measure's solve equals the solve function of its scheme, field for
-    field, on both layouts and whatever depths it keeps; a custom operator's
-    solution carries no certificate."""
+    field, on both layouts and whatever depths the measure's solve keeps; a
+    custom operator's solution carries no certificate."""
 
     CASES = [(FULL, 10), (RECOMBINING, 120)]
 
@@ -458,9 +462,10 @@ class TestSolvePaths:
         for g in (quadratic_upper(0.3, 0.5), quadratic_upper(1.0, 2.0)):
             drm = from_generator(g, tree)
             for xi in terminals:
+                b = solve_bsde(g, xi, tree)
                 for keep in keeps:
-                    a, b = drm.solve_terminal(xi, keep), solve_bsde(g, xi, tree, keep)
-                    assert solved_fields(a) == solved_fields(b)
+                    a = drm.solve_terminal(xi, keep)
+                    assert solved_fields(a) == solved_fields(b, keep)
                     assert a.scheme == "explicit" and a.generator is g and b.generator is g
                     assert a.monotone_step == (a.step_bound <= 1.0)
                     assert bool(a.warnings) != a.monotone_step
@@ -474,9 +479,10 @@ class TestSolvePaths:
         for nu in (0.5, 2.0):
             drm = entropic(nu, tree)
             for xi in terminals:
+                b = entropy_exact(nu, xi, tree)
                 for keep in keeps:
-                    a, b = drm.solve_terminal(xi, keep), entropy_exact(nu, xi, tree, keep)
-                    assert solved_fields(a) == solved_fields(b)
+                    a = drm.solve_terminal(xi, keep)
+                    assert solved_fields(a) == solved_fields(b, keep)
                     assert a.scheme == "entropy_exact"
                     assert a.generator is None and b.generator is None
                     # the exact recursion is monotone whatever its bound
@@ -491,9 +497,10 @@ class TestSolvePaths:
         step = euler_step(g, tree)
         drm = custom(lambda k, down, up: step(k, down, up), tree)  # three arguments
         for xi in terminals:
+            b = solve_bsde(g, xi, tree)
             for keep in keeps:
-                a, b = drm.solve_terminal(xi, keep), solve_bsde(g, xi, tree, keep)
-                assert solved_fields(a)[:2] == solved_fields(b)[:2]
+                a = drm.solve_terminal(xi, keep)
+                assert solved_fields(a)[:2] == solved_fields(b, keep)[:2]
                 assert str(a.profile()) == str(b.profile())
                 assert a.scheme == "custom" and a.generator is None
                 assert math.isnan(a.step_bound)

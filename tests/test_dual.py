@@ -7,11 +7,10 @@ import pytest
 
 from gexpect.claims import call, sample_claims
 from gexpect.dual import (
-    DensityProcess,
+    TiltedMeasure,
     _PenalizedKernel,
     _Workspace,
     _entropy_kernel,
-    constant_density,
     dual_value,
     gibbs_density,
     optimal_density,
@@ -43,9 +42,9 @@ from oracles import increment_matrix, theta
 class TestDensities:
     def test_admissibility_window(self):
         tree = build_tree(1.0, 4, FULL)
-        constant_density(tree, 1.5)  # |q| sqrt(dt) = 0.75 < 1
+        tilt(1.5, tree)  # |q| sqrt(dt) = 0.75 < 1
         with pytest.raises(ValueError) as err:
-            constant_density(tree, 2.1)  # 1.05 > 1 - delta
+            tilt(2.1, tree)  # 1.05 > 1 - delta
         assert "root" in str(err.value) or "node" in str(err.value)
 
     @pytest.mark.parametrize("bad,message", [
@@ -62,7 +61,37 @@ class TestDensities:
         else:
             q[2][1] = np.inf
         with pytest.raises(ValueError, match=f"inadmissible density: {message}"):
-            DensityProcess(TreeProcess(tree, q))
+            TiltedMeasure(TreeProcess(tree, q))
+
+    def test_rates_need_one_slice_per_step(self):
+        tree = build_tree(1.0, 4, FULL)
+        q = [np.zeros(tree.n_nodes(k)) for k in range(5)]
+        for slices in (q[:3], q):
+            with pytest.raises(ValueError, match="one slice per step"):
+                TiltedMeasure(TreeProcess(tree, slices))
+
+    def test_tilt_returns_a_measure_as_it_is(self):
+        tree = build_tree(1.0, 4, FULL)
+        m = tilt(0.5, tree)
+        assert tilt(m) is m and tilt(m, tree) is m
+
+    def test_selections_are_measures(self):
+        # optimal_density and gibbs_density return measures that feed every
+        # tilted evaluation as they are, with the bits of a measure rebuilt
+        # from their rates
+        tree = build_tree(1.0, 8, FULL)
+        xi = call(0.0).evaluate(tree)
+        g = quadratic_upper(1.0, 0.5)
+        opt = optimal_density(rho_solved(from_generator(g, tree), xi), generator=g)
+        for m in (opt, gibbs_density(0.5, xi, tree)):
+            assert isinstance(m, TiltedMeasure)
+            rebuilt = TiltedMeasure(m.q, m.delta)
+            assert_slices_bitwise(dual_value(m, xi, g).process.values,
+                                  dual_value(rebuilt, xi, g).process.values)
+            assert np.float64(expectation(xi, measure=m, tree=tree)).tobytes() \
+                == np.float64(expectation(xi, measure=rebuilt, tree=tree)).tobytes()
+            assert_slices_bitwise(relative_entropy(m).discrete.values,
+                                  relative_entropy(rebuilt).discrete.values)
 
     def test_girsanov_mean_shift_exact(self):
         q = 0.8
@@ -278,7 +307,7 @@ def reference_relative_entropy(m):
     disc[n] = np.zeros(tree.n_nodes(n))
     cont[n] = np.zeros(tree.n_nodes(n))
     for k in range(n - 1, -1, -1):
-        q = m.density.q.values[k]
+        q = m.q.values[k]
         p = m.p_up(k)
         d_down, d_up = tree.split_children(disc[k + 1])
         c_down, c_up = tree.split_children(cont[k + 1])
@@ -298,7 +327,7 @@ def reference_dual_value(m, xi, penalty_fn):
     for k in range(n - 1, -1, -1):
         p = m.p_up(k)
         down, up = tree.split_children(slices[k + 1])
-        cost = np.asarray(penalty_fn(k * tree.dt, m.density.q.values[k]), dtype=float)
+        cost = np.asarray(penalty_fn(k * tree.dt, m.q.values[k]), dtype=float)
         bad += int(np.sum(np.isinf(cost)))
         slices[k] = (1.0 - p) * down + p * up - cost * tree.dt
     return slices, bad
@@ -381,11 +410,11 @@ class TestOnReduction:
         xi = call(0.0).evaluate(tree)
         rep = verify_duality(drm, xi, q_sweep=q_sweep, seed=seed, n_random=2)
         densities = [optimal_density(rho_solved(drm, xi), generator=entropy(nu))]
-        densities += [constant_density(tree, q) for q in q_sweep]
+        densities += [tilt(q, tree) for q in q_sweep]
         if layout == FULL:
             rng = np.random.default_rng(seed)
             cap = min(2.0, 0.9 / tree.sqrt_dt)
-            densities += [DensityProcess(TreeProcess(tree, [
+            densities += [TiltedMeasure(TreeProcess(tree, [
                 rng.uniform(-cap, cap, tree.n_nodes(k)) for k in range(N)]))
                 for _ in range(2)]
             densities.append(gibbs_density(nu, xi, tree))
@@ -408,11 +437,11 @@ class TestOnReduction:
             drm = from_generator(g, tree)
             rep = verify_duality(drm, xi, q_sweep=q_sweep, seed=seed, n_random=n_random)
             densities = [optimal_density(rho_solved(drm, xi), generator=g)]
-            densities += [constant_density(tree, q) for q in q_sweep]
+            densities += [tilt(q, tree) for q in q_sweep]
             if layout == FULL:
                 rng = np.random.default_rng(seed)
                 cap = min(2.0, 0.9 / tree.sqrt_dt)
-                densities += [DensityProcess(TreeProcess(tree, [
+                densities += [TiltedMeasure(TreeProcess(tree, [
                     rng.uniform(-cap, cap, tree.n_nodes(k)) for k in range(N)]))
                     for _ in range(n_random)]
             assert len(rep.rows) == len(densities)
@@ -464,8 +493,8 @@ class TestOnReduction:
 
 def _materialized(tree, c):
     """The constant density c stored as one full slice per depth."""
-    return DensityProcess(TreeProcess(tree, [np.full(tree.n_nodes(k), c)
-                                             for k in range(tree.steps)]))
+    return TiltedMeasure(TreeProcess(tree, [np.full(tree.n_nodes(k), c)
+                                            for k in range(tree.steps)]))
 
 
 class TestConstantDensity:
@@ -479,7 +508,7 @@ class TestConstantDensity:
     def test_constant_equals_materialized(self, layout, N, c):
         tree = build_tree(1.0, N, layout)
         xi = call(0.0).evaluate(tree)
-        const, full = tilt(constant_density(tree, c)), tilt(_materialized(tree, c))
+        const, full = tilt(c, tree), _materialized(tree, c)
         got, want = relative_entropy(const), relative_entropy(full)
         assert_slices_bitwise(got.discrete.values, want.discrete.values)
         assert_slices_bitwise(got.continuum.values, want.continuum.values)
@@ -502,23 +531,38 @@ class TestConstantDensity:
 
     def test_constant_slices_are_read_only(self):
         tree = build_tree(1.0, 6, FULL)
-        for m in (tilt(constant_density(tree, 0.7)), tilt(_materialized(tree, 0.7))):
+        for m in (tilt(0.7, tree), _materialized(tree, 0.7)):
             for k in (0, 3):
-                for v in (m.density.q.values[k], m.p_up(k)):
+                for v in (m.q.values[k], m.p_up(k)):
                     assert v.shape == (tree.n_nodes(k),)
                     with pytest.raises(ValueError):
                         v[0] = 0.0
 
-    def test_constant_density_stores_one_value_per_depth(self):
+    def test_constant_tilt_stores_one_value_per_depth(self):
         tree = build_tree(1.0, 20, FULL)
         tracemalloc.start()
         try:
-            tilt(constant_density(tree, 0.5))
+            tilt(0.5, tree)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # one slice of the deepest step alone would take 4 MiB
         assert peak < 2 ** 20
+
+    def test_constant_entropy_rows_hold_one_float_per_depth(self):
+        # both rows of a constant tilt's entropy run at width 1 from a zero
+        # terminal; a node-width buffer kept behind one depth-17 float alone
+        # would hold 1 MiB
+        tree = build_tree(1.0, 18, FULL)
+        m = tilt(0.5, tree)
+        tracemalloc.start()
+        try:
+            est = relative_entropy(m)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * 2 ** 20
+        assert est.discrete.values[17].strides == est.continuum.values[17].strides == (0,)
 
     def test_per_depth_scalars_store_one_value_per_depth(self):
         tree = build_tree(1.0, 20, FULL)
@@ -546,7 +590,7 @@ class TestConstantDensity:
         slices = [np.array([0.5]), np.array([0.2, -0.2]), np.array([0.0, 0.1, -0.1, 0.3])]
         m = tilt(slices, tree)
         slices[2][:] = 9.0
-        assert list(m.density.q.values[2]) == [0.0, 0.1, -0.1, 0.3]
+        assert list(m.q.values[2]) == [0.0, 0.1, -0.1, 0.3]
 
     @pytest.mark.parametrize("layout,N,nodes", [(FULL, 16, 65535),
                                                 (RECOMBINING, 300, 45150)])

@@ -3,6 +3,8 @@
 The solvers take the drift part of the target: the process under study is
 always Y + z B, with Y the first argument and z the noise loading.
 """
+import warnings
+
 import numpy as np
 import pytest
 
@@ -483,9 +485,19 @@ class TestErrorPrecedence:
         with pytest.raises(ValueError, match="level must be positive"):
             doob_meyer(drm, canonical_drift(0.0, 0.25, 4.0, tree), 4.0,
                        n_schedule=(-1.0, 4.0))
-        # ... and where the schedule reaches it
-        with pytest.raises(ValueError, match="level must be positive"):
-            doob_meyer(drm, Y, 1.0, n_schedule=(4.0, float("nan"), -2.0, 8.0))
+        # ... wherever the schedule holds it, even past the stop, and so
+        # does a level that is not finite (a NaN would keep its place in
+        # the sorted schedule, an inf would solve into NaN)
+        nan, inf = float("nan"), float("inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kwargs in ({"n_schedule": (4.0, nan, -2.0, 8.0)},
+                           {"n_schedule": (4.0, nan, -2.0, 8.0), "rel_stop": 10.0},
+                           {"n_schedule": (4.0, inf)}):
+                with pytest.raises(ValueError, match="level must be positive"):
+                    doob_meyer(drm, Y, 1.0, **kwargs)
+            with pytest.raises(ValueError, match="level must be positive"):
+                solve_penalized(drm, Y, 1.0, inf)
         with pytest.raises(ValueError, match="target process lives on a different tree"):
             doob_meyer(drm, canonical_drift(1.0, 0.5, 1.0, build_tree(1.0, 8, RECOMBINING)),
                        1.0)

@@ -40,10 +40,10 @@ class TestToPlain:
 class TestRenderStructured:
     def test_deterministic_layout(self):
         data = {"b": 1.0, "a": [1, 2], "nested": {"k": True}, "empty": {}}
-        out = render_structured(data, title="run")
-        assert out == render_structured(data, title="run")
+        out = render_structured(data)
+        assert out == render_structured(data)
         lines = out.splitlines()
-        assert lines[0] == "run:"
+        assert lines[0] == "report:"
         assert "  b: 1" in lines
         assert "  a: [1, 2]" in lines
         assert "  empty: {}" in lines
@@ -164,9 +164,9 @@ def _ref_render(node, out, level):
             out.write(f"{pad}- {_ref_scalar(value)}\n")
 
 
-def reference_structured(data, title="report"):
+def reference_structured(data):
     out = io.StringIO()
-    out.write(f"{title}:\n")
+    out.write("report:\n")
     _ref_render(to_plain(data), out, 1)
     return out.getvalue()
 

@@ -60,12 +60,12 @@ class TestRho:
         xi = call(0.1).evaluate(tree)
         full_run = rho(drm, xi)
         for depth in (0, 2, 5):
-            partial = rho(drm, xi, depth=depth)
+            partial = rho_solved(drm, xi, keep=depth).Y
             assert partial.last_depth == depth
             for a, b in zip(partial.values, full_run.values):
                 assert a.tobytes() == b.tobytes()
         with pytest.raises(ValueError, match="outside"):
-            rho(drm, xi, depth=6)
+            rho_solved(drm, xi, keep=6)
 
     def test_entropic_records_its_driver(self):
         # the driver nu z^2 is what the exact recursion solves; rebinding keeps it
