@@ -19,10 +19,13 @@ g-expectation of g_k.  For the quadratic recursion
 g_k(z) = log cosh(2 nu z sqrt(dt)) / (2 nu dt), which is nu z^2 up to O(dt).
 
 Every solve (``solve_bsde``, ``entropy_exact``, every risk measure's) is
-one ``_solve``: one backward pass that records Z beside Y and certifies,
-by its scheme's rule (see SolvedBSDE), the step monotonicity
+one ``_solve``: one backward pass that records Z beside Y.  Its solution
+certifies, by its scheme's rule (see SolvedBSDE), the step monotonicity
 (mu + 2 nu max|Z|) sqrt(dt) <= 1 under which comparison-type statements
-survive discretization (Chassagneux & Richou, AAP 2016).
+survive discretization (Chassagneux & Richou, AAP 2016).  The certificate
+is computed from the stored Z and profile when it is first read, with the
+values an eager one would have, so a solve whose certificate nobody reads
+never pays the max|Z| pass.
 
 A measure's solve (``solve_terminal``, ``risk.rho_solved``) may keep only
 the depths 0..``keep`` of Y and Z.  The depths it drops are folded into a
@@ -35,7 +38,8 @@ same values a depth-by-depth fold gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -52,13 +56,17 @@ class SolvedBSDE:
 
     Y and Z come from a single backward pass; nothing is recomputed to
     check them.  Comparison and convexity assertions should be gated on
-    ``monotone_step``, which ``_solve`` alone sets, by ``scheme``.
+    ``monotone_step``, which the rule of ``scheme`` sets.
     "explicit": ``step_bound`` is (mu + 2 nu max|Z|) sqrt(dt) with the
     driver's (mu, nu), the certificate is bound <= 1 with a warning when it
     fails, and ``generator`` is the driver.  "entropy_exact": the bound of
     the entropy driver's (0, nu), but monotone for every step size (softmax
     weights), so True with no warning; no generator.  "custom": no growth
     data, so the bound is NaN (unknown), True, no warning, no generator.
+
+    ``step_bound``, ``monotone_step`` and ``warnings`` are computed together
+    when any of them is first read, from the Z and ``dropped`` the solution
+    holds, and kept; they equal what a solve certifying at once would give.
 
     A solve that kept only the top depths of Y and Z holds the
     (y_min, y_max, z_min, z_max) of every deeper depth in ``dropped``, top
@@ -71,10 +79,26 @@ class SolvedBSDE:
     Z: TreeProcess
     scheme: str
     generator: Generator | None
-    step_bound: float
-    monotone_step: bool
-    warnings: tuple[str, ...]
     dropped: tuple[tuple, ...] = ()
+    # The driver whose (mu, nu) the certificate reads: the generator of an
+    # explicit solve, entropy(nu) for the exact recursion; custom reads none.
+    _growth: Generator | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _certified(self) -> tuple[float, bool, tuple[str, ...]]:
+        return _certificate(self)
+
+    @property
+    def step_bound(self) -> float:
+        return self._certified[0]
+
+    @property
+    def monotone_step(self) -> bool:
+        return self._certified[1]
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return self._certified[2]
 
     @property
     def tree(self) -> ScenarioTree:
@@ -135,10 +159,11 @@ _BLOCK = 8192
 
 def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
            keep: int | None, scheme: str, g: Generator | None) -> SolvedBSDE:
-    """One backward pass of ``step`` from ``xi``, certified by the rule of
-    ``scheme`` with the growth constants of ``g`` (see SolvedBSDE).  Z is
-    taken from the (down, up) child views the step receives, so no step runs
-    twice; ``step(k, down, up, z)`` is handed that z.  Y and Z keep depths
+    """One backward pass of ``step`` from ``xi``.  The solution certifies
+    itself, when first read, by the rule of ``scheme`` with the growth
+    constants of ``g`` (see SolvedBSDE).  Z is taken from the (down, up)
+    child views the step receives, so no step runs twice;
+    ``step(k, down, up, z)`` is handed that z.  Y and Z keep depths
     0..``keep`` (None: all); every deeper depth is summarized into
     ``dropped`` and let go.
 
@@ -198,13 +223,27 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
 
     Y = backward_reduce(tree, xi, step_with_z, keep=keep)
     fold_block()
-    Z, rows = TreeProcess(tree, z_slices, copy=False), tuple(reversed(dropped))
-    if scheme == "custom":
-        return SolvedBSDE(Y, Z, scheme, None, float("nan"), True, (), rows)
-    bound, ok, warnings = _certificate(tree, _max_abs_z(Z, rows), g.mu, g.nu)
-    if scheme == "entropy_exact":
-        return SolvedBSDE(Y, Z, scheme, None, bound, True, (), rows)
-    return SolvedBSDE(Y, Z, scheme, g, bound, ok, warnings, rows)
+    Z = TreeProcess(tree, z_slices, copy=False)
+    return SolvedBSDE(Y, Z, scheme, g if scheme == "explicit" else None,
+                      tuple(reversed(dropped)), g)
+
+
+def _certificate(solved: SolvedBSDE) -> tuple[float, bool, tuple[str, ...]]:
+    """(step_bound, monotone_step, warnings) of ``solved`` by its scheme's rule.
+
+    A non-finite max|Z| means the explicit scheme overflowed; the warning
+    says so.
+    """
+    if solved.scheme == "custom":
+        return float("nan"), True, ()
+    g, max_z = solved._growth, _max_abs_z(solved.Z, solved.dropped)
+    bound = (g.mu + 2.0 * g.nu * max_z) * solved.tree.sqrt_dt
+    if solved.scheme == "entropy_exact" or bound <= 1.0:
+        return bound, True, ()
+    detail = (f"(mu + 2 nu max|Z|) sqrt(dt) = {bound:.6g} > 1; refine the grid "
+              "before trusting comparison-type output" if math.isfinite(max_z)
+              else "max|Z| is not finite (the scheme overflowed)")
+    return bound, False, ("step-monotonicity certificate fails: " + detail,)
 
 
 def _max_abs_z(Z: TreeProcess, dropped: tuple) -> float:
@@ -214,20 +253,6 @@ def _max_abs_z(Z: TreeProcess, dropped: tuple) -> float:
         # max|z| of a depth is max(|z_min|, |z_max|); np.max keeps NaN.
         max_z = float(np.max([max_z, *(abs(r[i]) for r in dropped[:-1] for i in (2, 3))]))
     return max_z
-
-
-def _certificate(tree: ScenarioTree, max_z: float, mu: float, nu: float):
-    """(bound, bound <= 1, warnings) of the explicit scheme.
-
-    A non-finite max|Z| means the scheme overflowed; the warning says so.
-    """
-    bound = (mu + 2.0 * nu * max_z) * tree.sqrt_dt
-    if bound <= 1.0:
-        return bound, True, ()
-    detail = (f"(mu + 2 nu max|Z|) sqrt(dt) = {bound:.6g} > 1; refine the grid "
-              "before trusting comparison-type output" if math.isfinite(max_z)
-              else "max|Z| is not finite (the scheme overflowed)")
-    return bound, False, ("step-monotonicity certificate fails: " + detail,)
 
 
 def solve_bsde(g: Generator, terminal, tree: ScenarioTree | None = None) -> SolvedBSDE:

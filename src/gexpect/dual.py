@@ -89,8 +89,11 @@ def tilt(q, tree: ScenarioTree | None = None) -> TiltedMeasure:
     """The tilted measure of ``q``: a TiltedMeasure (returned as it is), a
     TreeProcess of rates, or, given ``tree``, a scalar or one array-like per
     depth.  A scalar, and each per-depth scalar, is one float broadcast to
-    the node width (a read-only stride-0 view)."""
+    the node width (a read-only stride-0 view).  A TiltedMeasure built on
+    another tree than ``tree`` is refused."""
     if isinstance(q, TiltedMeasure):
+        if tree is not None and tree != q.tree:
+            raise ValueError("measure and tree disagree")
         return q
     if isinstance(q, TreeProcess):
         return TiltedMeasure(q)

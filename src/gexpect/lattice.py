@@ -403,9 +403,15 @@ def _fresh(kernel):
     return step
 
 
-def _measure_step(measure):
-    """One-step expectation under ``measure`` (anything exposing ``p_up``)."""
-    return _average if measure is None else _fresh(_tilted_mean(measure))
+def _measure_step(measure, tree: ScenarioTree):
+    """One-step expectation on ``tree`` under ``measure`` (anything exposing
+    ``p_up``).  A measure that carries its own ``tree`` must carry this one."""
+    if measure is None:
+        return _average
+    own = getattr(measure, "tree", None)
+    if own is not None and own != tree:
+        raise ValueError("measure and tree disagree")
+    return _fresh(_tilted_mean(measure))
 
 
 def cond_expect(proc, depth: int, measure=None, tree: ScenarioTree | None = None) -> TreeProcess:
@@ -421,12 +427,12 @@ def cond_expect(proc, depth: int, measure=None, tree: ScenarioTree | None = None
     ``measure`` is a :class:`gexpect.dual.TiltedMeasure` (``dual.tilt``
     builds one from rates), or anything else exposing ``p_up(depth) ->
     slice`` of one-step up probabilities; the default is the reference
-    measure with p_up = 1/2.
+    measure with p_up = 1/2.  A measure built on another tree is refused.
     """
     tree, last, values = _terminal_array(proc, tree)
     if not 0 <= depth <= last:
         raise ValueError(f"depth {depth} outside [0, {last}]")
-    step = _measure_step(measure)
+    step = _measure_step(measure, tree)
     if tree.layout == FULL and depth < last:
         out = list(backward_reduce(tree, values, step, last_depth=last, keep=depth).values)
         for _ in range(depth, last):
@@ -440,7 +446,7 @@ def cond_expect(proc, depth: int, measure=None, tree: ScenarioTree | None = None
 def expectation(proc, measure=None, tree: ScenarioTree | None = None) -> float:
     """Plain expectation of the deepest slice: the root of one reduction."""
     tree, last, values = _terminal_array(proc, tree)
-    return backward_reduce(tree, values, _measure_step(measure), last_depth=last,
+    return backward_reduce(tree, values, _measure_step(measure, tree), last_depth=last,
                            keep=0).root()
 
 

@@ -1,10 +1,11 @@
 """Backward solvers: explicit scheme, exact entropic scheme, recovery."""
+import json
 import math
 
 import numpy as np
 import pytest
 
-from gexpect import bsde
+from gexpect import bsde, risk
 from gexpect.bsde import (
     entropy_exact,
     entropy_step,
@@ -13,6 +14,8 @@ from gexpect.bsde import (
     solve_bsde,
 )
 from gexpect.claims import call, linear, path_maximum, sample_claims
+from gexpect.cli import parse_config, run
+from gexpect.dual import verify_duality
 from gexpect.generators import entropy, quadratic_upper, sublinear_interval
 from gexpect.lattice import (
     FULL,
@@ -23,7 +26,7 @@ from gexpect.lattice import (
     build_tree,
     cond_expect,
 )
-from gexpect.risk import custom, entropic, from_generator
+from gexpect.risk import check_axioms, check_domination, custom, entropic, from_generator
 from oracles import extract_z
 
 
@@ -512,3 +515,64 @@ class TestSolvePaths:
         tree = build_tree(1.0, 4, FULL)
         with pytest.raises(ValueError, match=r"^entropy_exact needs nu > 0$"):
             entropy_exact(nu, np.zeros(3), tree)
+
+
+class TestLazyCertificate:
+    """A solution computes its certificate when one of its three fields is
+    first read, once, and a solve whose certificate nobody reads pays none."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = {"solves": 0, "certificates": 0}
+        real_solve, real_certificate = bsde._solve, bsde._certificate
+
+        def solve(*args, **kwargs):
+            seen["solves"] += 1
+            return real_solve(*args, **kwargs)
+
+        def certificate(solved):
+            seen["certificates"] += 1
+            return real_certificate(solved)
+
+        monkeypatch.setattr(bsde, "_solve", solve)
+        monkeypatch.setattr(risk, "_solve", solve)  # the measures' solve path
+        monkeypatch.setattr(bsde, "_certificate", certificate)
+        return seen
+
+    @pytest.mark.parametrize("solve", ["explicit", "entropy", "custom"])
+    def test_read_once_on_first_access(self, counts, solve):
+        tree = build_tree(1.0, 8, FULL)
+        xi = call(0.1).evaluate(tree)
+        g = quadratic_upper(0.3, 0.5)
+        s = {"explicit": lambda: solve_bsde(g, xi, tree),
+             "entropy": lambda: entropy_exact(0.5, xi, tree),
+             "custom": lambda: custom(euler_step(g, tree), tree).solve_terminal(xi, 0)}[solve]()
+        assert counts == {"solves": 1, "certificates": 0}
+        first = [(float_bits(s.step_bound), s.monotone_step, s.warnings) for _ in range(2)]
+        assert first[0] == first[1] and counts["certificates"] == 1
+
+    # The counts follow from which checks gate on the certificate: the 10
+    # base solves of check_axioms (read through a short-circuiting all(), so
+    # every solve of the suite is certified here), monotonicity, convexity
+    # and subadditivity; the upper and lower envelope solves of
+    # check_domination.  Changing which solves are gated changes them.
+    def test_check_suites_read_only_gated_solves(self, counts):
+        tree = build_tree(1.0, 8, FULL)
+        drm = from_generator(quadratic_upper(0.3, 0.5), tree)
+        report = check_axioms(drm)
+        assert all(c.status != "skipped" for c in report.checks.values())
+        assert counts == {"solves": 136, "certificates": 35}
+        counts.update(solves=0, certificates=0)
+        check_domination(drm, 0.3, 0.5)
+        assert counts == {"solves": 85, "certificates": 20}
+
+    def test_cli_solve_reads_one_and_duality_none(self, counts):
+        cfg = {"tree": {"horizon": 1.0, "steps": 8, "layout": "recombining"},
+               "measure": {"kind": "quadratic_upper", "mu": 0.3, "nu": 0.5},
+               "claim": {"kind": "call", "strike": 0.0}, "task": "solve"}
+        run(parse_config(json.dumps(cfg)))
+        assert counts == {"solves": 1, "certificates": 1}
+        counts.update(solves=0, certificates=0)
+        tree = build_tree(1.0, 8, FULL)
+        verify_duality(from_generator(quadratic_upper(0.3, 0.5), tree), call(0.0))
+        assert counts["solves"] >= 1 and counts["certificates"] == 0

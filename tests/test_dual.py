@@ -75,6 +75,25 @@ class TestDensities:
         m = tilt(0.5, tree)
         assert tilt(m) is m and tilt(m, tree) is m
 
+    def test_a_measure_built_on_another_tree_is_refused(self):
+        # T=2 and T=1 trees share N=4 and every slice width, so nothing but
+        # the tree comparison tells the tilt's sqrt(dt) is the wrong one
+        t1, t2 = build_tree(1.0, 4, FULL), build_tree(2.0, 4, FULL)
+        xi, m1 = brownian(t2).terminal, tilt(0.5, t1)
+        assert expectation(xi, measure=tilt(0.5, t2), tree=t2) == pytest.approx(1.0)
+        for wrong in (lambda: expectation(xi, measure=m1, tree=t2),
+                      lambda: cond_expect(xi, 2, measure=m1, tree=t2),
+                      lambda: tilt(m1, t2)):
+            with pytest.raises(ValueError, match=r"^measure and tree disagree$"):
+                wrong()
+
+        class OnlyPUp:  # a duck-typed measure carries no tree to compare
+            def p_up(self, depth):
+                return m1.p_up(depth)
+
+        assert expectation(xi, measure=OnlyPUp(), tree=t2) == \
+            expectation(xi, measure=m1, tree=t1)
+
     def test_selections_are_measures(self):
         # optimal_density and gibbs_density return measures that feed every
         # tilted evaluation as they are, with the bits of a measure rebuilt
