@@ -9,7 +9,9 @@ scaled child difference, the drift is the driver evaluated there,
 The purely quadratic driver nu*z^2 also has an exact recursion: the
 one-step value is a log-sum-exp of the children, which makes the solution
 an exponential moment in disguise and gives machine-precision references
-for convergence studies.
+for convergence studies.  Shifted by the larger child, one of its two terms
+is exactly 1, so ``entropy_step`` pays one ``exp`` per node, with the bits
+of the two-``exp`` form.
 
 Conversely, every translation-invariant one-step operator is an explicit
 scheme.  On the children (d, u) it equals (d + u)/2 + dt g_k(z), with
@@ -135,13 +137,17 @@ def entropy_step(nu: float, tree: ScenarioTree) -> StepFn:
 
     Value = (1/2nu) log of the average of exp(2nu * child), computed with a
     max shift so large exponents cannot overflow; the step ignores ``z``.
+    The larger child's term is exp(0) = 1, so one ``exp`` of the gap
+    s = (m - down) + (m - up) gives the bits of the two-``exp`` sum; s is
+    built this way, not as |down - up|, so that an infinite child still
+    gives the sum's NaN.
     """
     two_nu = 2.0 * float(nu)
 
     def step(k, down, up, z=None):
         m = np.maximum(down, up)
-        return m + np.log(0.5 * (np.exp(two_nu * (down - m))
-                                 + np.exp(two_nu * (up - m)))) / two_nu
+        s = (m - down) + (m - up)
+        return m + np.log(0.5 * (1.0 + np.exp(-two_nu * s))) / two_nu
 
     return step
 

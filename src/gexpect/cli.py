@@ -28,7 +28,7 @@ from .dual import verify_duality
 from .generators import BUILTINS, CheckReport, Generator, entropy
 from .lattice import FULL, RECOMBINING, auto_layout, backward_reduce, build_tree
 from .penalization import DRIFTS, canonical_drift, doob_meyer
-from .reporting import render_csv, render_structured
+from .reporting import Table, write_csv, write_structured
 from .risk import (AXIOMS, DynamicRiskMeasure, check_axioms, check_domination,
                    entropic, from_generator, represent, rho_solved)
 
@@ -251,10 +251,8 @@ class RunReport:
         return {
             "config": self.config,
             "results": self.results,
-            "tables": {
-                name: [dict(zip(header, row)) for row in rows]
-                for name, (header, rows) in self.tables.items()
-            },
+            "tables": {name: Table(header, rows)
+                       for name, (header, rows) in self.tables.items()},
             "summary": self.summary,
             "passed": self.passed,
         }
@@ -491,17 +489,20 @@ def run(cfg: ScenarioConfig) -> RunReport:
 
 
 def emit(report: RunReport, out_dir: Path, base: str, fmt: str) -> list[Path]:
-    """Write the report in the requested format(s); returns written paths."""
+    """Write the report in the requested format(s); returns written paths.
+    Each file is written as it is rendered, never held as one string."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if fmt in ("structured", "both"):
         path = out_dir / f"{base}.report.txt"
-        path.write_text(render_structured(report.as_document()))
+        with path.open("w") as out:
+            write_structured(report.as_document(), out)
         written.append(path)
     if fmt in ("tabular", "both"):
         for name, (header, rows) in sorted(report.tables.items()):
             path = out_dir / f"{base}.{name}.csv"
-            path.write_text(render_csv(header, rows))
+            with path.open("w") as out:
+                write_csv(header, rows, out)
             written.append(path)
     return written
 

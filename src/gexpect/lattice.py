@@ -11,7 +11,10 @@ Two layouts share one interface:
 * ``full`` -- the non-recombining tree with one value per path prefix.
   Node identifiers are the path bit-strings (0 = down, 1 = up) and every
   depth slice is ordered lexicographically, which fixes the order of all
-  floating-point reductions.  Depth is capped (default 22).
+  floating-point reductions.  Depth is capped (default 22).  The tree
+  caches the noise slice of each depth that is read, and only those: a
+  terminal claim holds the 2^N horizon values, not the 2^(N+1) of every
+  depth.
 * ``recombining`` -- one value per (depth, number of up moves).  Valid
   whenever everything in sight depends on the path only through the
   current noise level; depth is capped at 10^5.
@@ -81,8 +84,8 @@ class ScenarioTree:
     """Binary increment tree over a :class:`TimeGrid`.
 
     One-step probabilities under the reference measure are (1/2, 1/2) at
-    every node.  The tree object itself is immutable; noise slices are
-    cached on first access.
+    every node.  The tree object itself is immutable; a full layout's noise
+    slice is cached when it is first read, and only the depths read are.
     """
 
     def __init__(self, grid: TimeGrid, layout: str = FULL):
@@ -91,7 +94,7 @@ class ScenarioTree:
         self.grid = grid
         self.layout = layout
         self.sqrt_dt = math.sqrt(grid.dt)
-        self._brownian: list[np.ndarray] | None = None
+        self._brownian: dict[int, np.ndarray] = {}
 
     @property
     def steps(self) -> int:
@@ -119,16 +122,20 @@ class ScenarioTree:
         self.check_depth(depth)
         if self.layout == RECOMBINING:
             return (2.0 * np.arange(depth + 1) - depth) * self.sqrt_dt
-        if self._brownian is None:
-            slices = [np.zeros(1)]
-            for k in range(self.steps):
-                parent = slices[k]
-                child = np.empty(2 * parent.size)
-                child[0::2] = parent - self.sqrt_dt
-                child[1::2] = parent + self.sqrt_dt
-                slices.append(child)
-            self._brownian = slices
-        return self._brownian[depth]
+        cached = self._brownian
+        if depth not in cached:
+            # Built from the deepest cached depth shallower than it (or the
+            # root) by the one recurrence, so a slice has the same bits
+            # whichever depths were read before it.
+            start = max((k for k in cached if k < depth), default=0)
+            noise = cached.get(start, np.zeros(1))
+            for _ in range(start, depth):
+                child = np.empty(2 * noise.size)
+                child[0::2] = noise - self.sqrt_dt
+                child[1::2] = noise + self.sqrt_dt
+                noise = child
+            cached[depth] = noise
+        return cached[depth]
 
     def node_label(self, depth: int, index: int) -> str:
         """Human-readable node identifier used in witnesses and reports."""

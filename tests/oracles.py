@@ -70,3 +70,14 @@ def theta(measure) -> TreeProcess:
         child[1::2] = parent * (1.0 + q * sdt)
         slices.append(child)
     return TreeProcess(tree, slices, copy=False)
+
+
+def entropy_two_exp(nu: float, down, up) -> np.ndarray:
+    """The exact entropic step as the log of the average of two shifted
+    exponentials, (1/2nu) log(0.5 (exp(2nu (down - m)) + exp(2nu (up - m))))
+    + m with m = max(down, up): the form ``bsde.entropy_step`` computes
+    with one ``exp``."""
+    two_nu = 2.0 * float(nu)
+    m = np.maximum(down, up)
+    return m + np.log(0.5 * (np.exp(two_nu * (down - m))
+                             + np.exp(two_nu * (up - m)))) / two_nu

@@ -27,7 +27,7 @@ from gexpect.lattice import (
     cond_expect,
 )
 from gexpect.risk import check_axioms, check_domination, custom, entropic, from_generator
-from oracles import extract_z
+from oracles import entropy_two_exp, extract_z
 
 
 def leaf_entropic(nu, xi, p=0.5):
@@ -73,6 +73,33 @@ class TestEntropyExact:
         a = entropy_exact(nu, call(0.2).evaluate(full), full)
         b = entropy_exact(nu, call(0.2).evaluate(rec), rec)
         assert a.Y.values[0][0] == pytest.approx(b.Y.values[0][0], abs=1e-13)
+
+    @pytest.mark.parametrize("nu", [0.5, 2.0, 1e-3, -0.7])
+    def test_one_exp_step_has_the_two_exp_bits(self, nu):
+        # Adversarial children: equal, signed zeros, infinities, NaN, a gap
+        # of 1e300 (whose exp underflows or overflows), and random values;
+        # then the same pairs as a batch of rows.  A NaN equals any NaN.
+        inf, nan = math.inf, math.nan
+        special = [0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 5e-324, inf, -inf, nan]
+        pairs = [(d, u) for d in special for u in special]
+        rng = np.random.default_rng(11)
+        pairs += list(zip(rng.normal(scale=30.0, size=200), rng.normal(scale=30.0, size=200)))
+        down, up = (np.array(side) for side in zip(*pairs))
+        step = entropy_step(nu, build_tree(1.0, 4, RECOMBINING))
+        with np.errstate(all="ignore"):
+            for d, u in ((down, up), (down.reshape(4, -1), up.reshape(4, -1)),
+                         (up[::-1], down[::-1])):
+                got, want = step(0, d, u), entropy_two_exp(nu, d, u)
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+    def test_one_exp_step_keeps_the_infinite_cases(self):
+        # (+inf, finite) is NaN, as inf - inf is (|down - up| would give
+        # +inf), and (-inf, finite) is the finite child plus log(1/2)/2nu.
+        step = entropy_step(0.5, build_tree(1.0, 4, RECOMBINING))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(step(0, np.array([math.inf]), np.array([1.0]))).all()
+        assert step(0, np.array([-math.inf]), np.array([1.0]))[0] == 1.0 + math.log(0.5)
 
     def test_scheme_label_and_generator(self):
         tree = build_tree(1.0, 4, FULL)

@@ -9,8 +9,9 @@ import pytest
 
 from gexpect.bsde import entropy_exact
 from gexpect.claims import call
-from gexpect.cli import ConfigError, main, parse_config, run
+from gexpect.cli import ConfigError, emit, main, parse_config, run
 from gexpect.lattice import build_tree
+from gexpect.reporting import render_csv, render_structured
 
 BASE = {
     "tree": {"horizon": 1.0, "steps": 64, "layout": "recombining"},
@@ -452,6 +453,26 @@ class TestMain:
             tracemalloc.stop()
         assert report.passed
         assert peak < 8e6
+
+    def test_emit_streams_the_report_into_its_files(self, tmp_path):
+        # emit writes each file as it renders it, so it adds under 1 MiB to
+        # what the report holds, and so to the run's peak.  Building the
+        # whole text of a recombining N=5000 solve, and a dict per profile
+        # row, added about 3 MiB.
+        cfg = parse_config(json.dumps(dict(BASE, tree={"steps": 5000,
+                                                       "layout": "recombining"})))
+        report = run(cfg)
+        tracemalloc.start()
+        try:
+            written = emit(report, tmp_path, "big", "both")
+            added = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert added < 2 ** 20
+        header, rows = report.tables["profile"]
+        assert [p.name for p in written] == ["big.report.txt", "big.profile.csv"]
+        assert written[0].read_text() == render_structured(report.as_document())
+        assert written[1].read_text() == render_csv(header, rows)
 
     def test_tabular_format_writes_no_report(self, tmp_path):
         cfg = write_cfg(tmp_path, task="converge",

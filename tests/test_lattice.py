@@ -1,8 +1,11 @@
 """Tree construction, processes, and exact conditional expectations."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gexpect.claims import linear
 from gexpect.lattice import (
     FULL,
     FULL_DEPTH_CAP,
@@ -107,6 +110,27 @@ class TestBrownian:
             down, up = tree.split_children(B.at(k + 1))
             np.testing.assert_allclose(down, B.at(k) - tree.sqrt_dt, atol=1e-15)
             np.testing.assert_allclose(up, B.at(k) + tree.sqrt_dt, atol=1e-15)
+
+    def test_noise_slices_do_not_depend_on_read_order(self):
+        in_order = build_tree(1.0, 9, FULL)
+        expected = [in_order.brownian_slice(k).tobytes() for k in range(10)]
+        tree = build_tree(1.0, 9, FULL)
+        for k in (7, 3, 9, 0, 5, 8, 1):
+            assert tree.brownian_slice(k).tobytes() == expected[k]
+        assert [s.tobytes() for s in brownian(tree).values] == expected
+
+    def test_noise_cache_holds_only_the_depths_read(self):
+        # A terminal claim on a full N=20 tree reads only the 8 MiB horizon
+        # slice; caching every depth held another 8 MiB above it.
+        tracemalloc.start()
+        try:
+            tree = build_tree(1.0, 20, FULL)
+            xi = linear(1).evaluate(tree)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert xi.size == 2 ** 20
+        assert held <= 16.5 * 2 ** 20
 
 
 class TestTreeProcess:

@@ -5,11 +5,15 @@ import io
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from gexpect.reporting import (
+    Table,
     format_number,
     render_csv,
     render_structured,
     to_plain,
+    write_structured,
 )
 
 
@@ -229,3 +233,45 @@ class TestAgainstReference:
         assert render_structured(doc) == reference_structured(doc)
         assert render_csv(header, rows) == reference_csv(header, rows)
         assert "  {x}: 1\n" in render_structured(dict_rows[0])
+
+
+def dict_rows(header, rows):
+    return [dict(zip(header, row)) for row in rows]
+
+
+class TestTable:
+    """A table renders, byte for byte, as the block list of its dict rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables())
+    def test_same_bytes_as_dict_rows(self, table):
+        header, rows = table
+        as_table = {"t": Table(header, rows), "in_list": [Table(header, rows), 1], "after": 1}
+        as_dicts = {"t": dict_rows(header, rows), "in_list": [dict_rows(header, rows), 1],
+                    "after": 1}
+        assert render_structured(as_table) == reference_structured(as_dicts)
+
+    def test_named_cases(self):
+        nan, inf = float("nan"), float("inf")
+        header = ["{x}", "%d", "a,b", "{0}%%"]
+        rows = [[1, 0.5, -0.0, True], [2, nan, inf, False], [3, -inf, "", None],
+                [4, "say {0} {x}", "}{", True],
+                [np.int64(5), np.float64(-0.0), np.bool_(True), np.float64(nan)],
+                np.array([1.5, -2.0, 0.0, 1e300]), (6, 0.25), [], [0.5, 0.25],
+                [7, [1, np.float64(2.0)], {"k": None}, None], [8, 0.5, -0.0, True],
+                [9, 0.5, "%s", "%d", 1.5, None]]
+        doc = {"results": {"x": 1}, "tables": {"t": Table(header, rows),
+                                               "empty": Table(header, [])},
+               "summary": [{"check": "x", "passed": True}]}
+        ref = {"results": {"x": 1}, "tables": {"t": dict_rows(header, rows), "empty": []},
+               "summary": [{"check": "x", "passed": True}]}
+        text = render_structured(doc)
+        assert text == reference_structured(ref)
+        assert "    empty: []\n" in text and "        {x}: 1\n" in text
+        out = io.StringIO()
+        write_structured(doc, out)
+        assert out.getvalue() == text
+
+    def test_header_keys_are_distinct(self):
+        with pytest.raises(ValueError, match="repeats a key"):
+            Table(["a", 1, "1"], [])
