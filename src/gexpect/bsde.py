@@ -132,7 +132,7 @@ def euler_step(g: Generator, tree: ScenarioTree) -> StepFn:
     return step
 
 
-def entropy_step(nu: float, tree: ScenarioTree) -> StepFn:
+def entropy_step(nu: float) -> StepFn:
     """Exact one-step recursion of the quadratic driver nu*z^2.
 
     Value = (1/2nu) log of the average of exp(2nu * child), computed with a
@@ -287,7 +287,7 @@ def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None) -> Solv
     tree, last, xi = _terminal_array(terminal, tree)
     if last != tree.steps:
         raise ValueError("terminal condition must sit at the horizon")
-    return _solve(tree, xi, entropy_step(nu, tree), None, "entropy_exact", entropy(nu))
+    return _solve(tree, xi, entropy_step(nu), None, "entropy_exact", entropy(nu))
 
 
 def noise_step(one_step: StepFn, k: int, z, tree: ScenarioTree) -> np.ndarray:

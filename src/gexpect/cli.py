@@ -201,9 +201,23 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     task = _convert(_require(raw, "task", "config"), TASKS, "config.task")
     params = _section(raw, "params") or {}
     typed = _typed(params, _PARAMS[task], "config.params", f" ({task})")
-    # Counts below these leave a check nothing to compare.
-    if typed.get("n_claims", 1) < 1:
-        raise ConfigError(f"config.params.n_claims must be at least 1, got {typed['n_claims']}")
+    # Counts below these leave a check nothing to compare, or nothing to read.
+    for name, least in (("n_claims", 1), ("z_count", 2), ("n_random", 0)):
+        if typed.get(name, least) < least:
+            raise ConfigError(f"config.params.{name} must be at least {least}, got {typed[name]}")
+    if task == "represent" and typed["z_lo"] == typed["z_hi"]:
+        raise ConfigError(f"config.params.z_hi must be different from z_lo, got {typed['z_hi']}")
+    # Values the library would reject only once the run has started.
+    for name, ok, expected in (
+            ("n_schedule", lambda v: v > 0.0, "positive"),
+            ("depths", lambda v: 0 <= v <= tree["steps"], f"in [0, {tree['steps']}]"),
+            ("thetas", lambda v: 0.0 < v < 1.0, "in (0, 1)")):
+        for i, value in enumerate(typed.get(name) or ()):
+            if not ok(value):
+                raise ConfigError(f"config.params.{name}[{i}] must be {expected}, got {value}")
+    for name in ("n_schedule", "t_grid"):
+        if typed.get(name) == []:
+            raise ConfigError(f"config.params.{name} must be a non-empty list, got []")
     # A zero scale zeroes every claim (a vacuous pass); a tolerance <= 0 fails its check.
     for name in ("scale", "tol", "slack", "rel_tol", "surplus_tol", "ratio_tol"):
         if typed.get(name, 1.0) <= 0.0:
@@ -356,8 +370,8 @@ def _run_domination(cfg: ScenarioConfig, report: RunReport) -> None:
     drm, claims = _suite_inputs(cfg, "mixture")
     mu = drm.bounds[0] if p["mu"] is None else p["mu"]
     nu = drm.bounds[1] if p["nu"] is None else p["nu"]
-    rep = check_domination(drm, mu, nu, claims, seed=cfg.seed, thetas=p["thetas"],
-                           z_grid=p["z_grid"], tol=p["tol"])
+    rep = check_domination(drm, mu, nu, claims, thetas=p["thetas"], z_grid=p["z_grid"],
+                           tol=p["tol"])
     _record_suite(report, "domination", "domination", "check", rep, {"mu": mu, "nu": nu})
 
 
@@ -456,7 +470,7 @@ def _run_converge(cfg: ScenarioConfig, report: RunReport) -> None:
         # Bare reductions: only the roots are read, so no Z and no profile.
         euler = backward_reduce(tree, terminal, euler_step(drm.generator, tree),
                                 keep=0).root()
-        exact = backward_reduce(tree, terminal, entropy_step(drm.generator.nu, tree),
+        exact = backward_reduce(tree, terminal, entropy_step(drm.generator.nu),
                                 keep=0).root()
         gap = abs(euler - exact)
         ratio = gaps[-1] / gap if gaps and gap > 0 else ""

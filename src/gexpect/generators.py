@@ -378,7 +378,6 @@ def verify_class(
     g: Generator,
     z_grid: np.ndarray | None = None,
     t_grid: np.ndarray | None = None,
-    tol: float = 1e-9,
 ) -> CheckReport:
     """Check growth, convexity, sublinearity and one-sided domination on grids.
 
@@ -399,7 +398,7 @@ def verify_class(
     for t in ts:
         tr.fold(np.abs(g(t, z)) - (g.mu * np.abs(z) + g.nu * z * z),
                 lambda i, gap: {"t": float(t), "z": float(z[i]), "gap": gap})
-    checks["growth"] = tr.verdict("growth", tol)
+    checks["growth"] = tr.verdict("growth", _GROWTH_TOL)
 
     if g.is_(CONVEX):
         tr = _GapTracker()
@@ -407,7 +406,7 @@ def verify_class(
             vals = g(t, z)
             mid = g(t, 0.5 * (z[:, None] + z[None, :]))
             tr.fold(mid - 0.5 * (vals[:, None] + vals[None, :]), pair(t))
-        checks["convexity"] = tr.verdict("convexity", tol)
+        checks["convexity"] = tr.verdict("convexity", _GROWTH_TOL)
 
     if g.is_(SUBLINEAR):
         tr = _GapTracker()
@@ -420,7 +419,7 @@ def verify_class(
                                     "property": "homogeneity"})
             sums = g(t, z[:, None] + z[None, :])
             tr.fold(sums - (vals[:, None] + vals[None, :]), pair(t, property="subadditivity"))
-        checks["sublinearity"] = tr.verdict("sublinearity", tol)
+        checks["sublinearity"] = tr.verdict("sublinearity", _GROWTH_TOL)
 
     if g.is_(DOMINATED):
         tr = _GapTracker()
@@ -434,6 +433,6 @@ def verify_class(
                         lambda i, gap: {"t": float(t), "theta": float(theta),
                                         "z": float(z[i // n]), "z_tilde": float(z[i % n]),
                                         "gap": gap})
-        checks["domination"] = tr.verdict("domination", tol)
+        checks["domination"] = tr.verdict("domination", _GROWTH_TOL)
 
     return CheckReport(g.kind, checks)

@@ -14,7 +14,8 @@ y + zB + A satisfies the one-step rho-martingale identity by construction
 (the same algebra that defines the step; test_identity_holds_to_rounding
 holds its one-step defects to 1e-13).
 As n grows, y^n increases to Y and A converges to the compensator: the
-decomposition of W into a rho-martingale plus an increasing drain.
+decomposition of W into a rho-martingale plus an increasing drain.  Every
+check allows one fixed slack, ``_TOL`` scaled by the size of Y.
 
 The levels of a schedule are independent, so all of them solve in one
 backward sweep: they ride a leading axis through a single reduction on
@@ -40,6 +41,8 @@ DEFAULT_SCHEDULE = tuple(2 ** j for j in range(1, 15))
 # Drift conventions of canonical_drift; the command line checks drift against it.
 DRIFTS = ("continuum", "exact")
 CONVERGENCE_RTOL = 1e-8
+# Absolute slack of the precheck and the monotonicity checks, scaled by 1 + max|Y|.
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -116,13 +119,13 @@ class _Sweep:
         """max(Y - y) of level i; Python's fold keeps a NaN only at depth 0."""
         return max(self.gap_max[i].tolist())
 
-    def certificate(self, i: int, tol: float) -> PenalizedCertificate:
+    def certificate(self, i: int) -> PenalizedCertificate:
         scale = self.Y.max_abs()
         n_dt = float(self.n_dt[i])
         over = -min(self.gap_min[i].tolist())
-        below = over <= tol * (1.0 + scale)
+        below = over <= _TOL * (1.0 + scale)
         worst_inc = min(self._inc_bounds(i)[0].tolist())
-        increasing = worst_inc >= -tol * (1.0 + n_dt * scale)
+        increasing = worst_inc >= -_TOL * (1.0 + n_dt * scale)
         violation = max(over, -worst_inc, 0.0) if not (below and increasing) else 0.0
         return PenalizedCertificate(below, increasing, violation)
 
@@ -211,7 +214,7 @@ def _plus_noise(Y: TreeProcess, z: float) -> TreeProcess:
 
 
 def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, z: float | None,
-              schedule: Sequence[float], tol: float) -> TreeProcess | None:
+              schedule: Sequence[float]) -> TreeProcess | None:
     """Check the target and every level of ``schedule`` and, given ``z``,
     run the supermartingale precheck on W = Y + z B.  Returns W (None
     without ``z``)."""
@@ -227,7 +230,7 @@ def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, z: float | None,
         return None
     W = _plus_noise(Y, z)
     worst, witness = supermartingale_gap(drm, W)
-    if not worst <= tol * (1.0 + Y.max_abs()):
+    if not worst <= _TOL * (1.0 + Y.max_abs()):
         # Without a witness the NaN is a leaf of Y that the operator ignores.
         where = f"{witness['node']} (depth {witness['depth']})" if witness else "the horizon"
         raise ValueError(
@@ -279,7 +282,6 @@ def solve_penalized(
     z: float,
     n: float,
     check: bool = True,
-    tol: float = 1e-10,
 ) -> PenalizedSolution:
     """One level of the penalized backward equation.
 
@@ -291,13 +293,12 @@ def solve_penalized(
     certificate for when that is guaranteed).  This is the one-level case of
     the sweep :func:`doob_meyer` runs.
     """
-    _validate(drm, Y, z if check else None, [n], tol)
+    _validate(drm, Y, z if check else None, [n])
     sw = _sweep(drm, Y, z, [n], keep_y=True)
     sw.check_path_independent(0)
     A, _ = sw.compensate(1)
     y = TreeProcess(Y.tree, [v[0] for v in sw.y.values], copy=False)
-    return PenalizedSolution(float(n), y, A, sw.certificate(0, tol), sw.gap_to_target(0),
-                             float(z))
+    return PenalizedSolution(float(n), y, A, sw.certificate(0), sw.gap_to_target(0), float(z))
 
 
 def doob_meyer(
@@ -306,7 +307,6 @@ def doob_meyer(
     z: float,
     n_schedule: Sequence[float] | None = None,
     rel_stop: float = CONVERGENCE_RTOL,
-    tol: float = 1e-10,
 ) -> Decomposition:
     """Monotone limit of the penalized solutions along a level schedule.
 
@@ -327,7 +327,7 @@ def doob_meyer(
     if not schedule:
         raise ValueError("empty penalization schedule")
     scale = 1.0 + Y.max_abs()
-    W = _validate(drm, Y, z, schedule, tol)
+    W = _validate(drm, Y, z, schedule)
     sw = _sweep(drm, Y, z, schedule)
 
     targets: list[float] = []
@@ -335,7 +335,7 @@ def doob_meyer(
     for j, n in enumerate(schedule):
         sw.check_path_independent(j)
         if j:
-            sw.check_increase(j, schedule[j - 1], n, tol * scale)
+            sw.check_increase(j, schedule[j - 1], n, _TOL * scale)
         targets.append(sw.gap_to_target(j))
         if targets[-1] < rel_stop * scale:
             converged = True
@@ -344,7 +344,7 @@ def doob_meyer(
     gaps = gaps.tolist()
     levels = [{"n": float(level), "max_target_gap": t, "martingale_gap": g}
               for level, t, g in zip(schedule, targets, gaps)]
-    nonincreasing = all(b <= a + tol * scale for a, b in zip(gaps, gaps[1:]))
+    nonincreasing = all(b <= a + _TOL * scale for a, b in zip(gaps, gaps[1:]))
     return Decomposition(A, gaps[-1], float(schedule[j]), levels, converged, nonincreasing)
 
 
@@ -386,14 +386,11 @@ def canonical_supermartingale(
     nu_bar: float,
     z: float,
     tree: ScenarioTree,
-    drift: str = "continuum",
-    drm: DynamicRiskMeasure | None = None,
 ) -> TreeProcess:
     """The benchmark supermartingale -(mu_bar |z| + nu_bar z^2) t_k + z B_k.
 
     For any measure whose driver grows no faster than mu_bar |z| + nu_bar z^2
     this is a rho-supermartingale, and the compensator recovered by
-    :func:`doob_meyer` measures the drift surplus over the measure's own
-    needs.  See :func:`canonical_drift` for the ``drift="exact"`` variant.
+    :func:`doob_meyer` measures the drift surplus over the measure's own needs.
     """
-    return _plus_noise(canonical_drift(mu_bar, nu_bar, z, tree, drift, drm), z)
+    return _plus_noise(canonical_drift(mu_bar, nu_bar, z, tree), z)

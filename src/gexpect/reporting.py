@@ -15,11 +15,12 @@ copied.
 
 A document value may be a :class:`Table`, rows under one header.  It is
 written as the block list of its ``dict(zip(header, row))`` entries, byte
-for byte, but from the rows themselves: each row, like a CSV row of ints
-and floats, is one printf-style ``%`` of a template derived from that same
-table once per row shape (the exact type of every cell; a table's keys
-come from its header), so no dict is built and no cell is dispatched on
-its own.  ``write_structured`` and ``write_csv`` write into an open text
+for byte.  A row of one int, float or str cell per header key, like a CSV
+row of ints and floats, is one printf-style ``%`` of a template derived
+once per tuple of exact cell types, so no dict is built and no cell is
+dispatched on its own; any other row (a bool, None or numpy cell, a
+missing or extra cell) is written as ``to_plain`` of its dict.
+``write_structured`` and ``write_csv`` write into an open text
 file as they go, so a report of 10^5 profile rows is never held as one
 string; ``render_structured`` and ``render_csv`` return that text.
 """
@@ -70,36 +71,15 @@ def _scalar(value) -> str:
     return text % value if type(text) is str else text[value]
 
 
-def _cells(values) -> list[str]:
-    """printf fields of plain ``values``, one per value in order: its type's
-    conversion, or for a bool or None its literal text and ``%.0s``, which
-    takes the value and prints nothing of it."""
-    cells = []
-    for value in values:
-        text = _PLAIN[type(value)]
-        cells.append(text if type(text) is str else text[value] + "%.0s")
-    return cells
-
-
-def _entry(pad: str, header: list[str], row: Sequence) -> str:
-    """printf template of a table row's block-list entry: the dash, then a
-    ``key: value`` line per cell of ``dict(zip(header, row))``, each ``%``
-    of a key escaped, and a ``%.0s`` per cell past the header.  "" when a
-    cell is not a plain scalar."""
-    if not _is_flat(row):
+def _entry(pad: str, header: list[str], types: tuple) -> str:
+    """printf template of the block-list entry of a table row whose cells
+    have the exact ``types``: the dash, then a ``key: value`` line per cell,
+    each ``%`` of a key escaped.  "" unless the row has one int, float or str
+    cell per header key."""
+    if len(types) != len(header) or not {int, float, str}.issuperset(types):
         return ""
     return f"{pad}-\n" + "".join(
-        f"{pad}{INDENT}{key.replace('%', '%%')}: {cell}\n"
-        for key, cell in zip(header, _cells(row))) + "%.0s" * (len(row) - len(header))
-
-
-def _shape(row: Sequence) -> tuple:
-    """What the template of a table row depends on: the exact type of every
-    cell and the value of every bool (whose text is literal)."""
-    types = tuple(map(type, row))
-    if bool in types:
-        types += tuple(v for v in row if type(v) is bool)
-    return types
+        f"{pad}{INDENT}{key.replace('%', '%%')}: {_PLAIN[t]}\n" for key, t in zip(header, types))
 
 
 def _is_flat(values: Iterable) -> bool:
@@ -180,26 +160,21 @@ def _render(node, out: IO[str], level: int) -> None:
 
 
 def _render_table(table: Table, out: IO[str], level: int) -> None:
-    """Write each row as the block-list entry of its dict would be written,
-    by the template of its shape.  A row of a shape without one (not seen
-    yet, or a cell that is not plain) is reduced through ``to_plain`` first,
-    so a row of numpy scalars uses the template of the built-ins it holds; a
-    row that is still not plain (a list or dict cell) is written as its dict."""
+    """Write each row as the block-list entry of its dict would be written:
+    a row of one int, float or str cell per header key by the template of
+    its cell types, any other row as ``to_plain`` of its dict."""
     pad = INDENT * level
     header = table.header
     templates: dict[tuple, str] = {}
     for row in table.rows:
-        template = templates.get(_shape(row))
-        if not template:
-            row = to_plain(row)
-            shape = _shape(row)
-            template = templates.get(shape)
-            if template is None:
-                template = templates[shape] = _entry(pad, header, row)
-            if not template:
-                _render([dict(zip(header, row))], out, level)
-                continue
-        out.write(template % tuple(row))
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = _entry(pad, header, types)
+        if template:
+            out.write(template % tuple(row))
+        else:
+            _render([to_plain(dict(zip(header, row)))], out, level)
 
 
 def _is_block_list(value) -> bool:
@@ -226,7 +201,8 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence], out: IO[str]) -> 
         template = templates.get(types)
         if template is None:
             template = templates[types] = (
-                ",".join(_cells(row)) + "\n" if {int, float}.issuperset(types) else "")
+                ",".join(map(_PLAIN.get, types)) + "\n" if {int, float}.issuperset(types)
+                else "")
         if template:
             out.write(template % tuple(row))
         else:

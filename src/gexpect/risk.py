@@ -13,7 +13,7 @@ the ``scheme`` whose certificate rule ``bsde.SolvedBSDE`` states:
 
 The axiom suite checks monotonicity, time consistency, preservation of
 known values, convexity, subadditivity, positive homogeneity, translation
-invariance and locality on seeded claim suites, node by node, and returns
+invariance and locality on the claim suite it is given, node by node, and returns
 witnesses for whatever fails.  Inequality axioms that only survive
 discretization under the step-monotonicity certificate are skipped (not
 failed) when the certificate is violated.  Every check of both suites is
@@ -93,7 +93,7 @@ def entropic(nu: float, tree: ScenarioTree) -> DynamicRiskMeasure:
     if nu <= 0:
         raise ValueError("the entropic measure needs nu > 0")
     return DynamicRiskMeasure(tree, "entropy_exact", f"entropic[nu={nu:g}]",
-                              entropy_step(nu, tree), generator=entropy(nu),
+                              entropy_step(nu), generator=entropy(nu),
                               bounds=(0.0, float(nu)))
 
 
@@ -123,19 +123,11 @@ def rho(drm: DynamicRiskMeasure, xi) -> TreeProcess:
 # Check suites: axioms and domination share one skeleton
 
 
-def _suite_setup(drm: DynamicRiskMeasure, claims: Sequence[Claim] | None,
-                 seed: int, tol: float):
-    """Terminal slices, labels, base solves, atol and claim pairs of a suite.
-
-    The default suite is 10 leaf claims on full trees, mixtures otherwise.
-    """
-    tree = drm.tree
-    if claims is None:
-        claims = sample_claims(tree, 10, seed,
-                               "leaf" if tree.layout == FULL else "mixture",
-                               scale_to=0.5)
+def _suite_setup(drm: DynamicRiskMeasure, claims: Sequence[Claim], tol: float):
+    """Terminal slices, labels, base solves, atol and claim pairs of a suite."""
     if not claims:
         raise ValueError("a check suite needs at least one claim")
+    tree = drm.tree
     xs = [_terminal_of(tree, c) for c in claims]
     labels = [c.label for c in claims]
     solved = [drm.solve_terminal(-x) for x in xs]
@@ -145,14 +137,15 @@ def _suite_setup(drm: DynamicRiskMeasure, claims: Sequence[Claim] | None,
 
 
 _LAMBDAS = (0.0, 0.5, 2.0, 3.0)  # the positive homogeneity factors of check_axioms
+_THETAS = (0.25, 0.5, 0.75)  # and its convexity weights
+_TOL = 1e-10  # the slack of optional_stopping_check, times max(1, max|Y|)
 
 
 def check_axioms(
     drm: DynamicRiskMeasure,
-    claims: Sequence[Claim] | None = None,
+    claims: Sequence[Claim],
     seed: int = 0,
     depths: Sequence[int] | None = None,
-    thetas: Sequence[float] = (0.25, 0.5, 0.75),
     tol: float = 1e-10,
 ) -> CheckReport:
     """Run the eight axiom checks node by node on a seeded claim suite.
@@ -162,7 +155,7 @@ def check_axioms(
     claim labels, depth, node identifier and the offending values, enough to
     reproduce the violation by direct evaluation.  Monotonicity, convexity
     and subadditivity are skipped when a solve breaks the step certificate.
-    Every convexity theta must lie in [0, 1].
+    ``seed`` picks the event nodes of the regularity check.
     """
     tree = drm.tree
     if tree.layout != FULL:
@@ -172,10 +165,7 @@ def check_axioms(
         depths = sorted({0, n // 3, (2 * n) // 3})
     for t in depths:
         tree.check_depth(t)
-    bad = [th for th in thetas if not 0.0 <= th <= 1.0]
-    if bad:
-        raise ValueError(f"convexity needs every theta in [0, 1], got {bad[0]}")
-    xs, labels, solved, atol, pairs = _suite_setup(drm, claims, seed, tol)
+    xs, labels, solved, atol, pairs = _suite_setup(drm, claims, tol)
     certified = all(s.monotone_step for s in solved)
     checks: dict = {}
 
@@ -213,7 +203,7 @@ def check_axioms(
     tr = _GapTracker(tree)
     cert = certified
     for i, j in pairs:
-        for th in thetas:
+        for th in _THETAS:
             mix = drm.solve_terminal(-(th * xs[i] + (1.0 - th) * xs[j]))
             cert &= mix.monotone_step
             tr.compare(lambda m, a, b: m - (th * a + (1.0 - th) * b),
@@ -271,8 +261,7 @@ def check_domination(
     drm: DynamicRiskMeasure,
     mu: float,
     nu: float,
-    claims: Sequence[Claim] | None = None,
-    seed: int = 0,
+    claims: Sequence[Claim],
     thetas: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
     z_grid: Sequence[float] = (-1.0, 0.0, 1.0),
     tol: float = 1e-10,
@@ -289,7 +278,7 @@ def check_domination(
     if bad:
         raise ValueError(f"theta_domination needs every theta in (0, 1), got {bad[0]}")
     tree = drm.tree
-    xs, labels, solved, atol, pairs = _suite_setup(drm, claims, seed, tol)
+    xs, labels, solved, atol, pairs = _suite_setup(drm, claims, tol)
     g_up, g_lo = quadratic_upper(mu, nu), quadratic_lower(mu, nu)
     checks: dict = {}
 
@@ -375,7 +364,6 @@ def optional_stopping_check(
     Y: TreeProcess,
     sigma: StoppingTime,
     tau: StoppingTime,
-    tol: float = 1e-10,
 ) -> StoppingCheck:
     """Check rho_sigma(-Y_tau) <= Y_(sigma ^ tau) path by path.
 
@@ -388,9 +376,9 @@ def optional_stopping_check(
     tree = drm.tree
     if Y.tree != tree:
         raise ValueError("process and measure live on different trees")
-    scale = max(1.0, Y.max_abs())
+    atol = _TOL * max(1.0, Y.max_abs())
     pre_gap, pre_witness = supermartingale_gap(drm, Y)
-    if not pre_gap <= tol * scale:
+    if not pre_gap <= atol:
         raise ValueError(
             f"input is not a one-step supermartingale for {drm.label}: "
             f"violation {pre_gap:.3e} at {pre_witness}")
@@ -403,11 +391,10 @@ def optional_stopping_check(
     i = int(np.argmax(gaps))
     worst = float(gaps[i])
     witness = None
-    if worst > tol * scale:
+    if worst > atol:
         witness = {"path": tree.node_label(tree.steps, i), "gap": worst,
                    "lhs": float(lhs[i]), "rhs": float(rhs[i])}
-    return StoppingCheck(drm.label, pre_gap, worst, tol * scale,
-                         worst <= tol * scale, witness)
+    return StoppingCheck(drm.label, pre_gap, worst, atol, worst <= atol, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +459,7 @@ def represent(
                     "convexity", "translation_invariance")
         _require_proven(drm.label, [report.checks[n] for n in required],
                         lambda name: f"fails {name} on the sample suite")
-        dom = check_domination(check_drm, mu_bar, nu_bar, suite, seed=seed)
+        dom = check_domination(check_drm, mu_bar, nu_bar, suite)
         _require_proven(drm.label, dom.checks.values(),
                         lambda name: f"violates domination with bounds ({mu_bar}, {nu_bar})")
 

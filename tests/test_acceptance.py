@@ -209,7 +209,7 @@ def test_08_domination_suite():
         tree = build_tree(1.0, 8, FULL)
         claims = sample_claims(tree, 40, seed=8, kind="leaf", scale_to=1.0)
         rep = check_domination(entropic(0.5, tree), 0.0, 0.5, claims=claims,
-                               seed=8, thetas=(0.1, 0.3, 0.5, 0.7, 0.9))
+                               thetas=(0.1, 0.3, 0.5, 0.7, 0.9))
         assert rep.passed
         for chk in rep.checks.values():
             assert chk.status == "pass"

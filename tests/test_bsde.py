@@ -85,7 +85,7 @@ class TestEntropyExact:
         rng = np.random.default_rng(11)
         pairs += list(zip(rng.normal(scale=30.0, size=200), rng.normal(scale=30.0, size=200)))
         down, up = (np.array(side) for side in zip(*pairs))
-        step = entropy_step(nu, build_tree(1.0, 4, RECOMBINING))
+        step = entropy_step(nu)
         with np.errstate(all="ignore"):
             for d, u in ((down, up), (down.reshape(4, -1), up.reshape(4, -1)),
                          (up[::-1], down[::-1])):
@@ -96,7 +96,7 @@ class TestEntropyExact:
     def test_one_exp_step_keeps_the_infinite_cases(self):
         # (+inf, finite) is NaN, as inf - inf is (|down - up| would give
         # +inf), and (-inf, finite) is the finite child plus log(1/2)/2nu.
-        step = entropy_step(0.5, build_tree(1.0, 4, RECOMBINING))
+        step = entropy_step(0.5)
         with np.errstate(invalid="ignore"):
             assert np.isnan(step(0, np.array([math.inf]), np.array([1.0]))).all()
         assert step(0, np.array([-math.inf]), np.array([1.0]))[0] == 1.0 + math.log(0.5)
@@ -174,7 +174,7 @@ class TestRecoverGenerator:
     def test_entropy_step_recovers_discrete_driver(self):
         nu = 0.8
         tree = build_tree(1.0, 50, RECOMBINING)
-        step = entropy_step(nu, tree)
+        step = entropy_step(nu)
         z = 1.3
         got = float(noise_step(step, 0, z, tree)) / tree.dt
         exact = math.log(math.cosh(2 * nu * z * tree.sqrt_dt)) / (2 * nu * tree.dt)
@@ -231,7 +231,7 @@ class TestOnePass:
         tree = build_tree(1.0, N, layout)
         xi = 3.0 * call(-0.2).evaluate(tree)
         s = entropy_exact(0.5, xi, tree)
-        Y, Z, bound, _ = reference_solve(tree, xi, entropy_step(0.5, tree), 0.0, 0.5)
+        Y, Z, bound, _ = reference_solve(tree, xi, entropy_step(0.5), 0.0, 0.5)
         assert_bitwise(s.Y, Y)
         assert_bitwise(s.Z, Z)
         assert same_float(s.step_bound, bound)
@@ -287,11 +287,10 @@ class TestOnePass:
             monkeypatch.setattr(bsde, "euler_step", lambda g, t: counted(euler_step(g, t)))
             solve_bsde(entropy(0.5), xi, tree)
         elif solve == "entropy":
-            monkeypatch.setattr(bsde, "entropy_step",
-                                lambda nu, t: counted(entropy_step(nu, t)))
+            monkeypatch.setattr(bsde, "entropy_step", lambda nu: counted(entropy_step(nu)))
             entropy_exact(0.5, xi, tree)
         else:
-            custom(counted(entropy_step(0.5, tree)), tree).solve_terminal(xi)
+            custom(counted(entropy_step(0.5)), tree).solve_terminal(xi)
         assert sorted(calls) == list(range(N))
 
     @pytest.mark.parametrize("solve,layout,N", [
@@ -586,11 +585,12 @@ class TestLazyCertificate:
     def test_check_suites_read_only_gated_solves(self, counts):
         tree = build_tree(1.0, 8, FULL)
         drm = from_generator(quadratic_upper(0.3, 0.5), tree)
-        report = check_axioms(drm)
+        claims = sample_claims(tree, 10, 0, "leaf", scale_to=0.5)
+        report = check_axioms(drm, claims)
         assert all(c.status != "skipped" for c in report.checks.values())
         assert counts == {"solves": 136, "certificates": 35}
         counts.update(solves=0, certificates=0)
-        check_domination(drm, 0.3, 0.5)
+        check_domination(drm, 0.3, 0.5, claims)
         assert counts == {"solves": 85, "certificates": 20}
 
     def test_cli_solve_reads_one_and_duality_none(self, counts):

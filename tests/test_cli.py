@@ -138,6 +138,20 @@ class TestParseConfig:
         ("penalize", {"surplus_tol": 0.0},
          "config.params.surplus_tol must be positive, got 0.0"),
         ("converge", {"ratio_tol": -0.2}, "config.params.ratio_tol must be positive, got -0.2"),
+        # Values that once ran and failed in the library (exit 1), or ran as another value.
+        ("penalize", {"n_schedule": []}, "config.params.n_schedule must be a non-empty list, got []"),
+        ("penalize", {"n_schedule": [2.0, 0.0]},
+         "config.params.n_schedule[1] must be positive, got 0.0"),
+        ("penalize", {"n_schedule": [-4]}, "config.params.n_schedule[0] must be positive, got -4.0"),
+        ("represent", {"t_grid": []}, "config.params.t_grid must be a non-empty list, got []"),
+        ("represent", {"z_count": 1}, "config.params.z_count must be at least 2, got 1"),
+        ("represent", {"z_hi": -2.0}, "config.params.z_hi must be different from z_lo, got -2.0"),
+        ("axioms", {"depths": [0, 65]}, "config.params.depths[1] must be in [0, 64], got 65"),
+        ("axioms", {"depths": [-1]}, "config.params.depths[0] must be in [0, 64], got -1"),
+        ("domination", {"thetas": [0.5, 1.0]},
+         "config.params.thetas[1] must be in (0, 1), got 1.0"),
+        ("domination", {"thetas": [0.0]}, "config.params.thetas[0] must be in (0, 1), got 0.0"),
+        ("dual", {"n_random": -1}, "config.params.n_random must be at least 0, got -1"),
     ])
     def test_bad_task_param_value(self, task, params, match):
         bad = dict(BASE, task=task, params=params)
@@ -359,6 +373,14 @@ class TestMain:
         ("represent", {"rel_tol": -1.0}),
         ("penalize", {"surplus_tol": 0.0}),
         ("converge", {"ratio_tol": -0.2}),
+        ("penalize", {"n_schedule": []}),
+        ("penalize", {"n_schedule": [2.0, 0.0]}),
+        ("represent", {"t_grid": []}),
+        ("represent", {"z_count": 1}),
+        ("represent", {"z_hi": -2.0}),
+        ("axioms", {"depths": [0, 7]}),
+        ("domination", {"thetas": [1.0]}),
+        ("dual", {"n_random": -1}),
     ])
     def test_bad_task_param_value_exits_two(self, tmp_path, capsys, task, params):
         cfg = write_cfg(tmp_path, task=task, claim=None, params=params,
@@ -424,12 +446,6 @@ class TestMain:
         row = next(r for r in report.results["checks"] if r["check"] == check)
         assert (row["status"], row["comparisons"]) == ("skipped", 0)
         assert math.isnan(row["max_gap"])
-
-    def test_theta_outside_the_unit_interval_exits_one(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, task="domination", claim=None, params={"thetas": [1.0]},
-                        tree={"steps": 6, "layout": "full"})
-        assert main(["domination", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        assert "every theta in (0, 1), got 1.0" in capsys.readouterr().err
 
     def test_represent_on_a_grid_without_zero(self, tmp_path, capsys):
         # 40 points on [-2, 2] miss z = 0, where an interpolated table once

@@ -218,8 +218,8 @@ class TestCanonicalProcesses:
     def test_exact_drift_is_rho_martingale(self):
         tree = build_tree(1.0, 20, RECOMBINING)
         drm = entropic(0.5, tree)
-        W = canonical_supermartingale(0.0, 0.5, 1.3, tree, drift="exact",
-                                      drm=drm)
+        W = add(canonical_drift(0.0, 0.5, 1.3, tree, drift="exact", drm=drm),
+                scale(brownian(tree), 1.3))
         gap, _ = supermartingale_gap(drm, W)
         assert abs(gap) <= 1e-12
 

@@ -30,6 +30,7 @@ exp/log may differ in the last bit between numpy builds; their files must
 match token for token, numbers to 1e-9 relative.
 """
 import re
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -68,7 +69,10 @@ ROUNDED = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_and_tables_match_golden_files(name, tmp_path):
     task, code = CASES[name]
-    for file_name in _written(name, task, code, tmp_path):
+    # The overflowing scheme meets inf and inf - inf, and numpy warns of both.
+    with pytest.warns(RuntimeWarning) if name == "solve_overflow" else nullcontext():
+        written = _written(name, task, code, tmp_path)
+    for file_name in written:
         assert (tmp_path / file_name).read_bytes() == (DATA / file_name).read_bytes(), \
             file_name
 

@@ -102,7 +102,8 @@ class TestAxioms:
     def test_entropic_fails_homogeneity_with_witness(self):
         tree = build_tree(1.0, 8, FULL)
         drm = entropic(0.5, tree)
-        rep = check_axioms(drm, seed=11)
+        claims = sample_claims(tree, 10, 11, "leaf", scale_to=0.5)
+        rep = check_axioms(drm, claims, seed=11)
         assert set(rep.checks) == set(AXIOMS)
         # convex but not coherent: scaling (and with it subadditivity) breaks
         assert "positive_homogeneity" in rep.failing()
@@ -110,29 +111,20 @@ class TestAxioms:
         w = rep.checks["positive_homogeneity"].witness
         assert w is not None and w["gap"] > 0
         # reproducible witness: same seed, same offending comparison
-        rep2 = check_axioms(drm, seed=11)
+        rep2 = check_axioms(drm, claims, seed=11)
         assert rep2.checks["positive_homogeneity"].witness == w
 
     @pytest.mark.parametrize("depth", [100, -1])
     def test_depth_outside_the_tree_is_rejected(self, depth):
-        drm = entropic(0.5, build_tree(1.0, 4, FULL))
+        tree = build_tree(1.0, 4, FULL)
         with pytest.raises(ValueError, match=rf"depth {depth} outside \[0, 4\]"):
-            check_axioms(drm, depths=[0, depth])
-
-    @pytest.mark.parametrize("theta", [-0.25, 1.5])
-    def test_theta_outside_the_unit_interval_is_rejected_before_any_solve(self, theta):
-        drm = custom(unreachable_step, build_tree(1.0, 4, FULL))
-        with pytest.raises(ValueError, match=rf"theta in \[0, 1\], got {theta}"):
-            check_axioms(drm, thetas=(0.5, theta))
-
-    def test_theta_at_the_ends_of_the_unit_interval_runs(self):
-        rep = check_axioms(entropic(0.5, build_tree(1.0, 6, FULL)), thetas=(0.0, 1.0))
-        assert rep.checks["convexity"].status == "pass"
+            check_axioms(entropic(0.5, tree), sample_claims(tree, 2, 0, "leaf"),
+                         depths=[0, depth])
 
     def test_sublinear_passes_all(self):
         tree = build_tree(1.0, 8, FULL)
         drm = from_generator(sublinear_interval(-1.0, 1.0), tree)
-        rep = check_axioms(drm, seed=3)
+        rep = check_axioms(drm, sample_claims(tree, 10, 3, "leaf", scale_to=0.5), seed=3)
         assert rep.passed
         assert all(c.status == "pass" for c in rep.checks.values())
 
@@ -181,21 +173,23 @@ class TestDomination:
     @pytest.mark.parametrize("theta", [0.0, 1.0, 1.5])
     def test_theta_outside_the_unit_interval_is_rejected_before_any_solve(self, theta):
         # theta = 1 divides by zero; theta > 1 is outside the inequality's domain
-        drm = custom(unreachable_step, build_tree(1.0, 4, FULL))
+        tree = build_tree(1.0, 4, FULL)
+        drm = custom(unreachable_step, tree)
         with pytest.raises(ValueError, match=rf"theta in \(0, 1\), got {theta}"):
-            check_domination(drm, 0.0, 0.5, thetas=(0.5, theta))
+            check_domination(drm, 0.0, 0.5, sample_claims(tree, 2, 0, "leaf"),
+                             thetas=(0.5, theta))
 
     def test_entropic_is_zero_nu_dominated(self):
         tree = build_tree(1.0, 8, FULL)
         drm = entropic(0.5, tree)
-        rep = check_domination(drm, 0.0, 0.5, seed=2)
+        rep = check_domination(drm, 0.0, 0.5, sample_claims(tree, 10, 2, "leaf", scale_to=0.5))
         assert rep.passed
         assert all(c.status == "pass" for c in rep.checks.values())
 
     def test_halved_envelope_fails_with_witness(self):
         tree = build_tree(1.0, 8, FULL)
         drm = entropic(0.5, tree)
-        rep = check_domination(drm, 0.0, 0.25, seed=2)
+        rep = check_domination(drm, 0.0, 0.25, sample_claims(tree, 10, 2, "leaf", scale_to=0.5))
         assert not rep.passed
         bad = [c for c in rep.checks.values() if c.status == "fail"]
         assert bad and bad[0].witness is not None
