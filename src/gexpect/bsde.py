@@ -75,6 +75,10 @@ class SolvedBSDE:
     first; the z entries of the horizon are None.  The solve folds those
     depths per block of depths, into the same floats a per-depth
     ``min``/``max`` gives.
+
+    A batched solve (``risk.DynamicRiskMeasure.solve_terminal`` of a
+    (B, n_nodes(N)) terminal) keeps every depth of its (B, width) slices;
+    ``row(i)`` is the solution of row i, with that row's own certificate.
     """
 
     Y: TreeProcess
@@ -108,6 +112,14 @@ class SolvedBSDE:
 
     def root(self) -> float:
         return self.Y.root()
+
+    def row(self, i: int) -> "SolvedBSDE":
+        """Row ``i`` of a batched solve, as views: the solution of that terminal
+        row alone, certified on first read from its own Z.  Its values are
+        the lone solve's bit for bit, but for the sign of a NaN: where two
+        NaNs meet in an add, numpy returns either one, by the loop it runs."""
+        return SolvedBSDE(self.Y.row(i), self.Z.row(i), self.scheme, self.generator,
+                          _growth=self._growth)
 
     def profile(self) -> list[tuple]:
         """(y_min, y_max, z_min, z_max) of every depth 0..N, kept or dropped."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bsde import entropy_step, euler_step
 from .claims import FAMILIES, SAMPLE_KINDS, Claim, from_spec, sample_claims
-from .dual import verify_duality
+from .dual import DEFAULT_ADMISSIBILITY_MARGIN, verify_duality
 from .generators import BUILTINS, CheckReport, Generator, entropy
 from .lattice import FULL, RECOMBINING, auto_layout, backward_reduce, build_tree
 from .penalization import DRIFTS, canonical_drift, doob_meyer
@@ -207,11 +207,17 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(f"config.params.{name} must be at least {least}, got {typed[name]}")
     if task == "represent" and typed["z_lo"] == typed["z_hi"]:
         raise ConfigError(f"config.params.z_hi must be different from z_lo, got {typed['z_hi']}")
-    # Values the library would reject only once the run has started.
+    # Values the library would reject only once the run has started.  A
+    # constant density q is admissible while |q| sqrt(dt) <= 1 - the margin.
+    sqrt_dt = math.sqrt(tree["horizon"] / tree["steps"])
+    q_cap = 1.0 - DEFAULT_ADMISSIBILITY_MARGIN
     for name, ok, expected in (
             ("n_schedule", lambda v: v > 0.0, "positive"),
             ("depths", lambda v: 0 <= v <= tree["steps"], f"in [0, {tree['steps']}]"),
-            ("thetas", lambda v: 0.0 < v < 1.0, "in (0, 1)")):
+            ("thetas", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+            ("q_sweep", lambda v: abs(v) * sqrt_dt <= q_cap,
+             f"at most {q_cap / sqrt_dt:.10g} in absolute value "
+             f"(|q| sqrt(dt) <= 1 - {DEFAULT_ADMISSIBILITY_MARGIN:g})")):
         for i, value in enumerate(typed.get(name) or ()):
             if not ok(value):
                 raise ConfigError(f"config.params.{name}[{i}] must be {expected}, got {value}")

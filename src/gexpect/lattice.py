@@ -251,6 +251,15 @@ class TreeProcess:
     def root(self) -> float:
         return float(self.values[0][0])
 
+    def row(self, i: int) -> "TreeProcess":
+        """Process ``i`` of a batch of processes, as views of its slices.
+
+        The views are read-only and of the row's shapes by construction, so
+        the row skips the constructor's checks."""
+        row = TreeProcess.__new__(TreeProcess)
+        row.tree, row.values = self.tree, tuple(v[i] for v in self.values)
+        return row
+
     def max_abs(self) -> float:
         """Largest |value| over all depths; NaN when any slice holds NaN."""
         return float(np.max([np.max(np.abs(v)) for v in self.values]))

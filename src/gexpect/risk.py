@@ -21,12 +21,21 @@ one gap function compared slice by slice over its solutions through
 ``generators._GapTracker.compare``, so no check builds a process of gaps;
 the suites report ``generators.CheckReport`` verdicts, as ``verify_class``
 does, and ``supermartingale_gap`` folds through the same tracker.
+
+``solve_terminal`` of the explicit and exact-entropic schemes also solves a
+batch of terminals, shape (B, n_nodes(N)), in one backward pass.  The
+suites use it: each check's terminals go through ``solve_terminal`` in
+chunks of max(1, 2^17 // (stored nodes of one process)) rows (4 on a full
+N=14 tree, 256 at N=8, one from N=16 up), each chunk let go before the next
+is solved, and the rows are compared in the order of one-at-a-time solves.
+A custom measure's suites solve one terminal slice at a time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import islice, product
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,10 +77,20 @@ class DynamicRiskMeasure:
     def solve_terminal(self, terminal: np.ndarray, keep: int | None = None) -> SolvedBSDE:
         """Backward composition on a literal terminal slice (no sign flip).
 
-        ``keep`` limits the stored depths of Y and Z (see SolvedBSDE).
+        ``keep`` limits the stored depths of Y and Z (see SolvedBSDE).  The
+        explicit and exact-entropic schemes also take a batch of terminals,
+        shape (B, n_nodes(N)), and solve it in one pass with every depth
+        kept; every step is elementwise, so ``SolvedBSDE.row(i)`` is the
+        solve of row i alone (see there).  A custom measure solves one
+        slice at a time: the suites are what check its step, so they do not
+        trust it to keep the rows of a batch apart.
         """
-        return _solve(self.tree, _unbatched(terminal), self.one_step, keep, self.scheme,
-                      self.generator)
+        xi = np.asarray(terminal, dtype=float)
+        if xi.ndim != 2 or self.scheme == "custom":
+            xi = _unbatched(xi)
+        elif keep is not None:
+            raise ValueError("a batch of terminals keeps every depth")
+        return _solve(self.tree, xi, self.one_step, keep, self.scheme, self.generator)
 
     def rebind(self, tree: ScenarioTree) -> "DynamicRiskMeasure":
         if self.scheme == "explicit":
@@ -122,6 +141,46 @@ def rho(drm: DynamicRiskMeasure, xi) -> TreeProcess:
 # ---------------------------------------------------------------------------
 # Check suites: axioms and domination share one skeleton
 
+# Stored Y values of one batched suite solve, 1 MB: 4 rows per chunk on a
+# full N=14 tree, 256 at N=8 and 1 (one slice per solve) from N=16 up.  On
+# the full N=14 suites (2 vCPU Xeon, numpy 2.4.6) 4 rows gave the fastest
+# median op, an axioms op, 16% under one row at a time; 2 rows gave 10%,
+# and 8 rows 2% at 2 MB more peak RSS.
+_CHUNK_VALUES = 2 ** 17
+
+
+def _chunk_rows(drm: DynamicRiskMeasure) -> int:
+    """Rows per batched suite solve: the whole processes that fit in
+    _CHUNK_VALUES stored values, at least one, and one for a custom measure."""
+    if drm.scheme == "custom":
+        return 1
+    tree = drm.tree
+    return max(1, _CHUNK_VALUES // sum(tree.n_nodes(k) for k in range(tree.steps + 1)))
+
+
+def _solve_each(drm: DynamicRiskMeasure, cases: Iterable[tuple], terminal, visit,
+                gated: bool = False) -> bool:
+    """Call ``visit(s, *case)`` for each case in order, s the solution of the
+    literal terminal ``terminal(*case)``.  Returns whether every s holds the
+    step certificate when ``gated`` (each one is read), else True.
+
+    The cases are taken ``_chunk_rows(drm)`` at a time and their terminals
+    solved by one ``solve_terminal`` pass, of which s is a row; a chunk of
+    one is solved as one slice.  A chunk is let go before the next is built,
+    unless ``visit`` keeps a row of it.
+    """
+    rows, cases, certified = _chunk_rows(drm), iter(cases), True
+    while chunk := list(islice(cases, rows)):
+        solved = drm.solve_terminal(terminal(*chunk[0]) if rows == 1 else
+                                    np.stack([terminal(*case) for case in chunk]))
+        for r, case in enumerate(chunk):
+            s = solved if rows == 1 else solved.row(r)
+            if gated:
+                certified &= s.monotone_step
+            visit(s, *case)
+        del chunk, solved, s
+    return certified
+
 
 def _suite_setup(drm: DynamicRiskMeasure, claims: Sequence[Claim], tol: float):
     """Terminal slices, labels, base solves, atol and claim pairs of a suite."""
@@ -130,7 +189,8 @@ def _suite_setup(drm: DynamicRiskMeasure, claims: Sequence[Claim], tol: float):
     tree = drm.tree
     xs = [_terminal_of(tree, c) for c in claims]
     labels = [c.label for c in claims]
-    solved = [drm.solve_terminal(-x) for x in xs]
+    solved: list[SolvedBSDE] = []
+    _solve_each(drm, ((x,) for x in xs), lambda x: -x, lambda s, x: solved.append(s))
     scale = max(1.0, max(float(np.max(np.abs(x))) for x in xs))
     pairs = list(zip(range(0, len(xs) - 1, 2), range(1, len(xs), 2)))
     return xs, labels, solved, tol * scale, pairs
@@ -156,6 +216,12 @@ def check_axioms(
     reproduce the violation by direct evaluation.  Monotonicity, convexity
     and subadditivity are skipped when a solve breaks the step certificate.
     ``seed`` picks the event nodes of the regularity check.
+
+    Each check's terminals, and the base solves of the claims, go through
+    ``solve_terminal`` in chunks of max(1, 2^17 // (2^(N+1) - 1)) rows: 4
+    at N=14, 256 at N=8, one slice per solve from N=16 up and for a custom
+    measure.  Rows are compared in the order of the one-at-a-time loops,
+    so the gaps, witnesses and certificate reads are theirs.
     """
     tree = drm.tree
     if tree.layout != FULL:
@@ -171,87 +237,90 @@ def check_axioms(
 
     # Monotonicity: xi >= eta pointwise implies rho(xi) <= rho(eta).
     tr = _GapTracker(tree)
-    cert = certified
-    for i, j in pairs:
-        eta = xs[i] - np.abs(xs[j])
-        s_eta = drm.solve_terminal(-eta)
-        cert &= s_eta.monotone_step
-        tr.compare(np.subtract, (solved[i].Y, s_eta.Y), {"claim": labels[i], "minus": labels[j]})
-    checks["monotonicity"] = tr.verdict("monotonicity", atol, cert)
+    cert = _solve_each(
+        drm, pairs, lambda i, j: -(xs[i] - np.abs(xs[j])),
+        lambda s, i, j: tr.compare(np.subtract, (solved[i].Y, s.Y),
+                                   {"claim": labels[i], "minus": labels[j]}), gated=True)
+    checks["monotonicity"] = tr.verdict("monotonicity", atol, certified and cert)
 
     # Time consistency: rho_s(-rho_t(xi)) = rho_s(xi) for s <= t.
     tr = _GapTracker(tree)
-    for i, s_i in enumerate(solved):
-        for t in depths:
-            outer = drm.solve_terminal(np.repeat(s_i.Y.values[t], 2 ** (n - t))).Y
-            tr.compare(lambda o, a: np.abs(o - a), (outer, s_i.Y),
-                       {"claim": labels[i], "restart_depth": t}, range(t + 1))
+    _solve_each(
+        drm, product(range(len(xs)), depths),
+        lambda i, t: np.repeat(solved[i].Y.values[t], 2 ** (n - t)),
+        lambda s, i, t: tr.compare(lambda o, a: np.abs(o - a), (s.Y, solved[i].Y),
+                                   {"claim": labels[i], "restart_depth": t}, range(t + 1)))
     checks["time_consistency"] = tr.verdict("time_consistency", atol)
 
     # Preservation of known values: rho_t(xi) = -xi for F_t-measurable xi.
+    def known_values():
+        for t in depths:
+            level = tree.brownian_slice(t)
+            for vals, tag in ((level * level, "squared_level"),
+                              (np.full(tree.n_nodes(t), 0.3), "constant")):
+                yield propagate(tree, t, vals), tag, t
+
     tr = _GapTracker(tree)
-    for t in depths:
-        level = tree.brownian_slice(t)
-        for vals, tag in ((level * level, "squared_level"), (np.full(tree.n_nodes(t), 0.3), "constant")):
-            known = propagate(tree, t, vals)
-            R = drm.solve_terminal(-known.terminal).Y
-            tr.compare(lambda r, k: np.abs(r + k), (R, known),
-                       {"claim": tag, "measurable_at": t}, range(t, n + 1))
+    _solve_each(
+        drm, known_values(), lambda known, tag, t: -known.terminal,
+        lambda s, known, tag, t: tr.compare(lambda r, k: np.abs(r + k), (s.Y, known),
+                                            {"claim": tag, "measurable_at": t},
+                                            range(t, n + 1)))
     checks["constant_preservation"] = tr.verdict("constant_preservation", atol)
 
     # Convexity in the claim.
     tr = _GapTracker(tree)
-    cert = certified
-    for i, j in pairs:
-        for th in _THETAS:
-            mix = drm.solve_terminal(-(th * xs[i] + (1.0 - th) * xs[j]))
-            cert &= mix.monotone_step
-            tr.compare(lambda m, a, b: m - (th * a + (1.0 - th) * b),
-                       (mix.Y, solved[i].Y, solved[j].Y),
-                       {"claims": f"{labels[i]}|{labels[j]}", "theta": th})
-    checks["convexity"] = tr.verdict("convexity", atol, cert)
+    cert = _solve_each(
+        drm, [(i, j, th) for i, j in pairs for th in _THETAS],
+        lambda i, j, th: -(th * xs[i] + (1.0 - th) * xs[j]),
+        lambda s, i, j, th: tr.compare(lambda m, a, b: m - (th * a + (1.0 - th) * b),
+                                       (s.Y, solved[i].Y, solved[j].Y),
+                                       {"claims": f"{labels[i]}|{labels[j]}", "theta": th}),
+        gated=True)
+    checks["convexity"] = tr.verdict("convexity", atol, certified and cert)
 
     # Subadditivity.
     tr = _GapTracker(tree)
-    cert = certified
-    for i, j in pairs:
-        s_sum = drm.solve_terminal(-(xs[i] + xs[j]))
-        cert &= s_sum.monotone_step
-        tr.compare(lambda s, a, b: s - (a + b), (s_sum.Y, solved[i].Y, solved[j].Y),
-                   {"claims": f"{labels[i]}|{labels[j]}"})
-    checks["subadditivity"] = tr.verdict("subadditivity", atol, cert)
+    cert = _solve_each(
+        drm, pairs, lambda i, j: -(xs[i] + xs[j]),
+        lambda s, i, j: tr.compare(lambda m, a, b: m - (a + b), (s.Y, solved[i].Y, solved[j].Y),
+                                   {"claims": f"{labels[i]}|{labels[j]}"}), gated=True)
+    checks["subadditivity"] = tr.verdict("subadditivity", atol, certified and cert)
 
     # Positive homogeneity: rho(lambda xi) = lambda rho(xi), lambda >= 0.
     tr = _GapTracker(tree)
-    for i, s_i in enumerate(solved):
-        for lam in _LAMBDAS:
-            s_lam = drm.solve_terminal(-(lam * xs[i]))
-            tr.compare(lambda m, a: np.abs(m - a * lam), (s_lam.Y, s_i.Y),
-                       {"claim": labels[i], "lambda": lam})
+    _solve_each(
+        drm, product(range(len(xs)), _LAMBDAS), lambda i, lam: -(lam * xs[i]),
+        lambda s, i, lam: tr.compare(lambda m, a: np.abs(m - a * lam), (s.Y, solved[i].Y),
+                                     {"claim": labels[i], "lambda": lam}))
     checks["positive_homogeneity"] = tr.verdict("positive_homogeneity", atol)
 
+    # The last two checks run on the first half of the claims, at least two.
+    half = range(min(len(xs), max(2, len(xs) // 2)))
+
     # Translation invariance: rho_t(xi + zeta) = rho_t(xi) - zeta, zeta in F_t.
+    zetas = {t: propagate(tree, t, 0.5 * np.cos(tree.brownian_slice(t))) for t in depths}
     tr = _GapTracker(tree)
-    for i, s_i in enumerate(solved[: max(2, len(solved) // 2)]):
-        for t in depths:
-            zeta = propagate(tree, t, 0.5 * np.cos(tree.brownian_slice(t)))
-            shifted = drm.solve_terminal(-(xs[i] + zeta.terminal)).Y
-            tr.compare(lambda m, a, c: np.abs(m - (a - c)), (shifted, s_i.Y, zeta),
-                       {"claim": labels[i], "shift_depth": t}, range(t, n + 1))
+    _solve_each(
+        drm, product(half, depths), lambda i, t: -(xs[i] + zetas[t].terminal),
+        lambda s, i, t: tr.compare(lambda m, a, c: np.abs(m - (a - c)),
+                                   (s.Y, solved[i].Y, zetas[t]),
+                                   {"claim": labels[i], "shift_depth": t}, range(t, n + 1)))
     checks["translation_invariance"] = tr.verdict("translation_invariance", atol)
+    del zetas
 
     # Regularity (locality): rho_t(1_A xi) = 1_A rho_t(xi) on depth-t subtrees.
+    def local(s, i, t, node):
+        ind_t = np.zeros(tree.n_nodes(t))
+        ind_t[node] = 1.0
+        tr.compare(lambda m, a: np.abs(m - ind_t * a), (s.Y, solved[i].Y),
+                   {"claim": labels[i], "event_node": tree.node_label(t, node)}, (t,))
+
     tr = _GapTracker(tree)
     rng = np.random.default_rng(seed + 1)
-    for i, s_i in enumerate(solved[: max(2, len(solved) // 2)]):
-        for t in (d for d in depths if d > 0):
-            node = int(rng.integers(tree.n_nodes(t)))
-            ind_term = subtree_indicator(tree, t, node)
-            masked = drm.solve_terminal(-(xs[i] * ind_term)).Y
-            ind_t = np.zeros(tree.n_nodes(t))
-            ind_t[node] = 1.0
-            tr.compare(lambda m, a: np.abs(m - ind_t * a), (masked, s_i.Y),
-                       {"claim": labels[i], "event_node": tree.node_label(t, node)}, (t,))
+    _solve_each(
+        drm, ((i, t, int(rng.integers(tree.n_nodes(t)))) for i in half for t in depths if t > 0),
+        lambda i, t, node: -(xs[i] * subtree_indicator(tree, t, node)), local)
     checks["regularity"] = tr.verdict("regularity", atol)
 
     return CheckReport(drm.label, checks)
@@ -273,6 +342,10 @@ def check_domination(
     convex-combination domination over a theta grid, and the sup-norm
     bound for claims differing by a multiple of the terminal noise.  Every
     theta must lie in (0, 1), where the one-sided domination is defined.
+
+    The base solves and the theta and sup-norm families go through
+    ``solve_terminal`` in chunks, as in :func:`check_axioms`; the envelope
+    solves are one ``solve_bsde`` each.
     """
     bad = [th for th in thetas if not 0.0 < th < 1.0]
     if bad:
@@ -295,23 +368,30 @@ def check_domination(
         note="envelope solver certificate violated; refine dt")
 
     tr = _GapTracker(tree)
-    for i, j in pairs:
-        for th in thetas:
-            stretched = drm.solve_terminal(-((xs[i] - th * xs[j]) / (1.0 - th))).Y
-            tr.compare(lambda a, b, s: (a - b * th) - s * (1.0 - th),
-                       (solved[i].Y, solved[j].Y, stretched),
-                       {"claims": f"{labels[i]}|{labels[j]}", "theta": th})
+    _solve_each(
+        drm, [(i, j, th) for i, j in pairs for th in thetas],
+        lambda i, j, th: -((xs[i] - th * xs[j]) / (1.0 - th)),
+        lambda s, i, j, th: tr.compare(lambda a, b, st: (a - b * th) - st * (1.0 - th),
+                                       (solved[i].Y, solved[j].Y, s.Y),
+                                       {"claims": f"{labels[i]}|{labels[j]}", "theta": th}))
     checks["theta_domination"] = tr.verdict("theta_domination", atol)
 
-    tr = _GapTracker(tree)
+    # Claims i and j of a pair, each shifted by z B_T, are solved as
+    # consecutive rows: row i's solution waits in ``first`` for row j's.
     B_T = tree.brownian_slice(tree.steps)
-    for i, j in pairs:
-        sup_diff = float(np.max(np.abs(xs[i] - xs[j])))
-        for z in z_grid:
-            a = drm.solve_terminal(-(xs[i] - z * B_T)).Y
-            b = drm.solve_terminal(-(xs[j] - z * B_T)).Y
-            tr.compare(lambda u, v: np.abs(u - v) - sup_diff, (a, b),
-                       {"claims": f"{labels[i]}|{labels[j]}", "z": z})
+    sup_diff = {(i, j): float(np.max(np.abs(xs[i] - xs[j]))) for i, j in pairs}
+    first: list[SolvedBSDE] = []
+
+    def bounded(s, i, j, z, k):
+        if k == i:
+            first.append(s)
+            return
+        tr.compare(lambda u, v: np.abs(u - v) - sup_diff[i, j], (first.pop().Y, s.Y),
+                   {"claims": f"{labels[i]}|{labels[j]}", "z": z})
+
+    tr = _GapTracker(tree)
+    _solve_each(drm, [(i, j, z, k) for i, j in pairs for z in z_grid for k in (i, j)],
+                lambda i, j, z, k: -(xs[k] - z * B_T), bounded)
     checks["sup_norm_bound"] = tr.verdict("sup_norm_bound", atol)
 
     return CheckReport(drm.label, checks)

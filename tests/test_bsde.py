@@ -543,18 +543,76 @@ class TestSolvePaths:
             entropy_exact(nu, np.zeros(3), tree)
 
 
+class TestBatchedSolve:
+    """A measure's solve of a (B, n_nodes(N)) batch gives each row, through
+    ``SolvedBSDE.row``, the fields of that row's own solve bit for bit:
+    every depth of Y and Z, the certificate and the profile.  An
+    overflowing row sits beside finite ones and leaves them unchanged.
+
+    A NaN counts as one value whatever its sign: where two NaNs meet in an
+    add, numpy returns the one or the other by the loop it runs (vector
+    body or scalar tail), and a row of a batch may fall in the other."""
+
+    @staticmethod
+    def fields(s):
+        nan_as_one = [[np.where(np.isnan(v), np.nan, v).tobytes() for v in p.values]
+                      for p in (s.Y, s.Z)]
+        return [*nan_as_one, *solved_fields(s)[2:]]
+
+    @staticmethod
+    def terminals(tree):
+        # Full N=8 has depths 0-2 of widths 1, 2 and 4, narrower than a
+        # vector register, as the rows of a batch are not.
+        level = tree.brownian_slice(tree.steps)
+        return [call(0.1).evaluate(tree), -3.0 * linear(1.0).evaluate(tree),
+                1.5e308 * np.sign(level), np.sin(7.0 * level), np.zeros_like(level)]
+
+    @pytest.mark.parametrize("layout,N", [(FULL, 8), (RECOMBINING, 120)])
+    @pytest.mark.parametrize("measure", ["explicit", "gated", "entropy"])
+    def test_rows_are_their_own_solves(self, layout, N, measure):
+        tree = build_tree(1.0, N, layout)
+        drm = {"explicit": lambda: from_generator(quadratic_upper(0.3, 0.5), tree),
+               "gated": lambda: from_generator(quadratic_upper(1.0, 2.0), tree),
+               "entropy": lambda: entropic(0.5, tree)}[measure]()
+        xs = self.terminals(tree)
+        with np.errstate(all="ignore"):
+            batch = drm.solve_terminal(np.stack(xs))
+            rows = [batch.row(r) for r in range(len(xs))]
+            alone = [drm.solve_terminal(x) for x in xs]
+        for r, (a, b) in enumerate(zip(rows, alone)):
+            assert self.fields(a) == self.fields(b), r
+            assert a.generator is b.generator
+        # The explicit scheme overflows to inf and NaN on row 2, the exact
+        # recursion only in Z; every row's certificate is its own.
+        finite = [all(np.isfinite(v).all() for v in s.Y.values) for s in alone]
+        assert finite == [True, True, measure == "entropy", True, True]
+        assert not math.isfinite(rows[2].step_bound)
+        assert {s.monotone_step for s in rows} == ({True} if measure == "entropy"
+                                                   else {True, False})
+
+    def test_batch_keeps_every_depth(self):
+        tree = build_tree(1.0, 6, FULL)
+        xs = np.stack(self.terminals(tree))
+        drm = entropic(0.5, tree)
+        with pytest.raises(ValueError, match="a batch of terminals keeps every depth"):
+            drm.solve_terminal(xs, 0)
+        with np.errstate(all="ignore"):
+            assert drm.solve_terminal(xs, None).Y.values[0].shape == (len(xs), 1)
+
+
 class TestLazyCertificate:
     """A solution computes its certificate when one of its three fields is
     first read, once, and a solve whose certificate nobody reads pays none."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        seen = {"solves": 0, "certificates": 0}
+        seen = {"solves": 0, "rows": 0, "certificates": 0}
         real_solve, real_certificate = bsde._solve, bsde._certificate
 
-        def solve(*args, **kwargs):
-            seen["solves"] += 1
-            return real_solve(*args, **kwargs)
+        def solve(tree, xi, *args, **kwargs):
+            seen["solves"] += 1  # backward passes
+            seen["rows"] += len(xi) if xi.ndim == 2 else 1
+            return real_solve(tree, xi, *args, **kwargs)
 
         def certificate(solved):
             seen["certificates"] += 1
@@ -573,33 +631,37 @@ class TestLazyCertificate:
         s = {"explicit": lambda: solve_bsde(g, xi, tree),
              "entropy": lambda: entropy_exact(0.5, xi, tree),
              "custom": lambda: custom(euler_step(g, tree), tree).solve_terminal(xi, 0)}[solve]()
-        assert counts == {"solves": 1, "certificates": 0}
+        assert counts == {"solves": 1, "rows": 1, "certificates": 0}
         first = [(float_bits(s.step_bound), s.monotone_step, s.warnings) for _ in range(2)]
         assert first[0] == first[1] and counts["certificates"] == 1
 
-    # The counts follow from which checks gate on the certificate: the 10
-    # base solves of check_axioms (read through a short-circuiting all(), so
-    # every solve of the suite is certified here), monotonicity, convexity
-    # and subadditivity; the upper and lower envelope solves of
-    # check_domination.  Changing which solves are gated changes them.
+    # The certificate counts follow from which checks gate on the
+    # certificate: the 10 base solves of check_axioms (read through a
+    # short-circuiting all(), so every solve of the suite is certified
+    # here), monotonicity, convexity and subadditivity; the upper and lower
+    # envelope solves of check_domination.  Changing which solves are gated
+    # changes them.  Every row is a solve of its own; at N=8 a family's
+    # rows fit one batched pass, so check_axioms makes 9 passes (the base
+    # solves and 8 checks) and check_domination 23 (the base solves, the
+    # 20 envelope solves, theta and sup-norm).
     def test_check_suites_read_only_gated_solves(self, counts):
         tree = build_tree(1.0, 8, FULL)
         drm = from_generator(quadratic_upper(0.3, 0.5), tree)
         claims = sample_claims(tree, 10, 0, "leaf", scale_to=0.5)
         report = check_axioms(drm, claims)
         assert all(c.status != "skipped" for c in report.checks.values())
-        assert counts == {"solves": 136, "certificates": 35}
-        counts.update(solves=0, certificates=0)
+        assert counts == {"solves": 9, "rows": 136, "certificates": 35}
+        counts.update(solves=0, rows=0, certificates=0)
         check_domination(drm, 0.3, 0.5, claims)
-        assert counts == {"solves": 85, "certificates": 20}
+        assert counts == {"solves": 23, "rows": 85, "certificates": 20}
 
     def test_cli_solve_reads_one_and_duality_none(self, counts):
         cfg = {"tree": {"horizon": 1.0, "steps": 8, "layout": "recombining"},
                "measure": {"kind": "quadratic_upper", "mu": 0.3, "nu": 0.5},
                "claim": {"kind": "call", "strike": 0.0}, "task": "solve"}
         run(parse_config(json.dumps(cfg)))
-        assert counts == {"solves": 1, "certificates": 1}
-        counts.update(solves=0, certificates=0)
+        assert counts == {"solves": 1, "rows": 1, "certificates": 1}
+        counts.update(solves=0, rows=0, certificates=0)
         tree = build_tree(1.0, 8, FULL)
         verify_duality(from_generator(quadratic_upper(0.3, 0.5), tree), call(0.0))
         assert counts["solves"] >= 1 and counts["certificates"] == 0

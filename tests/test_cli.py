@@ -152,6 +152,10 @@ class TestParseConfig:
          "config.params.thetas[1] must be in (0, 1), got 1.0"),
         ("domination", {"thetas": [0.0]}, "config.params.thetas[0] must be in (0, 1), got 0.0"),
         ("dual", {"n_random": -1}, "config.params.n_random must be at least 0, got -1"),
+        # A constant density with |q| sqrt(dt) > 1 - delta is inadmissible (dt = 1/64).
+        ("dual", {"q_sweep": [0.5, -100.0]},
+         "config.params.q_sweep[1] must be at most 7.999992 in absolute value "
+         "(|q| sqrt(dt) <= 1 - 1e-06), got -100.0"),
     ])
     def test_bad_task_param_value(self, task, params, match):
         bad = dict(BASE, task=task, params=params)
@@ -381,6 +385,7 @@ class TestMain:
         ("axioms", {"depths": [0, 7]}),
         ("domination", {"thetas": [1.0]}),
         ("dual", {"n_random": -1}),
+        ("dual", {"q_sweep": [100.0]}),
     ])
     def test_bad_task_param_value_exits_two(self, tmp_path, capsys, task, params):
         cfg = write_cfg(tmp_path, task=task, claim=None, params=params,

@@ -19,6 +19,8 @@ from gexpect.generators import (
     sublinear_interval,
 )
 from gexpect.lattice import FULL, RECOMBINING, TreeProcess, brownian, build_tree
+from gexpect import risk
+from gexpect.bsde import euler_step
 from gexpect.risk import (
     AXIOMS,
     check_axioms,
@@ -193,6 +195,81 @@ class TestDomination:
         assert not rep.passed
         bad = [c for c in rep.checks.values() if c.status == "fail"]
         assert bad and bad[0].witness is not None
+
+
+def suite_reports(drm, claims):
+    """Both suites' reports as text: a NaN gap is ``nan`` whatever its sign."""
+    g = drm.bounds
+    return repr((check_axioms(drm, claims, seed=4), check_domination(drm, *g, claims)))
+
+
+class TestBatchedSuites:
+    """The suites solve each check's terminals in chunks of rows; the rows
+    are compared in the order of the one-at-a-time loops, so the reports are
+    theirs whatever the chunk width."""
+
+    @pytest.mark.parametrize("layout,N,rows", [
+        (FULL, 8, 256), (FULL, 13, 8), (FULL, 14, 4), (FULL, 15, 2), (FULL, 16, 1),
+        (RECOMBINING, 100, 25), (RECOMBINING, 2000, 1)])
+    def test_rows_per_chunk(self, layout, N, rows):
+        tree = build_tree(1.0, N, layout)
+        assert risk._chunk_rows(entropic(0.5, tree)) == rows
+        assert risk._chunk_rows(from_generator(quadratic_upper(0.3, 0.5), tree)) == rows
+        assert risk._chunk_rows(custom(lambda k, d, u: 0.5 * (d + u), tree)) == 1
+
+    @pytest.mark.parametrize("values,rows", [(1, 1), (3 * 127, 3), (2 ** 17, 1032)])
+    def test_reports_do_not_depend_on_the_chunk_width(self, monkeypatch, values, rows):
+        # 3 rows a chunk splits the sup-norm pairs and every check's rows
+        # unevenly; the scale-25 suite breaks the certificate of some solves.
+        tree = build_tree(1.0, 6, FULL)
+        monkeypatch.setattr(risk, "_CHUNK_VALUES", values)
+        claims = sample_claims(tree, 7, 5, "leaf", scale_to=25.0)
+        for drm in (from_generator(quadratic_upper(1.0, 2.0), tree), entropic(0.5, tree)):
+            assert risk._chunk_rows(drm) == rows
+            with np.errstate(all="ignore"):
+                report = suite_reports(drm, claims)
+            monkeypatch.setattr(risk, "_CHUNK_VALUES", 1)
+            with np.errstate(all="ignore"):
+                assert report == suite_reports(drm, claims)
+            monkeypatch.setattr(risk, "_CHUNK_VALUES", values)
+        assert "skipped" in report and "fail" in report
+
+    def test_custom_suites_solve_one_slice_at_a_time(self, monkeypatch):
+        # The custom measure of the explicit step reports what the batched
+        # explicit measure does, but for the certificate it cannot read.
+        tree = build_tree(1.0, 8, FULL)
+        g = quadratic_upper(0.3, 0.5)
+        claims = sample_claims(tree, 10, 1, "leaf", scale_to=0.5)
+        shapes = []
+        real = risk.DynamicRiskMeasure.solve_terminal
+
+        def solve_terminal(drm, terminal):
+            shapes.append((drm.scheme, np.shape(terminal)))
+            return real(drm, terminal)
+
+        monkeypatch.setattr(risk.DynamicRiskMeasure, "solve_terminal", solve_terminal)
+        batched = suite_reports(from_generator(g, tree), claims)
+        assert {n for s, (n, *_) in shapes if s == "explicit"} == {10, 5, 30, 6, 15, 40, 25}
+        shapes.clear()
+        one_at_a_time = suite_reports(
+            custom(euler_step(g, tree), tree, "generator[quadratic_upper]", (g.mu, g.nu)), claims)
+        assert set(shapes) == {("custom", (tree.n_nodes(8),))} and len(shapes) == 136 + 65
+        assert one_at_a_time == batched
+
+    def test_domination_with_nothing_to_compare_is_skipped(self):
+        tree = build_tree(1.0, 4, FULL)
+        drm = entropic(0.5, tree)
+        two = sample_claims(tree, 2, 0, "leaf")
+        for claims, thetas, z_grid in ((two[:1], (0.5,), (0.0,)), (two, (), (0.0,)),
+                                       (two, (0.5,), ())):
+            rep = check_domination(drm, 0.0, 0.5, claims, thetas=thetas, z_grid=z_grid)
+            assert rep.checks["two_sided_envelope"].status == "pass"
+            empty = {"theta_domination": not thetas or len(claims) < 2,
+                     "sup_norm_bound": not z_grid or len(claims) < 2}
+            for name, skipped in empty.items():
+                check = rep.checks[name]
+                assert (check.status, check.note) == (("skipped", "nothing compared")
+                                                      if skipped else ("pass", "")), name
 
 
 class TestSupermartingale:
