@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .generators import Generator, entropy
+from .generators import Generator, _reuse, entropy
 from .lattice import ScenarioTree, TreeProcess, _terminal_array, backward_reduce
 
 StepFn = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
@@ -133,13 +133,27 @@ def euler_step(g: Generator, tree: ScenarioTree) -> StepFn:
 
     The step takes the z of its (down, up) children when the caller has it
     already (``_solve`` does); called bare, it computes z itself.
+
+    Like every built-in kernel, the step applies the ufuncs of its
+    expression, 0.5 (down + up) + g(t, z) dt, in the same order, but writes
+    only into arrays it allocated in the same call: (down + up) * 0.5 goes
+    into a new y and g(t, z) dt is added into it.  It never writes into
+    ``down`` and ``up`` (views of a stored Y slice), ``z`` (the stored Z
+    slice) or what ``g`` returns (a custom driver may return its input).  A
+    product or sum with a constant may take its operands in the other
+    order, which gives the same bits.  Scalar children give a scalar, as
+    the expression does.
     """
     dt, sdt = tree.dt, tree.sqrt_dt
 
     def step(k, down, up, z=None):
         if z is None:
-            z = (up - down) / (2.0 * sdt)
-        return 0.5 * (down + up) + g(k * dt, z) * dt
+            z = up - down
+            z /= 2.0 * sdt
+        y = down + up
+        y *= 0.5
+        y += g(k * dt, z) * dt
+        return y
 
     return step
 
@@ -153,13 +167,25 @@ def entropy_step(nu: float) -> StepFn:
     s = (m - down) + (m - up) gives the bits of the two-``exp`` sum; s is
     built this way, not as |down - up|, so that an infinite child still
     gives the sum's NaN.
+
+    The allocation rule of ``euler_step`` holds: m goes into a new y, s into
+    one scratch array (with m - up in a second), and the ``exp``, ``log``
+    and the shift by m are applied in place, in the expression's order.
     """
     two_nu = 2.0 * float(nu)
 
     def step(k, down, up, z=None):
-        m = np.maximum(down, up)
-        s = (m - down) + (m - up)
-        return m + np.log(0.5 * (1.0 + np.exp(-two_nu * s))) / two_nu
+        y = np.maximum(down, up)
+        s = y - down
+        s += y - up
+        s *= -two_nu
+        s = np.exp(s, out=_reuse(s))
+        s += 1.0
+        s *= 0.5
+        s = np.log(s, out=_reuse(s))
+        s /= two_nu
+        y += s
+        return y
 
     return step
 
@@ -191,7 +217,12 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
     ``reduceat`` calls give the rows of every depth in the block -- the
     floats ``_summary`` gives depth by depth.  A depth wider than a block is
     summarized on its own.  The buffers are allocated for the first depth
-    that uses them, so a solve that keeps every depth allocates none."""
+    that uses them, so a solve that keeps every depth allocates none.
+
+    Each z is up - down divided in place, the ufuncs of (up - down) / scale
+    in their order, in an array the pass allocated (or in a block buffer),
+    never in the child views; the kernels follow the same rule (see
+    ``euler_step``), so a step writes into nothing the solution stores."""
     n = tree.steps
     keep = n if keep is None else keep
     z_slices: list[np.ndarray] = [None] * min(keep + 1, n)  # type: ignore[list-item]
@@ -218,7 +249,8 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
         nonlocal ys, zs, used
         width = down.shape[-1]
         if k <= keep or width > _BLOCK:
-            z = (up - down) / scale
+            z = up - down
+            z /= scale
             y = step(k, down, up, z)
             if k <= keep:
                 z_slices[k] = z

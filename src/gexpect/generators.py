@@ -15,6 +15,14 @@ compare processes depth slice by depth slice through
 :meth:`_GapTracker.compare`.  The
 Legendre-Fenchel conjugate and the subdifferential come in closed form for
 the built-ins and via guarded grid refinement otherwise.
+
+The ``fn`` of each built-in driver runs once per node of every explicit
+solve, so it allocates only the array it returns and at most one scratch
+array: it applies the ufuncs of its expression (``mu * np.abs(z) +
+nu * z * z`` and so on) in the same order, writing each result into its
+first temporary, and never writes into ``z``.  A product or sum with a
+constant may take its operands in the other order, which gives the same
+bits; a scalar ``z`` gives the scalar type the expression gives.
 """
 from __future__ import annotations
 
@@ -83,12 +91,32 @@ class ConjugatePoint:
     tol: float
 
 
+def _reuse(v):
+    """The ``out=`` of a ufunc whose result may overwrite ``v``: ``v`` itself
+    when it is an array, which in a kernel means one the kernel allocated;
+    None for a scalar, so that a scalar input keeps giving a new scalar."""
+    return v if isinstance(v, np.ndarray) else None
+
+
+def _envelope(mu: float, nu: float, z):
+    """mu*|z| + nu*z^2, the ufuncs of ``mu * np.abs(z) + nu * z * z`` in its
+    order, in one new array and one scratch array."""
+    v = np.abs(z)
+    if v.dtype.kind != "f":  # an integer z gives floats, as mu * |z| does
+        v = v.astype(float)
+    v *= mu
+    q = nu * z
+    q *= z
+    v += q
+    return v
+
+
 def quadratic_upper(mu: float, nu: float) -> Generator:
     """g(z) = mu*|z| + nu*z^2, the upper growth envelope (convex)."""
     mu, nu = float(mu), float(nu)
 
     def fn(t, z):
-        return mu * np.abs(z) + nu * z * z
+        return _envelope(mu, nu, z)
 
     def conj(t, x):
         x = np.asarray(x, dtype=float)
@@ -114,7 +142,8 @@ def quadratic_lower(mu: float, nu: float) -> Generator:
     mu, nu = float(mu), float(nu)
 
     def fn(t, z):
-        return -(mu * np.abs(z) + nu * z * z)
+        v = _envelope(mu, nu, z)
+        return np.negative(v, out=_reuse(v))
 
     def conj(t, x):
         # sup_z x z + mu|z| + nu z^2 diverges unless the driver vanishes.
@@ -133,7 +162,9 @@ def entropy(nu: float) -> Generator:
         raise ValueError("the entropic driver needs nu > 0")
 
     def fn(t, z):
-        return nu * z * z
+        v = nu * z
+        v *= z
+        return v
 
     def conj(t, x):
         x = np.asarray(x, dtype=float)
@@ -155,7 +186,8 @@ def sublinear_interval(lo: float, hi: float) -> Generator:
     mu = max(abs(lo), abs(hi))
 
     def fn(t, z):
-        return np.maximum(lo * z, hi * z)
+        v = lo * z
+        return np.maximum(v, hi * z, out=_reuse(v))
 
     def conj(t, x):
         x = np.asarray(x, dtype=float)

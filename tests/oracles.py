@@ -81,3 +81,33 @@ def entropy_two_exp(nu: float, down, up) -> np.ndarray:
     m = np.maximum(down, up)
     return m + np.log(0.5 * (np.exp(two_nu * (down - m))
                              + np.exp(two_nu * (up - m)))) / two_nu
+
+
+# Each one-step kernel of the library as one expression.  The kernels
+# write into the arrays they allocate but apply these ufuncs in this order,
+# so they must give these bits.
+
+def entropy_one_exp(nu: float, down, up):
+    """The exact entropic step, ``bsde.entropy_step``, as one expression."""
+    two_nu = 2.0 * float(nu)
+    m = np.maximum(down, up)
+    s = (m - down) + (m - up)
+    return m + np.log(0.5 * (1.0 + np.exp(-two_nu * s))) / two_nu
+
+
+def explicit_step(g, tree, k, down, up, z=None):
+    """The explicit step of ``bsde.euler_step``, as one expression."""
+    if z is None:
+        z = (up - down) / (2.0 * tree.sqrt_dt)
+    return 0.5 * (down + up) + g(k * tree.dt, z) * tree.dt
+
+
+# g(t, z) of each built-in driver kind as one expression, taking the
+# builder's parameters (as floats) and then z.
+DRIVERS = {
+    "quadratic_upper": lambda mu, nu, z: mu * np.abs(z) + nu * z * z,
+    "quadratic_lower": lambda mu, nu, z: -(mu * np.abs(z) + nu * z * z),
+    "entropy": lambda nu, z: nu * z * z,
+    "sublinear_interval": lambda lo, hi, z: np.maximum(lo * z, hi * z),
+    "scaled_abs": lambda mu, z: np.maximum(-mu * z, mu * z),
+}

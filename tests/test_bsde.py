@@ -16,7 +16,7 @@ from gexpect.bsde import (
 from gexpect.claims import call, linear, path_maximum, sample_claims
 from gexpect.cli import parse_config, run
 from gexpect.dual import verify_duality
-from gexpect.generators import entropy, quadratic_upper, sublinear_interval
+from gexpect.generators import BUILTINS, Generator, entropy, quadratic_upper, sublinear_interval
 from gexpect.lattice import (
     FULL,
     RECOMBINING,
@@ -27,7 +27,8 @@ from gexpect.lattice import (
     cond_expect,
 )
 from gexpect.risk import check_axioms, check_domination, custom, entropic, from_generator
-from oracles import entropy_two_exp, extract_z
+import oracles
+from oracles import entropy_one_exp, entropy_two_exp, extract_z
 
 
 def leaf_entropic(nu, xi, p=0.5):
@@ -598,6 +599,130 @@ class TestBatchedSolve:
             drm.solve_terminal(xs, 0)
         with np.errstate(all="ignore"):
             assert drm.solve_terminal(xs, None).Y.values[0].shape == (len(xs), 1)
+
+
+def same_bits(got, want):
+    """Same shape and bits, a NaN equal to any NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+# Parameters of each built-in driver kind in the kernel tests, as floats.
+DRIVER_PARAMS = {"quadratic_upper": (0.3, 0.5), "quadratic_lower": (0.3, 0.5),
+                 "entropy": (0.5,), "sublinear_interval": (-0.2, 0.4), "scaled_abs": (0.3,)}
+
+
+class TestInPlaceKernels:
+    """The one-step kernels write into the arrays they allocate, with the
+    ufuncs of the expressions in ``oracles`` in their order: every kernel
+    gives its expression's bits (a NaN equal to any NaN) and, on scalars,
+    its expression's type.  A kernel writes into nothing it did not
+    allocate: not the (down, up) views of a stored Y slice, not the stored
+    Z slice, not what a custom driver returns."""
+
+    SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5e308, -1.5e308]
+
+    def children(self):
+        """(tree, down, up): views of a depth-8 slice on both layouts, for
+        one row and for a (4, width) batch; the rows hold +-0, +-inf, NaN
+        and +-1.5e308 (whose differences overflow) among random values."""
+        rng = np.random.default_rng(27)
+        for layout in (FULL, RECOMBINING):
+            tree = build_tree(1.0, 8, layout)
+            rows = rng.normal(scale=3.0, size=(4, tree.n_nodes(8)))
+            n = len(self.SPECIAL)
+            rows[0, :n] = self.SPECIAL
+            rows[1, -n:] = self.SPECIAL[::-1]
+            rows[2, 1:n + 1] = rng.permutation(self.SPECIAL)
+            for child in (rows[0], rows[1], rows):
+                yield tree, *tree.split_children(child)
+
+    def scalars(self):
+        """(down, up) pairs of Python floats and of 0-d arrays."""
+        pairs = [(0.3, -1.2), (-0.0, 0.0), (1.5e308, -1.5e308), (-math.inf, 2.0)]
+        return pairs + [(np.array(d), np.array(u)) for d, u in pairs]
+
+    @pytest.mark.parametrize("nu", [0.5, 2.0])
+    def test_entropy_step(self, nu):
+        step = entropy_step(nu)
+        with np.errstate(all="ignore"):
+            for _, down, up in self.children():
+                held = down.copy(), up.copy()
+                got = step(3, down, up)
+                assert same_bits(got, entropy_one_exp(nu, *held))
+                assert type(got) is np.ndarray and got.flags.owndata
+                assert same_bits(down, held[0]) and same_bits(up, held[1])
+            for down, up in self.scalars():
+                got, want = step(0, down, up), entropy_one_exp(nu, down, up)
+                assert type(got) is type(want) and same_bits(got, want)
+
+    @pytest.mark.parametrize("kind", [*DRIVER_PARAMS, "returns its input"])
+    def test_explicit_step(self, kind):
+        g = (Generator(lambda t, z: z, 1.0, 0.0) if kind == "returns its input"
+             else BUILTINS[kind](*DRIVER_PARAMS[kind]))
+        with np.errstate(all="ignore"):
+            for tree, down, up in self.children():
+                step = euler_step(g, tree)
+                z = (up - down) / (2.0 * tree.sqrt_dt)
+                held = down.copy(), up.copy(), z.copy()
+                assert same_bits(step(3, down, up), oracles.explicit_step(g, tree, 3, *held[:2]))
+                assert same_bits(step(3, down, up, z), oracles.explicit_step(g, tree, 3, *held))
+                assert all(same_bits(a, b) for a, b in zip((down, up, z), held))
+            tree = build_tree(1.0, 8, FULL)
+            for down, up in self.scalars():
+                got = euler_step(g, tree)(0, down, up)
+                want = oracles.explicit_step(g, tree, 0, down, up)
+                assert type(got) is type(want) and same_bits(got, want)
+
+    @pytest.mark.parametrize("kind", DRIVER_PARAMS)
+    def test_builtin_driver(self, kind):
+        params = DRIVER_PARAMS[kind]
+        g, expression = BUILTINS[kind](*params), oracles.DRIVERS[kind]
+        with np.errstate(all="ignore"):
+            for _, down, up in self.children():
+                for z in (down, np.ascontiguousarray(up)):
+                    held = z.copy()
+                    assert same_bits(g.fn(0.5, z), expression(*params, z))
+                    assert same_bits(g(0.5, z), expression(*params, z))
+                    assert same_bits(z, held)
+            for z in (0.7, -0.0, 1.5e308, math.nan, np.array(0.7), np.array(-2.0),
+                      np.arange(-3, 4)):
+                got, want = g.fn(0.5, z), expression(*params, z)
+                assert type(got) is type(want) and same_bits(got, want)
+
+    @pytest.mark.parametrize("layout,N", [(FULL, 8), (RECOMBINING, 120)])
+    @pytest.mark.parametrize("measure", ["explicit", "entropy", "returns its input"])
+    def test_batched_solve_keeps_every_slice(self, layout, N, measure):
+        # Each row's Y and Z at every depth equal the solve of that row by
+        # the expression form on copies; the terminal batch is left as given.
+        tree = build_tree(1.0, N, layout)
+        g = {"explicit": quadratic_upper(0.3, 0.5), "entropy": None,
+             "returns its input": Generator(lambda t, z: z, 1.0, 0.0)}[measure]
+        if g is None:
+            drm = entropic(0.5, tree)
+            step = lambda k, d, u: entropy_one_exp(0.5, d, u)  # noqa: E731
+        else:
+            drm = from_generator(g, tree)
+            step = lambda k, d, u: oracles.explicit_step(g, tree, k, d, u)  # noqa: E731
+        xs = np.stack(TestBatchedSolve.terminals(tree))
+        given = xs.copy()
+        with np.errstate(all="ignore"):
+            batch = drm.solve_terminal(xs)
+            for r, x in enumerate(given):
+                Y = backward_reduce(tree, x.copy(), step)
+                row = batch.row(r)
+                for got, want in ((row.Y, Y), (row.Z, extract_z(Y))):
+                    assert len(got.values) == len(want.values)
+                    assert all(same_bits(a, b) for a, b in zip(got.values, want.values)), r
+        assert xs.tobytes() == given.tobytes()
+
+    def test_driver_returning_its_input_leaves_z(self):
+        # A driver that hands z back must not have it scaled by dt in place.
+        tree = build_tree(1.0, 8, FULL)
+        s = solve_bsde(Generator(lambda t, z: z, 1.0, 0.0), call(0.1).evaluate(tree), tree)
+        assert_bitwise(s.Z, extract_z(s.Y))
 
 
 class TestLazyCertificate:

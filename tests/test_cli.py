@@ -495,6 +495,18 @@ class TestMain:
         assert written[0].read_text() == render_structured(report.as_document())
         assert written[1].read_text() == render_csv(header, rows)
 
+    def test_converge_with_no_ratio_fails(self, tmp_path, capsys):
+        # A constant claim is solved exactly by both schemes: every gap is 0,
+        # so no ratio is compared and the halving check cannot pass.
+        cfg = write_cfg(tmp_path, task="converge", claim={"kind": "constant", "value": 0.3},
+                        tree={"horizon": 1.0, "steps": 128, "layout": "recombining"},
+                        params={"n_values": [16, 32, 64, 128]})
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) != 0
+        report = run(parse_config(cfg.read_text()))
+        assert report.results["gaps"] == [0.0] * 4 and report.results["ratios"] == []
+        assert report.summary == [{"check": "first_order_halving", "passed": False}]
+        assert "first_order_halving: FAIL" in capsys.readouterr().out
+
     def test_tabular_format_writes_no_report(self, tmp_path):
         cfg = write_cfg(tmp_path, task="converge",
                         params={"n_values": [32, 64, 128]})
