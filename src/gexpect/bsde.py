@@ -21,13 +21,19 @@ g-expectation of g_k.  For the quadratic recursion
 g_k(z) = log cosh(2 nu z sqrt(dt)) / (2 nu dt), which is nu z^2 up to O(dt).
 
 Every solve (``solve_bsde``, ``entropy_exact``, every risk measure's) is
-one ``_solve``: one backward pass that records Z beside Y.  Its solution
-certifies, by its scheme's rule (see SolvedBSDE), the step monotonicity
-(mu + 2 nu max|Z|) sqrt(dt) <= 1 under which comparison-type statements
-survive discretization (Chassagneux & Richou, AAP 2016).  The certificate
-is computed from the stored Z and profile when it is first read, with the
-values an eager one would have, so a solve whose certificate nobody reads
-never pays the max|Z| pass.
+one ``_solve``: one backward pass.  The explicit step reads z, so its pass
+records Z beside Y; a step that ignores z (the exact recursion, a custom
+operator) records no Z when every depth is kept, and the solution derives
+Z from Y, with the bits the pass would have recorded, when it is first
+read.  The solution certifies, by its scheme's rule (see SolvedBSDE), the
+step monotonicity (mu + 2 nu max|Z|) sqrt(dt) <= 1 under which
+comparison-type statements survive discretization (Chassagneux & Richou,
+AAP 2016).  Only the explicit scheme needs the bound: the exact recursion
+is monotone for every step size and a custom step has no growth data, so
+their verdict holds by rule and reads no Z.  The certificate is computed
+from Z and the profile when it is first read, with the values an eager one
+would have, so a solve whose certificate nobody reads never pays the
+max|Z| pass.
 
 A measure's solve (``solve_terminal``, ``risk.rho_solved``) may keep only
 the depths 0..``keep`` of Y and Z.  The depths it drops are folded into a
@@ -56,9 +62,13 @@ StepFn = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 class SolvedBSDE:
     """Solution pair with scheme metadata and the discretization certificate.
 
-    Y and Z come from a single backward pass; nothing is recomputed to
-    check them.  Comparison and convexity assertions should be gated on
-    ``monotone_step``, which the rule of ``scheme`` sets.
+    Y comes from a single backward pass, and so does Z when the step reads
+    it or the solve drops depths.  A solve that keeps every depth and whose
+    step ignores z ("entropy_exact", "custom") records no Z: ``Z`` derives
+    it from Y when first read, once, through the pass's own z expression
+    and under the numpy error state the solve ran with, so it has the bits
+    the pass would have recorded.  Comparison and convexity assertions
+    should be gated on ``monotone_step``, which the rule of ``scheme`` sets.
     "explicit": ``step_bound`` is (mu + 2 nu max|Z|) sqrt(dt) with the
     driver's (mu, nu), the certificate is bound <= 1 with a warning when it
     fails, and ``generator`` is the driver.  "entropy_exact": the bound of
@@ -66,9 +76,11 @@ class SolvedBSDE:
     weights), so True with no warning; no generator.  "custom": no growth
     data, so the bound is NaN (unknown), True, no warning, no generator.
 
-    ``step_bound``, ``monotone_step`` and ``warnings`` are computed together
-    when any of them is first read, from the Z and ``dropped`` the solution
-    holds, and kept; they equal what a solve certifying at once would give.
+    ``step_bound`` is computed when first read, from Z and ``dropped``, and
+    kept; the explicit scheme's ``monotone_step`` and ``warnings`` are
+    computed with it.  Those two of "entropy_exact" and "custom" hold by
+    rule (``_BY_RULE``) and read no Z.  All three equal what a solve
+    certifying at once would give.
 
     A solve that kept only the top depths of Y and Z holds the
     (y_min, y_max, z_min, z_max) of every deeper depth in ``dropped``, top
@@ -82,13 +94,23 @@ class SolvedBSDE:
     """
 
     Y: TreeProcess
-    Z: TreeProcess
+    # Z as the pass recorded it; None when it recorded none (see above).
+    _z: TreeProcess | None = field(repr=False)
     scheme: str
     generator: Generator | None
     dropped: tuple[tuple, ...] = ()
     # The driver whose (mu, nu) the certificate reads: the generator of an
     # explicit solve, entropy(nu) for the exact recursion; custom reads none.
     _growth: Generator | None = field(default=None, repr=False, compare=False)
+    # The numpy error state of a solve that recorded no Z, for its derivation.
+    _errstate: dict | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def Z(self) -> TreeProcess:
+        if self._z is not None:
+            return self._z
+        with np.errstate(**self._errstate):
+            return _z_of(self.Y)
 
     @cached_property
     def _certified(self) -> tuple[float, bool, tuple[str, ...]]:
@@ -100,11 +122,16 @@ class SolvedBSDE:
 
     @property
     def monotone_step(self) -> bool:
-        return self._certified[1]
+        return self._verdict[0]
 
     @property
     def warnings(self) -> tuple[str, ...]:
-        return self._certified[2]
+        return self._verdict[1]
+
+    @property
+    def _verdict(self) -> tuple[bool, tuple[str, ...]]:
+        """(monotone_step, warnings): by the scheme's rule where it has one."""
+        return _BY_RULE.get(self.scheme) or self._certified[1:]
 
     @property
     def tree(self) -> ScenarioTree:
@@ -115,11 +142,14 @@ class SolvedBSDE:
 
     def row(self, i: int) -> "SolvedBSDE":
         """Row ``i`` of a batched solve, as views: the solution of that terminal
-        row alone, certified on first read from its own Z.  Its values are
-        the lone solve's bit for bit, but for the sign of a NaN: where two
-        NaNs meet in an add, numpy returns either one, by the loop it runs."""
-        return SolvedBSDE(self.Y.row(i), self.Z.row(i), self.scheme, self.generator,
-                          _growth=self._growth)
+        row alone, certified on first read by its own rule and Z.  A row of
+        a batch that recorded no Z derives its Z from its own Y views.  Its
+        values are the lone solve's bit for bit, but for the sign of a NaN:
+        where two NaNs meet in an add, numpy returns either one, by the loop
+        it runs."""
+        return SolvedBSDE(self.Y.row(i), None if self._z is None else self._z.row(i),
+                          self.scheme, self.generator, _growth=self._growth,
+                          _errstate=self._errstate)
 
     def profile(self) -> list[tuple]:
         """(y_min, y_max, z_min, z_max) of every depth 0..N, kept or dropped."""
@@ -144,12 +174,11 @@ def euler_step(g: Generator, tree: ScenarioTree) -> StepFn:
     order, which gives the same bits.  Scalar children give a scalar, as
     the expression does.
     """
-    dt, sdt = tree.dt, tree.sqrt_dt
+    dt = tree.dt
 
     def step(k, down, up, z=None):
         if z is None:
-            z = up - down
-            z /= 2.0 * sdt
+            z = _child_z(tree, down, up)
         y = down + up
         y *= 0.5
         y += g(k * dt, z) * dt
@@ -190,6 +219,21 @@ def entropy_step(nu: float) -> StepFn:
     return step
 
 
+def _child_z(tree: ScenarioTree, down, up):
+    """z of the children (down, up): up - down, divided in place by
+    2 sqrt(dt), in an array it allocates, never in the child views."""
+    z = up - down
+    z /= 2.0 * tree.sqrt_dt
+    return z
+
+
+def _z_of(Y: TreeProcess) -> TreeProcess:
+    """Z of every depth below Y's last, from Y's children by ``_child_z``."""
+    tree = Y.tree
+    return TreeProcess(tree, [_child_z(tree, *tree.split_children(y)) for y in Y.values[1:]],
+                       copy=False)
+
+
 def _summary(y: np.ndarray, z: np.ndarray | None) -> tuple:
     """(y_min, y_max, z_min, z_max) of one depth; z entries None without a z slice."""
     return (float(y.min()), float(y.max()),
@@ -209,7 +253,9 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
     child views the step receives, so no step runs twice;
     ``step(k, down, up, z)`` is handed that z.  Y and Z keep depths
     0..``keep`` (None: all); every deeper depth is summarized into
-    ``dropped`` and let go.
+    ``dropped`` and let go.  A step that ignores z (any scheme but
+    "explicit") with every depth kept runs as ``step(k, down, up)``, and
+    the pass records no Z: the solution derives it when first read.
 
     The dropped depths are summarized per block: each one's z is computed
     straight into, and its y copied into, the next ``width`` floats of two
@@ -220,11 +266,15 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
     that uses them, so a solve that keeps every depth allocates none.
 
     Each z is up - down divided in place, the ufuncs of (up - down) / scale
-    in their order, in an array the pass allocated (or in a block buffer),
-    never in the child views; the kernels follow the same rule (see
+    in their order, in an array the pass allocated (``_child_z``, which the
+    derivation of an unrecorded Z shares) or in a block buffer, never in
+    the child views; the kernels follow the same rule (see
     ``euler_step``), so a step writes into nothing the solution stores."""
     n = tree.steps
     keep = n if keep is None else keep
+    if keep == n and scheme != "explicit":
+        return SolvedBSDE(backward_reduce(tree, xi, step), None, scheme, None, (), g,
+                          np.geterr())
     z_slices: list[np.ndarray] = [None] * min(keep + 1, n)  # type: ignore[list-item]
     # Summaries in visit order, horizon first (widths never grow toward the root).
     dropped = [_summary(xi, None)] if keep < n else []
@@ -249,8 +299,7 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
         nonlocal ys, zs, used
         width = down.shape[-1]
         if k <= keep or width > _BLOCK:
-            z = up - down
-            z /= scale
+            z = _child_z(tree, down, up)
             y = step(k, down, up, z)
             if k <= keep:
                 z_slices[k] = z
@@ -278,17 +327,27 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
                       tuple(reversed(dropped)), g)
 
 
+# (monotone_step, warnings) of the schemes whose verdict holds whatever Z
+# is: the exact recursion is monotone for every step size (softmax
+# weights), and a custom step has no growth data to bound.
+_BY_RULE = {"entropy_exact": (True, ()), "custom": (True, ())}
+
+
 def _certificate(solved: SolvedBSDE) -> tuple[float, bool, tuple[str, ...]]:
     """(step_bound, monotone_step, warnings) of ``solved`` by its scheme's rule.
 
-    A non-finite max|Z| means the explicit scheme overflowed; the warning
-    says so.
+    A scheme of ``_BY_RULE`` takes its verdict from there, so a solution
+    reads it without this call; only its step_bound reads Z (custom: NaN,
+    unknown).  A non-finite max|Z| means the explicit scheme overflowed;
+    the warning says so.
     """
     if solved.scheme == "custom":
-        return float("nan"), True, ()
+        return float("nan"), *_BY_RULE["custom"]
     g, max_z = solved._growth, _max_abs_z(solved.Z, solved.dropped)
     bound = (g.mu + 2.0 * g.nu * max_z) * solved.tree.sqrt_dt
-    if solved.scheme == "entropy_exact" or bound <= 1.0:
+    if solved.scheme in _BY_RULE:
+        return bound, *_BY_RULE[solved.scheme]
+    if bound <= 1.0:
         return bound, True, ()
     detail = (f"(mu + 2 nu max|Z|) sqrt(dt) = {bound:.6g} > 1; refine the grid "
               "before trusting comparison-type output" if math.isfinite(max_z)

@@ -16,7 +16,10 @@ known values, convexity, subadditivity, positive homogeneity, translation
 invariance and locality on the claim suite it is given, node by node, and returns
 witnesses for whatever fails.  Inequality axioms that only survive
 discretization under the step-monotonicity certificate are skipped (not
-failed) when the certificate is violated.  Every check of both suites is
+failed) when the certificate is violated.  The suites read only Y and that
+verdict, which the exact recursion and a custom step hold by rule; their
+steps ignore z, so their solves record no Z and the suites on those
+measures compute neither Z nor max|Z|.  Every check of both suites is
 one gap function compared slice by slice over its solutions through
 ``generators._GapTracker.compare``, so no check builds a process of gaps;
 the suites report ``generators.CheckReport`` verdicts, as ``verify_class``

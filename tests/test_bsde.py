@@ -601,6 +601,41 @@ class TestBatchedSolve:
             assert drm.solve_terminal(xs, None).Y.values[0].shape == (len(xs), 1)
 
 
+class TestDerivedZ:
+    """A solve that keeps every depth and whose step ignores z (the exact
+    recursion, a custom operator) records no Z.  Its Z, and the Z of each
+    row of a batch, is derived from Y when first read, once, under the
+    numpy error state of the solve, with the bits of ``extract_z`` and of
+    the Z that a recording pass gives: a solve keeping depths 0..N-1
+    records every depth of Z.  A NaN equals any NaN."""
+
+    @pytest.mark.parametrize("layout,N", [(FULL, 8), (RECOMBINING, 120)])
+    @pytest.mark.parametrize("measure", ["entropy", "custom"])
+    def test_derived_z_has_the_recorded_bits(self, layout, N, measure, monkeypatch):
+        tree = build_tree(1.0, N, layout)
+        drm = entropic(0.5, tree) if measure == "entropy" else custom(entropy_step(0.5), tree)
+        xs = TestBatchedSolve.terminals(tree)  # row 2 is the +-1.5e308 overflow row
+        derived = []
+        real_z_of = bsde._z_of
+        monkeypatch.setattr(bsde, "_z_of", lambda Y: derived.append(Y) or real_z_of(Y))
+        with np.errstate(all="ignore"):
+            solved = [drm.solve_terminal(x) for x in xs]
+            if measure == "entropy":  # a custom measure solves one slice at a time
+                batch = drm.solve_terminal(np.stack(xs))
+                solved += [batch.row(r) for r in range(len(xs))]
+            recorded = [drm.solve_terminal(x, N - 1).Z for x in xs]
+            oracle = [extract_z(s.Y) for s in solved]
+        assert not derived
+        for i, s in enumerate(solved):
+            with np.errstate(all="raise"):  # the derivation runs under the solve's state
+                z = s.Z
+            assert s.Z is z and len(derived) == i + 1  # derived once, on first read
+            for want in (recorded[i % len(xs)], oracle[i]):
+                assert len(z.values) == len(want.values) == N
+                assert all(same_bits(a, b) for a, b in zip(z.values, want.values)), i
+        assert not all(np.isfinite(v).all() for v in solved[2].Z.values)
+
+
 def same_bits(got, want):
     """Same shape and bits, a NaN equal to any NaN."""
     got, want = np.asarray(got), np.asarray(want)
@@ -779,6 +814,28 @@ class TestLazyCertificate:
         counts.update(solves=0, rows=0, certificates=0)
         check_domination(drm, 0.3, 0.5, claims)
         assert counts == {"solves": 23, "rows": 85, "certificates": 20}
+
+    # The exact recursion's step ignores z and its verdict holds by rule,
+    # so its suites neither derive a Z nor certify one of their own solves;
+    # only the explicit envelope solves of check_domination are certified.
+    def test_entropic_suites_derive_no_z_and_certify_no_own_solve(self, counts,
+                                                                 monkeypatch):
+        derived, schemes = [], []
+        real_z_of, certificate = bsde._z_of, bsde._certificate
+        monkeypatch.setattr(bsde, "_z_of", lambda Y: derived.append(Y) or real_z_of(Y))
+        monkeypatch.setattr(bsde, "_certificate",
+                            lambda s: schemes.append(s.scheme) or certificate(s))
+        tree = build_tree(1.0, 8, FULL)
+        drm = entropic(0.5, tree)
+        claims = sample_claims(tree, 10, 0, "leaf", scale_to=0.5)
+        report = check_axioms(drm, claims)
+        assert all(c.status != "skipped" for c in report.checks.values())
+        assert counts == {"solves": 9, "rows": 136, "certificates": 0} and not derived
+        counts.update(solves=0, rows=0, certificates=0)
+        report = check_domination(drm, 0.0, 0.5, claims)
+        assert all(c.status == "pass" for c in report.checks.values())
+        assert counts == {"solves": 23, "rows": 85, "certificates": 20} and not derived
+        assert schemes == ["explicit"] * 20
 
     def test_cli_solve_reads_one_and_duality_none(self, counts):
         cfg = {"tree": {"horizon": 1.0, "steps": 8, "layout": "recombining"},
