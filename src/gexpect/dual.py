@@ -21,13 +21,22 @@ kernel.  The public ``relative_entropy``, ``dual_value`` and
 processes.  ``verify_duality`` reads only roots: it evaluates every density
 root-only, with all its reductions writing into one workspace allocated
 once per call, so a sweep over many densities on a large full tree does not
-allocate, and fault in, fresh slices for each one.
+allocate, and fault in, fresh slices for each one.  A step hands the
+reduction its kernel's output as it is when that output is node-wide, and
+broadcasts only a narrower one.  A measure's admissibility reads each
+slice's max and min; only a depth that fails is searched for its witness.
+The selection's rates and Fenchel residuals are formed in the arrays that
+keep them, and no density's rates outlive its row.
 
-A constant tilt (``tilt(value, tree)``) holds one float per depth as a
-stride-0 view, and so do its up probabilities.  The kernels evaluate the
-terms of q alone (1 - p, log1p(-+q sqrt(dt)), the penalty) once per depth
-for it, and its entropy row, whose terminal is zero, runs at width 1 all
-the way to the root, where ``lattice._fresh`` keeps one float per depth.
+A constant tilt (``tilt(value, tree)``) holds one float per depth: its
+rates are one stride-0 broadcast of the per-depth rates, and its up
+probabilities one of theirs, each sliced per depth.  The kernels evaluate
+the terms of q alone (1 - p, log1p(-+q sqrt(dt)), the penalty) once per
+depth for it, and its entropy row, whose terminal is zero, runs at width 1
+all the way to the root, where ``lattice._fresh`` keeps one float per
+depth.  ``verify_duality`` runs the entropy rows of its constant sweep
+(entropic measure) as one batch of such rows, in buffers of one float per
+rate, never as wide as a depth.
 """
 from __future__ import annotations
 
@@ -39,8 +48,8 @@ import numpy as np
 from .bsde import SolvedBSDE
 from .claims import _terminal_of
 from .generators import CONVEX, Generator, conjugate_values, subdifferential_slices
-from .lattice import (FULL, ScenarioTree, TreeProcess, _compact, _fresh, _tilted_mean,
-                      backward_reduce)
+from .lattice import (FULL, ScenarioTree, TreeProcess, _compact, _constant_process, _fresh,
+                      _tilted_mean, backward_reduce)
 from .risk import DynamicRiskMeasure
 
 DEFAULT_ADMISSIBILITY_MARGIN = 1e-6
@@ -61,20 +70,34 @@ class TiltedMeasure:
         tree = q.tree
         if q.last_depth != tree.steps - 1:
             raise ValueError("a density process needs exactly one slice per step")
-        cap = 1.0 - delta
-        for k, slice_ in enumerate(q.values):
-            slice_ = _compact(slice_)  # a constant slice's witness is node 0
-            worst = int(np.argmax(np.abs(slice_)))  # a NaN rate wins argmax
-            size = abs(slice_[worst]) * tree.sqrt_dt
-            if not size <= cap:
-                detail = "q = nan" if np.isnan(size) else \
-                    f"|q| sqrt(dt) = {size:.6g} > {cap:.6g}"
-                raise ValueError(
-                    f"inadmissible density: {detail} at depth {k}, "
-                    f"node {tree.node_label(k, worst)}")
+        cap, sdt = 1.0 - delta, tree.sqrt_dt
+        p_up = []
+        for k, v in enumerate(q.values):
+            c = _compact(v)  # a constant slice's witness is node 0
+            # max|q| sqrt(dt) <= cap, read off the slice's max and min: a NaN
+            # rate makes both NaN and fails, and only a failing depth is searched
+            if not (c.max() * sdt <= cap and -c.min() * sdt <= cap):
+                _refuse(tree, k, c, cap)
+            p = _up_probabilities(c, sdt)
+            if p.shape == v.shape:
+                p.setflags(write=False)
+            else:
+                p = np.broadcast_to(p, v.shape)
+            p_up.append(p)
         self.q, self.delta, self.fenchel_residual, self.tree = q, delta, fenchel_residual, tree
-        self._p_up = [np.broadcast_to(0.5 * (1.0 + _compact(v) * tree.sqrt_dt), v.shape)
-                      for v in q.values]
+        self._p_up = p_up
+
+    @classmethod
+    def _constant(cls, tree: ScenarioTree, rates) -> "TiltedMeasure":
+        """The measure of rate ``rates[k]`` at every node of depth k, rates
+        the caller has admitted.  Its rates and up probabilities are each
+        one stride-0 broadcast (``lattice._constant_process``); rates of
+        shape (N, B) make a batch of B measures, slices (B, n_nodes(k))."""
+        m = cls.__new__(cls)
+        m.q = _constant_process(tree, rates)
+        m.delta, m.fenchel_residual, m.tree = DEFAULT_ADMISSIBILITY_MARGIN, None, tree
+        m._p_up = _constant_process(tree, _up_probabilities(rates, tree.sqrt_dt)).values
+        return m
 
     def p_up(self, depth: int) -> np.ndarray:
         """Read-only up probabilities at ``depth``, one per node.
@@ -83,6 +106,23 @@ class TiltedMeasure:
         gives a stride-0 view of one probability.
         """
         return self._p_up[depth]
+
+
+def _up_probabilities(q, sqrt_dt: float) -> np.ndarray:
+    """0.5 * (1.0 + q * sqrt_dt), its ufuncs in that order, in one new array."""
+    p = np.multiply(q, sqrt_dt)
+    np.add(p, 1.0, out=p)
+    return np.multiply(p, 0.5, out=p)
+
+
+def _refuse(tree: ScenarioTree, depth: int, rates: np.ndarray, cap: float):
+    """Raise for the inadmissible ``rates`` of ``depth``, naming the node of
+    the largest |q| (the first one; a NaN rate wins)."""
+    worst = int(np.argmax(np.abs(rates)))
+    size = abs(rates[worst]) * tree.sqrt_dt
+    detail = "q = nan" if np.isnan(size) else f"|q| sqrt(dt) = {size:.6g} > {cap:.6g}"
+    raise ValueError(f"inadmissible density: {detail} at depth {depth}, "
+                     f"node {tree.node_label(depth, worst)}")
 
 
 def tilt(q, tree: ScenarioTree | None = None) -> TiltedMeasure:
@@ -100,7 +140,11 @@ def tilt(q, tree: ScenarioTree | None = None) -> TiltedMeasure:
     if tree is None:
         raise ValueError("a tree is required when passing raw density values")
     if np.isscalar(q):
-        q = [float(q)] * tree.steps
+        # every depth holds the one rate, so depth 0 is the first to fail
+        rate, cap = np.full(1, float(q)), 1.0 - DEFAULT_ADMISSIBILITY_MARGIN
+        if not abs(rate[0]) * tree.sqrt_dt <= cap:
+            _refuse(tree, 0, rate, cap)
+        return TiltedMeasure._constant(tree, np.broadcast_to(rate, tree.steps))
     # Copy, then broadcast: a per-depth scalar stays one float, aliasing nothing.
     slices = [np.broadcast_to(np.array(v, dtype=float), (tree.n_nodes(k),))
               for k, v in enumerate(q)]
@@ -235,9 +279,13 @@ def optimal_density(solved: SolvedBSDE, generator: Generator | None = None) -> T
         t = k * tree.dt
         z = solved.Z.values[k]
         lo, hi = subdifferential_slices(g, t, z)
-        q = 0.5 * (lo + hi)
-        f_vals = conjugate_values(g, t, q)
-        res_slices.append(np.abs(f_vals - (q * z - g(t, z))))
+        q = np.add(lo, hi)
+        del lo, hi  # neither is kept: the widest depth's would outlive the loop
+        q *= 0.5
+        res = np.multiply(q, z)  # |f(q) - (q z - g(z))|, formed in place
+        np.subtract(res, g(t, z), out=res)
+        np.subtract(conjugate_values(g, t, q), res, out=res)
+        res_slices.append(np.abs(res, out=res))
         q_slices.append(q)
     q_proc = TreeProcess(tree, q_slices, copy=False)
     try:
@@ -282,7 +330,8 @@ class _Workspace:
     depth N-2.  The step at depth k writes into the region of k's parity and
     reads its children from the other one (or from the terminal), so no
     step's output aliases its input.  Only root floats leave: every
-    reduction of a verification reuses the same memory.
+    reduction of a verification reuses the same memory.  A node-wide
+    output goes to the next step as it is; a narrower one is broadcast.
     """
 
     def __init__(self, tree: ScenarioTree):
@@ -300,9 +349,28 @@ class _Workspace:
         def step(k, down, up):
             w = down.shape[-1]
             out = kernel(k, down, up, self.regions[k % 2][:w], self.a[:w], self.b[:w])
-            return np.broadcast_to(out, down.shape)
+            return out if out.shape == down.shape else np.broadcast_to(out, down.shape)
 
         return backward_reduce(self.tree, terminal, step, keep=0).root()
+
+
+def _constant_entropies(tree: ScenarioTree, rates: Sequence[float]) -> list:
+    """Root relative entropy of the constant tilt of each rate, as one
+    batched reduction of a zero terminal.
+
+    Every row stays at width 1 to the root, so the pass runs in buffers of
+    one float per rate, and each root has the bits of the tilt's own
+    entropy reduction.  The rates must be admissible."""
+    rows = len(rates)
+    batch = TiltedMeasure._constant(tree, np.broadcast_to(rates, (tree.steps, rows)))
+    kernel = _entropy_kernel(batch)
+    outs, a, b = np.empty((2, rows, 1)), np.empty((rows, 1)), np.empty((rows, 1))
+
+    def step(k, down, up):
+        return np.broadcast_to(kernel(k, down, up, outs[k % 2], a, b), down.shape)
+
+    zeros = np.broadcast_to(0.0, (rows, tree.n_nodes(tree.steps)))  # read-only
+    return backward_reduce(tree, zeros, step, keep=0).values[0][:, 0].tolist()
 
 
 @dataclass
@@ -381,9 +449,17 @@ def verify_duality(
         z_cap = max(1.0, z_max)
         q_cap = min(g.mu + 2.0 * g.nu * z_cap, 0.9 / tree.sqrt_dt)
         q_sweep = np.linspace(-q_cap, q_cap, 9)
-    for qv in q_sweep:
-        value, feasible = evaluate(tilt(float(qv), tree))
-        rows.append({"density": f"constant[{float(qv):.6g}]", "value": value,
+    rates = [float(qv) for qv in q_sweep]
+    if drm.scheme == "entropy_exact":
+        # each tilt reduces its own mean in sweep order, so the first bad
+        # rate raises; then the entropies run as one batch
+        means = [work.root(neg_xi, _tilted_mean(tilt(qv, tree))) for qv in rates]
+        values = [(mean - ent / (2.0 * g.nu), True)
+                  for mean, ent in zip(means, _constant_entropies(tree, rates))]
+    else:
+        values = [evaluate(tilt(qv, tree)) for qv in rates]
+    for qv, (value, feasible) in zip(rates, values):
+        rows.append({"density": f"constant[{qv:.6g}]", "value": value,
                      "feasible": feasible})
 
     if tree.layout == FULL and n_random > 0:
@@ -393,6 +469,7 @@ def verify_duality(
             q = TreeProcess(tree, [rng.uniform(-cap, cap, tree.n_nodes(k))
                                    for k in range(tree.steps)], copy=False)
             value, feasible = evaluate(TiltedMeasure(q))
+            del q  # not alive while the next rates, or the Gibbs tilt, are built
             rows.append({"density": f"random[{i}]", "value": value,
                          "feasible": feasible})
 

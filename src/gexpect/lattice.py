@@ -37,13 +37,15 @@ processes along a leading axis (the penalization schedule solves all its
 levels this way).
 
 A slice that repeats one value may be a read-only stride-0 view of that
-value (``np.broadcast_to``), as the rates of a constant tilt and the
-zero terminal of a relative entropy are.  The in-place tilted kernels
-compute at the width their inputs vary over (:func:`_compact`) and return
-the result at that width; the caller (:func:`_fresh`, which copies a
-narrower result out of its buffers, or the root-only workspace of
-``dual``) broadcasts it back to the node width.  A reduction
-whose terminal and measure are both constant so runs at width 1 from the
+value (``np.broadcast_to``), as the rates of a constant tilt
+(:func:`_constant_process`, one broadcast for all depths) and the zero
+terminal of a relative entropy are.  The in-place tilted kernels compute
+at the width their inputs vary over (:func:`_compact`) and return the
+result at that width.  The caller (:func:`_fresh`, or the root-only
+workspace of ``dual``) passes a node-wide result on as it is, and
+broadcasts only a narrower one back to the node width, which
+:func:`_fresh` first copies out of its buffers.  A reduction whose
+terminal and measure are both constant so runs at width 1 from the
 horizon to the root, and every value equals, bit for bit, the one computed
 node by node.
 """
@@ -261,8 +263,12 @@ class TreeProcess:
         return row
 
     def max_abs(self) -> float:
-        """Largest |value| over all depths; NaN when any slice holds NaN."""
-        return float(np.max([np.max(np.abs(v)) for v in self.values]))
+        """Largest |value| over all depths; NaN when any slice holds NaN.
+
+        Each slice is read for its max and its min, with no |v| temporary.
+        The larger of max and -min may be a -0.0 (a slice of zeros gives
+        zeros of both signs); its ``abs`` is +0.0, as |v| is."""
+        return float(np.max([abs(max(v.max(), -v.min())) for v in self.values]))
 
 
 def brownian(tree: ScenarioTree) -> TreeProcess:
@@ -406,17 +412,36 @@ def _tilted_mean(measure):
 def _fresh(kernel):
     """The one-step function of an in-place kernel: new arrays at every step.
 
-    A result narrower than the node width is copied out of its node-width
-    buffer, so a constant row keeps one float per depth, not the buffer."""
+    A node-wide result is returned as it is.  A narrower one is copied out
+    of its node-width buffer and broadcast, so a constant row keeps one
+    float per depth, not the buffer."""
 
     def step(k, down, up):
         out = kernel(k, down, up, np.empty_like(down), np.empty_like(down),
                      np.empty_like(down))
-        if out.shape[-1] < down.shape[-1]:
-            out = out.copy()
-        return np.broadcast_to(out, down.shape)
+        if out.shape == down.shape:
+            return out
+        return np.broadcast_to(out.copy(), down.shape)
 
     return step
+
+
+def _constant_process(tree: ScenarioTree, values) -> TreeProcess:
+    """The process whose slice k repeats ``values[k]`` over the nodes of depth k.
+
+    ``values`` holds one float per depth, or one row of floats per depth
+    for a batch (shape (depths, B) gives slices of shape (B, n_nodes(k))).
+    Every slice is a read-only stride-0 view of one broadcast of
+    ``values``, cut to its depth's width, so the process holds one float
+    per depth and row, and its slices have the right shapes by
+    construction (no constructor checks, as in :meth:`TreeProcess.row`)."""
+    values = np.asarray(values, dtype=float)
+    depths = len(values)
+    wide = np.broadcast_to(values[..., None], (*values.shape, tree.n_nodes(depths - 1)))
+    proc = TreeProcess.__new__(TreeProcess)
+    proc.tree = tree
+    proc.values = tuple(wide[k, ..., :tree.n_nodes(k)] for k in range(depths))
+    return proc
 
 
 def _measure_step(measure, tree: ScenarioTree):

@@ -7,6 +7,7 @@ import pytest
 
 from gexpect.claims import call, sample_claims
 from gexpect.dual import (
+    DEFAULT_ADMISSIBILITY_MARGIN,
     TiltedMeasure,
     _PenalizedKernel,
     _Workspace,
@@ -50,7 +51,8 @@ class TestDensities:
     @pytest.mark.parametrize("bad,message", [
         ("all", "q = nan at depth 0, node root"),
         ("one", "q = nan at depth 3, node 101"),
-        ("inf", r"\|q\| sqrt\(dt\) = inf > 0.999999 at depth 2, node 01")])
+        ("inf", r"\|q\| sqrt\(dt\) = inf > 0.999999 at depth 2, node 01"),
+        ("-inf", r"\|q\| sqrt\(dt\) = inf > 0.999999 at depth 1, node 1")])
     def test_non_finite_rates_are_inadmissible(self, bad, message):
         tree = build_tree(1.0, 4, FULL)
         q = [np.zeros(tree.n_nodes(k)) for k in range(4)]
@@ -58,9 +60,54 @@ class TestDensities:
             q = [np.full(tree.n_nodes(k), np.nan) for k in range(4)]
         elif bad == "one":
             q[3][5] = np.nan
-        else:
+        elif bad == "inf":
             q[2][1] = np.inf
-        with pytest.raises(ValueError, match=f"inadmissible density: {message}"):
+        else:
+            q[1][1] = -np.inf
+        with pytest.raises(ValueError, match=f"^inadmissible density: {message}$"):
+            TiltedMeasure(TreeProcess(tree, q))
+
+    @pytest.mark.parametrize("rate,message", [
+        (np.nan, "q = nan"),
+        (np.inf, r"\|q\| sqrt\(dt\) = inf > 0.999999"),
+        (-np.inf, r"\|q\| sqrt\(dt\) = inf > 0.999999")])
+    def test_non_finite_constant_rates_are_inadmissible(self, rate, message):
+        tree = build_tree(1.0, 4, FULL)
+        with pytest.raises(ValueError,
+                           match=f"^inadmissible density: {message} at depth 0, node root$"):
+            tilt(rate, tree)
+
+    def test_the_edge_rate_is_admitted_and_the_next_float_refused(self):
+        # sqrt(dt) = 1/2 scales exactly, so |q| = 2 (1 - delta) sits on the
+        # edge |q| sqrt(dt) = 1 - delta, and the float above it is past it
+        tree = build_tree(1.0, 4, FULL)
+        cap = 1.0 - DEFAULT_ADMISSIBILITY_MARGIN
+        edge = 2.0 * cap
+        above = np.nextafter(edge, np.inf)
+        assert edge * tree.sqrt_dt == cap < above * tree.sqrt_dt
+        q = [np.zeros(tree.n_nodes(k)) for k in range(4)]
+        refused = r"^inadmissible density: \|q\| sqrt\(dt\) = 0.999999 > 0.999999 at depth "
+        for sign in (1.0, -1.0):
+            tilt(sign * edge, tree)
+            q[3][6] = sign * edge
+            TiltedMeasure(TreeProcess(tree, q))
+            with pytest.raises(ValueError, match=refused + "0, node root$"):
+                tilt(sign * above, tree)
+            q[3][6] = sign * above
+            with pytest.raises(ValueError, match=refused + "3, node 110$"):
+                TiltedMeasure(TreeProcess(tree, q))
+
+    @pytest.mark.parametrize("first,second,label", [(2, 5, "010"), (5, 6, "101")])
+    def test_a_tie_for_the_largest_rate_names_the_first_node(self, first, second, label):
+        tree = build_tree(1.0, 4, FULL)
+        q = [np.zeros(tree.n_nodes(k)) for k in range(4)]
+        q[3][first], q[3][second] = -2.5, 2.5
+        with pytest.raises(ValueError, match=r"^inadmissible density: \|q\| sqrt\(dt\) "
+                                             rf"= 1.25 > 0.999999 at depth 3, node {label}$"):
+            TiltedMeasure(TreeProcess(tree, q))
+        # a shallower bad depth is named first
+        q[1][1] = 2.5
+        with pytest.raises(ValueError, match="at depth 1, node 1$"):
             TiltedMeasure(TreeProcess(tree, q))
 
     def test_rates_need_one_slice_per_step(self):
@@ -308,6 +355,37 @@ class TestVerifyDuality:
         rep = verify_duality(drm, call(0.0).evaluate(tree), seed=0)
         assert rep.passed
         assert rep.gibbs_gap is None
+
+    def test_an_empty_sweep_gives_no_constant_rows(self):
+        tree = build_tree(1.0, 6, FULL)
+        xi = call(0.0).evaluate(tree)
+        for drm, last in ((entropic(0.5, tree), ["gibbs"]),
+                          (from_generator(quadratic_upper(0.3, 0.5), tree), [])):
+            rep = verify_duality(drm, xi, q_sweep=[], seed=1)
+            assert [r["density"] for r in rep.rows] == [
+                "subdifferential_selection", "random[0]", "random[1]", "random[2]"] + last
+            assert rep.passed
+
+    @pytest.mark.parametrize("measure", ["entropic", "quadratic_upper"])
+    def test_peak_memory_of_a_full_n16_verification(self, measure):
+        # The bound is 3.89 MiB (entropic) and 3.76 MiB (quadratic_upper),
+        # the peaks of evaluating every density root-only in one workspace
+        # with the selection built from temporaries, plus 0.6 MiB; with the
+        # selection formed in place both peak at 3.4 MiB.  Node-width
+        # buffers for the sweep's nine width-1 entropy rows, three of
+        # (9, 2^15) floats, add 6.75 MiB.
+        tree = build_tree(1.0, 16, FULL)
+        xi = call(0.0).evaluate(tree)
+        drm = entropic(0.5, tree) if measure == "entropic" \
+            else from_generator(quadratic_upper(0.3, 0.5), tree)
+        verify_duality(drm, xi)  # anything cached on first use is not counted
+        tracemalloc.start()
+        try:
+            verify_duality(drm, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2 ** 20
 
     def test_nonconvex_driver_rejected(self):
         tree = build_tree(1.0, 8, FULL)

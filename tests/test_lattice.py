@@ -1,4 +1,5 @@
 """Tree construction, processes, and exact conditional expectations."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -148,6 +149,22 @@ class TestTreeProcess:
             assert np.isnan(TreeProcess(tree, slices).max_abs())
         assert TreeProcess(tree, [np.full(tree.n_nodes(k), -2.0)
                                   for k in range(3)]).max_abs() == 2.0
+
+    @pytest.mark.parametrize("zero", [-0.0, 0.0])
+    def test_max_abs_of_zeros_is_positive_zero(self, zero):
+        # max and -min of a slice of zeros are zeros of opposite signs, and
+        # the larger of the two by comparison may be either; |v| is +0.0
+        tree = build_tree(1.0, 2, FULL)
+        for make in (lambda n: np.full(n, zero), lambda n: np.broadcast_to(zero, n)):
+            slices = [make(tree.n_nodes(k)) for k in range(3)]
+            got = TreeProcess(tree, slices, copy=False).max_abs()
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+            # a NaN still wins over the zeros, at any depth
+            for depth in range(3):
+                with_nan = list(slices)
+                with_nan[depth] = np.full(tree.n_nodes(depth), zero)
+                with_nan[depth][-1] = np.nan
+                assert np.isnan(TreeProcess(tree, with_nan, copy=False).max_abs())
 
     def test_wrong_shape_rejected(self):
         tree = build_tree(1.0, 3, FULL)
