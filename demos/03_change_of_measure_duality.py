@@ -46,14 +46,14 @@ xi = call(0.2).evaluate(tree)
 solved = rho_solved(from_generator(g, tree), xi)
 rho0 = solved.Y.values[0][0]
 best = optimal_density(solved, generator=g)
-attained = dual_value(tilt(best, tree), xi, g, tree).root()
+attained = dual_value(tilt(best, tree), xi, g).root()
 print(f"\nrho0 = {rho0:.12f}")
 print(f"dual value at the selected density = {attained:.12f}")
 
 # Sweep constant densities: all stay below rho0 (weak duality).
 print("\n    q      dual value      shortfall")
 for q in np.linspace(-2.0, 2.0, 9):
-    dv = dual_value(tilt(float(q), tree), xi, g, tree).root()
+    dv = dual_value(tilt(float(q), tree), xi, g).root()
     print(f"{q:6.2f}   {dv:12.8f}   {rho0 - dv:.3e}")
 
 # For the entropic measure the maximizer is a Gibbs tilt, and on a full

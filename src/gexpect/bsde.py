@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .generators import Generator, _reuse, entropy
-from .lattice import ScenarioTree, TreeProcess, _terminal_array, backward_reduce
+from .lattice import ScenarioTree, TreeProcess, _slice_of, backward_reduce
 
 StepFn = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 
@@ -70,11 +70,11 @@ class SolvedBSDE:
     the pass would have recorded.  Comparison and convexity assertions
     should be gated on ``monotone_step``, which the rule of ``scheme`` sets.
     "explicit": ``step_bound`` is (mu + 2 nu max|Z|) sqrt(dt) with the
-    driver's (mu, nu), the certificate is bound <= 1 with a warning when it
-    fails, and ``generator`` is the driver.  "entropy_exact": the bound of
-    the entropy driver's (0, nu), but monotone for every step size (softmax
-    weights), so True with no warning; no generator.  "custom": no growth
-    data, so the bound is NaN (unknown), True, no warning, no generator.
+    driver's (mu, nu), and the certificate is bound <= 1 with a warning
+    when it fails.  "entropy_exact": the bound of the entropy driver's
+    (0, nu), but monotone for every step size (softmax weights), so True
+    with no warning.  "custom": no growth data, so the bound is NaN
+    (unknown), True, no warning.
 
     ``step_bound`` is computed when first read, from Z and ``dropped``, and
     kept; the explicit scheme's ``monotone_step`` and ``warnings`` are
@@ -97,7 +97,6 @@ class SolvedBSDE:
     # Z as the pass recorded it; None when it recorded none (see above).
     _z: TreeProcess | None = field(repr=False)
     scheme: str
-    generator: Generator | None
     dropped: tuple[tuple, ...] = ()
     # The driver whose (mu, nu) the certificate reads: the generator of an
     # explicit solve, entropy(nu) for the exact recursion; custom reads none.
@@ -148,8 +147,7 @@ class SolvedBSDE:
         where two NaNs meet in an add, numpy returns either one, by the loop
         it runs."""
         return SolvedBSDE(self.Y.row(i), None if self._z is None else self._z.row(i),
-                          self.scheme, self.generator, _growth=self._growth,
-                          _errstate=self._errstate)
+                          self.scheme, _growth=self._growth, _errstate=self._errstate)
 
     def profile(self) -> list[tuple]:
         """(y_min, y_max, z_min, z_max) of every depth 0..N, kept or dropped."""
@@ -230,8 +228,7 @@ def _child_z(tree: ScenarioTree, down, up):
 def _z_of(Y: TreeProcess) -> TreeProcess:
     """Z of every depth below Y's last, from Y's children by ``_child_z``."""
     tree = Y.tree
-    return TreeProcess(tree, [_child_z(tree, *tree.split_children(y)) for y in Y.values[1:]],
-                       copy=False)
+    return TreeProcess(tree, [_child_z(tree, *tree.split_children(y)) for y in Y.values[1:]])
 
 
 def _summary(y: np.ndarray, z: np.ndarray | None) -> tuple:
@@ -273,8 +270,7 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
     n = tree.steps
     keep = n if keep is None else keep
     if keep == n and scheme != "explicit":
-        return SolvedBSDE(backward_reduce(tree, xi, step), None, scheme, None, (), g,
-                          np.geterr())
+        return SolvedBSDE(backward_reduce(tree, xi, step), None, scheme, (), g, np.geterr())
     z_slices: list[np.ndarray] = [None] * min(keep + 1, n)  # type: ignore[list-item]
     # Summaries in visit order, horizon first (widths never grow toward the root).
     dropped = [_summary(xi, None)] if keep < n else []
@@ -322,9 +318,7 @@ def _solve(tree: ScenarioTree, xi: np.ndarray, step: Callable[..., np.ndarray],
 
     Y = backward_reduce(tree, xi, step_with_z, keep=keep)
     fold_block()
-    Z = TreeProcess(tree, z_slices, copy=False)
-    return SolvedBSDE(Y, Z, scheme, g if scheme == "explicit" else None,
-                      tuple(reversed(dropped)), g)
+    return SolvedBSDE(Y, TreeProcess(tree, z_slices), scheme, tuple(reversed(dropped)), g)
 
 
 # (monotone_step, warnings) of the schemes whose verdict holds whatever Z
@@ -364,21 +358,19 @@ def _max_abs_z(Z: TreeProcess, dropped: tuple) -> float:
     return max_z
 
 
-def solve_bsde(g: Generator, terminal, tree: ScenarioTree | None = None) -> SolvedBSDE:
+def solve_bsde(g: Generator, terminal, tree: ScenarioTree) -> SolvedBSDE:
     """Solve the backward equation with driver ``g`` by the explicit scheme.
 
-    ``terminal`` is the literal terminal condition (a depth-N slice or a
-    TreeProcess whose last slice is used); risk-measure sign conventions
-    live one layer up.  Never fails at solve time: if the step-monotonicity
-    certificate does not hold, a warning is attached instead.
+    ``terminal`` is the literal terminal condition, the depth-N slice of
+    ``tree``; risk-measure sign conventions live one layer up.  Never fails
+    at solve time: if the step-monotonicity certificate does not hold, a
+    warning is attached instead.
     """
-    tree, last, xi = _terminal_array(terminal, tree)
-    if last != tree.steps:
-        raise ValueError("terminal condition must sit at the horizon")
+    xi = _slice_of(tree, terminal, tree.steps)[1]
     return _solve(tree, xi, euler_step(g, tree), None, "explicit", g)
 
 
-def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None) -> SolvedBSDE:
+def entropy_exact(nu: float, terminal, tree: ScenarioTree) -> SolvedBSDE:
     """Exact solution for the driver nu*z^2 via the log-sum-exp recursion.
 
     Node values equal (1/2nu) log E[exp(2nu * xi) | node] to machine
@@ -387,9 +379,7 @@ def entropy_exact(nu: float, terminal, tree: ScenarioTree | None = None) -> Solv
     """
     if nu <= 0:
         raise ValueError("entropy_exact needs nu > 0")
-    tree, last, xi = _terminal_array(terminal, tree)
-    if last != tree.steps:
-        raise ValueError("terminal condition must sit at the horizon")
+    xi = _slice_of(tree, terminal, tree.steps)[1]
     return _solve(tree, xi, entropy_step(nu), None, "entropy_exact", entropy(nu))
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import FULL, ScenarioTree, TreeProcess
+from .lattice import FULL, ScenarioTree, TreeProcess, _slice_of
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def path_maximum() -> Claim:
     return Claim("path_max", False, rule)
 
 
-def from_leaf_values(values: np.ndarray, label: str = "leaf_vector") -> Claim:
+def from_leaf_values(values: np.ndarray, label: str) -> Claim:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
 
@@ -110,10 +110,7 @@ def scale(c: Claim, factor: float) -> Claim:
 
 def _terminal_of(tree: ScenarioTree, xi) -> np.ndarray:
     """``xi``, a Claim or an array, as the horizon slice of ``tree``."""
-    arr = xi.evaluate(tree) if isinstance(xi, Claim) else np.asarray(xi, dtype=float)
-    if arr.shape != (tree.n_nodes(tree.steps),):
-        raise ValueError("terminal slice does not match the tree horizon")
-    return arr
+    return _slice_of(tree, xi.evaluate(tree) if isinstance(xi, Claim) else xi, tree.steps)[1]
 
 
 # Named families of the command line: each kind maps to its builder, with the
@@ -127,11 +124,12 @@ FAMILIES = {
 }
 
 
-def from_spec(kind: str, params: dict | None = None) -> Claim:
-    """Build a claim from a named family, as used by the command line."""
+def from_spec(kind: str, params: dict) -> Claim:
+    """Build a claim from a named family and its keywords, as used by the
+    command line."""
     if kind not in FAMILIES:
         raise ValueError(f"unknown claim family {kind!r}; known: {sorted(FAMILIES)}")
-    return FAMILIES[kind](**(params or {}))
+    return FAMILIES[kind](**params)
 
 
 # Suite kinds of sample_claims; the command line checks claim_kind against it.

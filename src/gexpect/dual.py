@@ -125,20 +125,16 @@ def _refuse(tree: ScenarioTree, depth: int, rates: np.ndarray, cap: float):
                      f"node {tree.node_label(depth, worst)}")
 
 
-def tilt(q, tree: ScenarioTree | None = None) -> TiltedMeasure:
-    """The tilted measure of ``q``: a TiltedMeasure (returned as it is), a
-    TreeProcess of rates, or, given ``tree``, a scalar or one array-like per
-    depth.  A scalar, and each per-depth scalar, is one float broadcast to
-    the node width (a read-only stride-0 view).  A TiltedMeasure built on
-    another tree than ``tree`` is refused."""
-    if isinstance(q, TiltedMeasure):
-        if tree is not None and tree != q.tree:
+def tilt(q, tree: ScenarioTree) -> TiltedMeasure:
+    """The tilted measure on ``tree`` of ``q``: a TiltedMeasure (returned as
+    it is), a TreeProcess of rates, a scalar or one array-like per depth.  A
+    scalar, and each per-depth scalar, is one float broadcast to the node
+    width (a read-only stride-0 view).  A measure or a process built on
+    another tree is refused."""
+    if isinstance(q, (TiltedMeasure, TreeProcess)):
+        if q.tree != tree:
             raise ValueError("measure and tree disagree")
-        return q
-    if isinstance(q, TreeProcess):
-        return TiltedMeasure(q)
-    if tree is None:
-        raise ValueError("a tree is required when passing raw density values")
+        return q if isinstance(q, TiltedMeasure) else TiltedMeasure(q)
     if np.isscalar(q):
         # every depth holds the one rate, so depth 0 is the first to fail
         rate, cap = np.full(1, float(q)), 1.0 - DEFAULT_ADMISSIBILITY_MARGIN
@@ -148,7 +144,7 @@ def tilt(q, tree: ScenarioTree | None = None) -> TiltedMeasure:
     # Copy, then broadcast: a per-depth scalar stays one float, aliasing nothing.
     slices = [np.broadcast_to(np.array(v, dtype=float), (tree.n_nodes(k),))
               for k, v in enumerate(q)]
-    return TiltedMeasure(TreeProcess(tree, slices, copy=False))
+    return TiltedMeasure(TreeProcess(tree, slices))
 
 
 @dataclass
@@ -242,54 +238,49 @@ class _PenalizedKernel:
         return np.subtract(out, a[..., :wq], out=out)
 
 
-def dual_value(m: TiltedMeasure, xi, penalty, tree: ScenarioTree | None = None) -> DualValue:
+def dual_value(m: TiltedMeasure, xi, penalty) -> DualValue:
     """Evaluate the dual lower bound for one admissible density.
 
-    ``penalty`` is the conjugate f, either a Generator (its conjugate is
-    used) or a callable f(t, x_slice) -> slice with +inf allowed.  The time
-    integral uses the left-endpoint convention, matching the solvers.
+    ``xi`` is a claim or a horizon slice of the measure's tree.  ``penalty``
+    is the conjugate f, either a Generator (its conjugate is used) or a
+    callable f(t, x_slice) -> slice with +inf allowed.  The time integral
+    uses the left-endpoint convention, matching the solvers.
     """
-    tree = m.tree if tree is None else tree
-    if tree != m.tree:
-        raise ValueError("measure and tree disagree")
     kernel = _PenalizedKernel(m, penalty)
-    proc = backward_reduce(tree, -_terminal_of(tree, xi), _fresh(kernel))
+    proc = backward_reduce(m.tree, -_terminal_of(m.tree, xi), _fresh(kernel))
     return DualValue(proc, bool(np.isfinite(proc.root())), kernel.infinite)
 
 
-def optimal_density(solved: SolvedBSDE, generator: Generator | None = None) -> TiltedMeasure:
-    """Subdifferential selection along the solved martingale integrand.
+def optimal_density(solved: SolvedBSDE, generator: Generator) -> TiltedMeasure:
+    """Subdifferential selection of the convex driver g = ``generator`` along
+    the solved martingale integrand.
 
     Picks the midpoint of [g'(Z-), g'(Z+)] at every node (any selection
     attains the dual bound; the midpoint is deterministic).  The Fenchel
     equality residual |f(q) - (q Z - g(Z))| is evaluated per node and
-    attached.  ``generator`` overrides the driver recorded on the solution,
-    for solutions produced by closed-form schemes.  Raises when the
-    selection is inadmissible for the tree's step size, which is the
-    discrete version of 'drift too strong': refine dt until |q| sqrt(dt) < 1.
+    attached.  Raises when the selection is inadmissible for the tree's
+    step size, which is the discrete version of 'drift too strong': refine
+    dt until |q| sqrt(dt) < 1.
     """
-    g = solved.generator if generator is None else generator
-    if g is None:
-        raise ValueError("optimal_density needs a driver; pass generator=")
-    if not g.is_(CONVEX):
+    if not generator.is_(CONVEX):
         raise ValueError("duality selections need a convex driver")
     tree = solved.tree
     q_slices, res_slices = [], []
     for k in range(solved.Z.last_depth + 1):
         t = k * tree.dt
         z = solved.Z.values[k]
-        lo, hi = subdifferential_slices(g, t, z)
+        lo, hi = subdifferential_slices(generator, t, z)
         q = np.add(lo, hi)
         del lo, hi  # neither is kept: the widest depth's would outlive the loop
         q *= 0.5
         res = np.multiply(q, z)  # |f(q) - (q z - g(z))|, formed in place
-        np.subtract(res, g(t, z), out=res)
-        np.subtract(conjugate_values(g, t, q), res, out=res)
+        np.subtract(res, generator(t, z), out=res)
+        np.subtract(conjugate_values(generator, t, q), res, out=res)
         res_slices.append(np.abs(res, out=res))
         q_slices.append(q)
-    q_proc = TreeProcess(tree, q_slices, copy=False)
+    q_proc = TreeProcess(tree, q_slices)
     try:
-        return TiltedMeasure(q_proc, fenchel_residual=TreeProcess(tree, res_slices, copy=False))
+        return TiltedMeasure(q_proc, fenchel_residual=TreeProcess(tree, res_slices))
     except ValueError as exc:
         raise ValueError(
             f"{exc}; the subdifferential selection needs a finer grid "
@@ -315,7 +306,7 @@ def gibbs_density(nu: float, xi, tree: ScenarioTree) -> TiltedMeasure:
         return log_z
 
     backward_reduce(tree, log_w, partition, keep=0)
-    q = TreeProcess(tree, q_slices, copy=False)
+    q = TreeProcess(tree, q_slices)
     margin = 1.0 - q.max_abs() * tree.sqrt_dt
     if margin <= 0.0:
         raise ValueError("degenerate Gibbs tilt: a one-step probability hit 0 or 1")
@@ -467,7 +458,7 @@ def verify_duality(
         cap = min(2.0, 0.9 / tree.sqrt_dt)
         for i in range(n_random):
             q = TreeProcess(tree, [rng.uniform(-cap, cap, tree.n_nodes(k))
-                                   for k in range(tree.steps)], copy=False)
+                                   for k in range(tree.steps)])
             value, feasible = evaluate(TiltedMeasure(q))
             del q  # not alive while the next rates, or the Gibbs tilt, are built
             rows.append({"density": f"random[{i}]", "value": value,

@@ -90,7 +90,7 @@ class ScenarioTree:
     slice is cached when it is first read, and only the depths read are.
     """
 
-    def __init__(self, grid: TimeGrid, layout: str = FULL):
+    def __init__(self, grid: TimeGrid, layout: str):
         if layout not in (FULL, RECOMBINING):
             raise ValueError(f"unknown layout {layout!r}")
         self.grid = grid
@@ -162,10 +162,11 @@ class ScenarioTree:
 def build_tree(
     T: float,
     N: int,
-    layout: str = FULL,
+    layout: str,
     depth_cap: int | None = None,
 ) -> ScenarioTree:
-    """Build a scenario tree with horizon T and N steps.
+    """Build a scenario tree with horizon T, N steps and ``layout``
+    (``FULL`` or ``RECOMBINING``).
 
     The full layout refuses N above the depth cap (default 22): its slices
     grow as 2^N.  The recombining layout admits N up to 10^5 but only
@@ -187,12 +188,13 @@ def build_tree(
 
 
 def auto_layout(T: float, N: int, path_independent: bool,
-                depth_cap: int | None = None) -> ScenarioTree:
+                depth_cap: int | None) -> ScenarioTree:
     """Pick the full tree when affordable, else the recombining fast path.
 
     Path-dependent quantities cannot ride the recombining layout, so large
     N combined with a path-dependent claim is an error.  ``depth_cap``
-    bounds the chosen layout as it does in :func:`build_tree`.
+    bounds the chosen layout as it does in :func:`build_tree` (None: the
+    layout's own cap).
     """
     if N <= FULL_DEPTH_CAP:
         return build_tree(T, N, FULL, depth_cap)
@@ -209,14 +211,15 @@ class TreeProcess:
 
     ``values[k]`` has length ``tree.n_nodes(k)`` in its last axis.  A batch
     of B processes on one tree is a process whose slices all share one
-    leading shape, ``(B, tree.n_nodes(k))``.  Arrays are marked read-only;
-    build new processes instead of mutating.  A process may end before the
-    terminal depth (integrand processes end at N-1).
+    leading shape, ``(B, tree.n_nodes(k))``.  A slice that is a float array
+    already is kept as it is, not copied, and every slice is marked
+    read-only: build new processes instead of mutating.  A process may end
+    before the terminal depth (integrand processes end at N-1).
     """
 
     __slots__ = ("tree", "values")
 
-    def __init__(self, tree: ScenarioTree, values: Sequence[np.ndarray], copy: bool = True):
+    def __init__(self, tree: ScenarioTree, values: Sequence[np.ndarray]):
         if len(values) < 1 or len(values) > tree.steps + 1:
             raise ValueError(
                 f"need between 1 and {tree.steps + 1} depth slices, got {len(values)}"
@@ -225,7 +228,7 @@ class TreeProcess:
         lead = None
         slices = []
         for k, v in enumerate(values):
-            arr = np.array(v, dtype=float, copy=copy)
+            arr = np.asarray(v, dtype=float)
             if lead is None:
                 lead = arr.shape[:-1]
             expected = (*lead, 2 ** k if full else k + 1)
@@ -273,40 +276,24 @@ class TreeProcess:
 
 def brownian(tree: ScenarioTree) -> TreeProcess:
     """The driving noise as a process (its terminal slice is B_T)."""
-    return TreeProcess(
-        tree, [tree.brownian_slice(k) for k in range(tree.steps + 1)], copy=False
-    )
+    return TreeProcess(tree, [tree.brownian_slice(k) for k in range(tree.steps + 1)])
 
 
-def _unbatched(values) -> np.ndarray:
-    """``values`` as a float array with one axis.
+def _slice_of(tree: ScenarioTree, values, depth: int | None = None) -> tuple[int, np.ndarray]:
+    """(depth, ``values`` as a float array): one slice of ``tree`` at
+    ``depth``, or, when that is None, at the depth its width names (widths
+    are unique per depth in both layouts).
 
-    :func:`backward_reduce` runs a batch of reductions on a terminal with
-    leading axes, so a public caller that takes one terminal slice refuses
-    any other shape before it reduces."""
+    Every public entry point that takes one slice reads it here.
+    :func:`backward_reduce`, which checks its own terminal, runs a batch of
+    reductions on a terminal with leading axes, so any other shape than one
+    slice is refused before a reduction starts."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("terminal slice does not match the tree layout")
-    return arr
-
-
-def _terminal_array(proc_or_values, tree: ScenarioTree | None = None):
-    """Accept a TreeProcess or a plain slice; return (tree, depth, values).
-
-    A bare array identifies its own depth through its width, which is
-    unique per depth in both layouts.
-    """
-    if isinstance(proc_or_values, TreeProcess):
-        return (proc_or_values.tree, proc_or_values.last_depth,
-                _unbatched(proc_or_values.terminal))
-    if tree is None:
-        raise ValueError("a tree is required when passing a bare value slice")
-    arr = np.asarray(proc_or_values, dtype=float)
-    for depth in range(tree.steps, -1, -1):
-        if arr.shape == (tree.n_nodes(depth),):
-            return tree, depth, arr
-    raise ValueError(
-        f"slice of shape {arr.shape} matches no depth of {tree!r}")
+    for k in range(tree.steps, -1, -1) if depth is None else (depth,):
+        if arr.shape == (tree.n_nodes(k),):
+            return k, arr
+    at = "any depth" if depth is None else f"depth {depth}"
+    raise ValueError(f"terminal slice does not match {at} of {tree!r}: shape {arr.shape}")
 
 
 def backward_reduce(
@@ -350,7 +337,7 @@ def backward_reduce(
             raise ValueError(f"step returned wrong shape at depth {k}")
         if k <= keep:
             slices[k] = child
-    return TreeProcess(tree, slices, copy=False)
+    return TreeProcess(tree, slices)
 
 
 def _average(k, down, up):
@@ -368,11 +355,11 @@ def propagate(tree: ScenarioTree, depth: int, values: np.ndarray) -> TreeProcess
         raise ValueError("propagation below a depth requires the full layout")
     # Depths above `depth` hold exact conditional expectations so the result
     # is a well-defined process at every depth.
-    filled = list(backward_reduce(tree, _unbatched(values), _average,
+    filled = list(backward_reduce(tree, _slice_of(tree, values, depth)[1], _average,
                                   last_depth=depth).values)
     for _ in range(depth, tree.steps):
         filled.append(np.repeat(filled[-1], 2))
-    return TreeProcess(tree, filled, copy=False)
+    return TreeProcess(tree, filled)
 
 
 def _compact(v: np.ndarray) -> np.ndarray:
@@ -447,30 +434,28 @@ def _constant_process(tree: ScenarioTree, values) -> TreeProcess:
 def _measure_step(measure, tree: ScenarioTree):
     """One-step expectation on ``tree`` under ``measure`` (anything exposing
     ``p_up``).  A measure that carries its own ``tree`` must carry this one."""
-    if measure is None:
-        return _average
     own = getattr(measure, "tree", None)
     if own is not None and own != tree:
         raise ValueError("measure and tree disagree")
     return _fresh(_tilted_mean(measure))
 
 
-def cond_expect(proc, depth: int, measure=None, tree: ScenarioTree | None = None) -> TreeProcess:
+def cond_expect(values, depth: int, measure, tree: ScenarioTree) -> TreeProcess:
     """Conditional expectation of a random variable given the depth-``depth`` algebra.
 
-    The random variable is the deepest slice of ``proc`` (a TreeProcess, or a
-    bare terminal slice together with ``tree``).  The result is a full
+    The random variable is ``values``, one slice of ``tree`` at the depth
+    its width names (the horizon, as a rule).  The result is a full
     process: slices at depths <= depth hold the exact iterated conditional
     expectations (tower property is an identity of the construction); on the
     full layout, slices below ``depth`` repeat the depth value on each
     subtree so the object represents that single random variable everywhere.
 
     ``measure`` is a :class:`gexpect.dual.TiltedMeasure` (``dual.tilt``
-    builds one from rates), or anything else exposing ``p_up(depth) ->
-    slice`` of one-step up probabilities; the default is the reference
-    measure with p_up = 1/2.  A measure built on another tree is refused.
+    builds one from rates; ``tilt(0.0, tree)`` is the reference measure,
+    p_up = 1/2), or anything else exposing ``p_up(depth) -> slice`` of
+    one-step up probabilities.  A measure built on another tree is refused.
     """
-    tree, last, values = _terminal_array(proc, tree)
+    last, values = _slice_of(tree, values)
     if not 0 <= depth <= last:
         raise ValueError(f"depth {depth} outside [0, {last}]")
     step = _measure_step(measure, tree)
@@ -478,15 +463,16 @@ def cond_expect(proc, depth: int, measure=None, tree: ScenarioTree | None = None
         out = list(backward_reduce(tree, values, step, last_depth=last, keep=depth).values)
         for _ in range(depth, last):
             out.append(np.repeat(out[-1], 2))
-        return TreeProcess(tree, out, copy=False)
+        return TreeProcess(tree, out)
     # Recombining layout: deeper slices keep E[X | F_k] for k > depth; the
     # subtree-constant representation does not recombine.
     return backward_reduce(tree, values, step, last_depth=last)
 
 
-def expectation(proc, measure=None, tree: ScenarioTree | None = None) -> float:
-    """Plain expectation of the deepest slice: the root of one reduction."""
-    tree, last, values = _terminal_array(proc, tree)
+def expectation(values, measure, tree: ScenarioTree) -> float:
+    """Expectation of ``values`` under ``measure``, as in :func:`cond_expect`
+    at depth 0: the root of one reduction."""
+    last, values = _slice_of(tree, values)
     return backward_reduce(tree, values, _measure_step(measure, tree), last_depth=last,
                            keep=0).root()
 

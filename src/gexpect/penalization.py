@@ -119,13 +119,13 @@ class _Sweep:
         """max(Y - y) of level i; Python's fold keeps a NaN only at depth 0."""
         return max(self.gap_max[i].tolist())
 
-    def certificate(self, i: int) -> PenalizedCertificate:
-        scale = self.Y.max_abs()
+    def certificate(self, i: int, y_max: float) -> PenalizedCertificate:
+        """The certificate of level i; ``y_max`` is max|Y|."""
         n_dt = float(self.n_dt[i])
         over = -min(self.gap_min[i].tolist())
-        below = over <= _TOL * (1.0 + scale)
+        below = over <= _TOL * (1.0 + y_max)
         worst_inc = min(self._inc_bounds(i)[0].tolist())
-        increasing = worst_inc >= -_TOL * (1.0 + n_dt * scale)
+        increasing = worst_inc >= -_TOL * (1.0 + n_dt * y_max)
         violation = max(over, -worst_inc, 0.0) if not (below and increasing) else 0.0
         return PenalizedCertificate(below, increasing, violation)
 
@@ -200,7 +200,7 @@ class _Sweep:
                 worst.append(np.max(np.abs(defect), axis=-1))
                 m = m_next
             a = a_next
-        A = TreeProcess(tree, last, copy=False)
+        A = TreeProcess(tree, last)
         if W is None:
             return A, None
         return A, np.max(worst, axis=0, initial=0.0)
@@ -209,15 +209,14 @@ class _Sweep:
 def _plus_noise(Y: TreeProcess, z: float) -> TreeProcess:
     """W = Y + z B, slice by slice."""
     tree, z = Y.tree, float(z)
-    return TreeProcess(tree, [y + z * tree.brownian_slice(k) for k, y in enumerate(Y.values)],
-                       copy=False)
+    return TreeProcess(tree, [y + z * tree.brownian_slice(k) for k, y in enumerate(Y.values)])
 
 
 def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, z: float | None,
-              schedule: Sequence[float]) -> TreeProcess | None:
+              schedule: Sequence[float], y_max: float) -> TreeProcess | None:
     """Check the target and every level of ``schedule`` and, given ``z``,
-    run the supermartingale precheck on W = Y + z B.  Returns W (None
-    without ``z``)."""
+    run the supermartingale precheck on W = Y + z B, whose slack scales
+    with ``y_max`` = max|Y|.  Returns W (None without ``z``)."""
     tree = drm.tree
     if Y.tree != tree:
         raise ValueError("target process lives on a different tree")
@@ -230,7 +229,7 @@ def _validate(drm: DynamicRiskMeasure, Y: TreeProcess, z: float | None,
         return None
     W = _plus_noise(Y, z)
     worst, witness = supermartingale_gap(drm, W)
-    if not worst <= _TOL * (1.0 + Y.max_abs()):
+    if not worst <= _TOL * (1.0 + y_max):
         # Without a witness the NaN is a leaf of Y that the operator ignores.
         where = f"{witness['node']} (depth {witness['depth']})" if witness else "the horizon"
         raise ValueError(
@@ -293,12 +292,14 @@ def solve_penalized(
     certificate for when that is guaranteed).  This is the one-level case of
     the sweep :func:`doob_meyer` runs.
     """
-    _validate(drm, Y, z if check else None, [n])
+    y_max = Y.max_abs()
+    _validate(drm, Y, z if check else None, [n], y_max)
     sw = _sweep(drm, Y, z, [n], keep_y=True)
     sw.check_path_independent(0)
     A, _ = sw.compensate(1)
-    y = TreeProcess(Y.tree, [v[0] for v in sw.y.values], copy=False)
-    return PenalizedSolution(float(n), y, A, sw.certificate(0), sw.gap_to_target(0), float(z))
+    y = TreeProcess(Y.tree, [v[0] for v in sw.y.values])
+    return PenalizedSolution(float(n), y, A, sw.certificate(0, y_max), sw.gap_to_target(0),
+                             float(z))
 
 
 def doob_meyer(
@@ -326,8 +327,9 @@ def doob_meyer(
     schedule = sorted(n_schedule) if n_schedule is not None else list(DEFAULT_SCHEDULE)
     if not schedule:
         raise ValueError("empty penalization schedule")
-    scale = 1.0 + Y.max_abs()
-    W = _validate(drm, Y, z, schedule)
+    y_max = Y.max_abs()
+    scale = 1.0 + y_max
+    W = _validate(drm, Y, z, schedule, y_max)
     sw = _sweep(drm, Y, z, schedule)
 
     targets: list[float] = []
@@ -378,7 +380,7 @@ def canonical_drift(
         per_step = [float(noise_step(drm.one_step, k, [z], tree)[0]) for k in range(tree.steps)]
     running = np.concatenate([[0.0], np.cumsum(per_step)])
     return TreeProcess(tree, [np.full(tree.n_nodes(k), -running[k])
-                              for k in range(tree.steps + 1)], copy=False)
+                              for k in range(tree.steps + 1)])
 
 
 def canonical_supermartingale(

@@ -47,7 +47,7 @@ from .bsde import SolvedBSDE, StepFn, _solve, entropy_step, euler_step, noise_st
 from .claims import Claim, StoppingTime, _terminal_of, sample_claims, stopped_values
 from .generators import CONVEX, DOMINATED, SUBLINEAR, CheckReport, Generator, _GapTracker, \
     entropy, quadratic_lower, quadratic_upper, verify_class
-from .lattice import FULL, ScenarioTree, TreeProcess, _unbatched, build_tree, propagate, \
+from .lattice import FULL, ScenarioTree, TreeProcess, _slice_of, build_tree, propagate, \
     subtree_indicator
 
 AXIOMS = (
@@ -64,12 +64,13 @@ AXIOMS = (
 
 class DynamicRiskMeasure:
     """One-step operator ``one_step(k, down, up, z=None)``, which may ignore
-    the children's z, plus the tree it composes over and the ``scheme`` its
-    solutions report."""
+    the children's z, plus the tree it composes over, the ``scheme`` its
+    solutions report, the domination ``bounds`` (mu, nu) that
+    :func:`represent` reads (None: unknown) and the driver ``generator``
+    (None for a custom operator)."""
 
-    def __init__(self, tree: ScenarioTree, scheme: str, label: str,
-                 one_step: StepFn, generator: Generator | None = None,
-                 bounds: tuple[float, float] | None = None):
+    def __init__(self, tree: ScenarioTree, scheme: str, label: str, one_step: StepFn,
+                 bounds: tuple[float, float] | None, generator: Generator | None = None):
         self.tree = tree
         self.scheme = scheme
         self.label = label
@@ -90,7 +91,7 @@ class DynamicRiskMeasure:
         """
         xi = np.asarray(terminal, dtype=float)
         if xi.ndim != 2 or self.scheme == "custom":
-            xi = _unbatched(xi)
+            xi = _slice_of(self.tree, xi, self.tree.steps)[1]
         elif keep is not None:
             raise ValueError("a batch of terminals keeps every depth")
         return _solve(self.tree, xi, self.one_step, keep, self.scheme, self.generator)

@@ -18,12 +18,12 @@ def add(*processes: TreeProcess) -> TreeProcess:
         raise ValueError("processes live on different trees")
     n = min(p.last_depth for p in processes)
     return TreeProcess(tree, [reduce(np.add, (p.values[k] for p in processes))
-                              for k in range(n + 1)], copy=False)
+                              for k in range(n + 1)])
 
 
 def scale(proc: TreeProcess, factor) -> TreeProcess:
     """Every slice times ``factor``."""
-    return TreeProcess(proc.tree, [v * factor for v in proc.values], copy=False)
+    return TreeProcess(proc.tree, [v * factor for v in proc.values])
 
 
 def extract_z(Y: TreeProcess) -> TreeProcess:
@@ -33,7 +33,7 @@ def extract_z(Y: TreeProcess) -> TreeProcess:
     for k in range(Y.last_depth):
         down, up = tree.split_children(Y.values[k + 1])
         slices.append((up - down) / (2.0 * tree.sqrt_dt))
-    return TreeProcess(tree, slices, copy=False)
+    return TreeProcess(tree, slices)
 
 
 def increment_matrix(tree: ScenarioTree) -> np.ndarray:
@@ -69,7 +69,7 @@ def theta(measure) -> TreeProcess:
         child[0::2] = parent * (1.0 - q * sdt)
         child[1::2] = parent * (1.0 + q * sdt)
         slices.append(child)
-    return TreeProcess(tree, slices, copy=False)
+    return TreeProcess(tree, slices)
 
 
 def entropy_two_exp(nu: float, down, up) -> np.ndarray:

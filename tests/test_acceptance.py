@@ -125,12 +125,12 @@ def test_04_convex_dual_representation():
             solved = rho_solved(from_generator(g, tree), xi)
             rho0 = solved.Y.values[0][0]
             best = optimal_density(solved, generator=g)
-            attained = dual_value(tilt(best, tree), xi, g, tree).root()
+            attained = dual_value(tilt(best, tree), xi, g).root()
             gap = abs(rho0 - attained)
             assert gap <= 1e-12 * (1.0 + abs(rho0))
             consts.append(gap / tree.dt)
             for q in np.linspace(-2.5, 2.5, 11):
-                sub = dual_value(tilt(float(q), tree), xi, g, tree).root()
+                sub = dual_value(tilt(float(q), tree), xi, g).root()
                 assert sub <= rho0 + 1e-9
         # the dt-normalized attainment constant stays bounded under doubling
         assert max(consts) <= 1e-6
@@ -146,14 +146,14 @@ def test_05_coherent_dual_is_max_over_slope_band():
             rho0 = rho_solved(from_generator(g, tree), xi).Y.values[0][0]
             best = -math.inf
             for q in (-1.0, -0.5, 0.0, 0.5, 1.0):
-                dv = dual_value(tilt(float(q), tree), xi, g, tree)
+                dv = dual_value(tilt(float(q), tree), xi, g)
                 assert dv.feasible
                 # feasible penalties are identically zero
                 assert np.all(conjugate_values(g, 0.0, np.array([q])) == 0.0)
                 best = max(best, dv.root())
             assert abs(rho0 - best) <= 1e-9
             for q in (1.2, -1.7):
-                dv = dual_value(tilt(float(q), tree), xi, g, tree)
+                dv = dual_value(tilt(float(q), tree), xi, g)
                 assert not dv.feasible
                 assert dv.root() == -math.inf
                 assert dv.infeasible_nodes > 0

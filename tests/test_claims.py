@@ -63,10 +63,10 @@ class TestFamilies:
     def test_leaf_values_and_path_rule(self):
         tree = build_tree(1.0, 3, FULL)
         v = np.arange(8.0)
-        np.testing.assert_allclose(from_leaf_values(v).evaluate(tree), v)
+        np.testing.assert_allclose(from_leaf_values(v, "v").evaluate(tree), v)
         other = build_tree(1.0, 4, FULL)
         with pytest.raises(ValueError):
-            from_leaf_values(v).evaluate(other)
+            from_leaf_values(v, "v").evaluate(other)
         rule = Claim("path_rule", False, lambda t: increment_matrix(t).sum(axis=1))
         np.testing.assert_allclose(rule.evaluate(tree),
                                    brownian(tree).terminal, atol=1e-14)
@@ -85,7 +85,7 @@ class TestFamilies:
                                    rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("a", [linear(1.0), call(0.2, -1.5),
-                                   from_leaf_values(np.sin(np.arange(2 ** 12)))])
+                                   from_leaf_values(np.sin(np.arange(2 ** 12)), "sin")])
     def test_sum_with_path_claim_adds_the_slices(self, a):
         tree = build_tree(1.0, 12, FULL)
         pm = path_maximum()
@@ -101,14 +101,14 @@ class TestFamilies:
     def test_leaf_sum_past_the_path_matrix(self):
         tree = build_tree(1.0, 17, FULL)
         v = np.random.default_rng(0).uniform(-1.0, 1.0, 2 ** 17)
-        np.testing.assert_array_equal((from_leaf_values(v) + constant(1.5)).evaluate(tree),
+        np.testing.assert_array_equal((from_leaf_values(v, "v") + constant(1.5)).evaluate(tree),
                                       v + 1.5)
 
     def test_wrong_length_leaf_vector_in_a_sum(self):
         tree = build_tree(1.0, 4, FULL)
-        for claim in (linear(1.0) + from_leaf_values([2.0]),
-                      from_leaf_values([2.0]) + linear(1.0),
-                      scale(from_leaf_values([2.0]), 3.0)):
+        for claim in (linear(1.0) + from_leaf_values([2.0], "two"),
+                      from_leaf_values([2.0], "two") + linear(1.0),
+                      scale(from_leaf_values([2.0], "two"), 3.0)):
             with pytest.raises(ValueError, match="leaf value vector does not match this tree"):
                 claim.evaluate(tree)
 
@@ -118,7 +118,7 @@ class TestFamilies:
         np.testing.assert_allclose(
             c.evaluate(tree), call(0.2, 1.5).evaluate(tree))
         with pytest.raises(ValueError, match="unknown claim family"):
-            from_spec("swaption")
+            from_spec("swaption", {})
 
 
 class TestSampling:

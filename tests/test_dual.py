@@ -85,17 +85,20 @@ class TestDensities:
         edge = 2.0 * cap
         above = np.nextafter(edge, np.inf)
         assert edge * tree.sqrt_dt == cap < above * tree.sqrt_dt
-        q = [np.zeros(tree.n_nodes(k)) for k in range(4)]
         refused = r"^inadmissible density: \|q\| sqrt\(dt\) = 0.999999 > 0.999999 at depth "
+
+        def rates(value):  # zero rates, but value at node 110
+            q = [np.zeros(tree.n_nodes(k)) for k in range(4)]
+            q[3][6] = value
+            return TreeProcess(tree, q)
+
         for sign in (1.0, -1.0):
             tilt(sign * edge, tree)
-            q[3][6] = sign * edge
-            TiltedMeasure(TreeProcess(tree, q))
+            TiltedMeasure(rates(sign * edge))
             with pytest.raises(ValueError, match=refused + "0, node root$"):
                 tilt(sign * above, tree)
-            q[3][6] = sign * above
             with pytest.raises(ValueError, match=refused + "3, node 110$"):
-                TiltedMeasure(TreeProcess(tree, q))
+                TiltedMeasure(rates(sign * above))
 
     @pytest.mark.parametrize("first,second,label", [(2, 5, "010"), (5, 6, "101")])
     def test_a_tie_for_the_largest_rate_names_the_first_node(self, first, second, label):
@@ -104,7 +107,7 @@ class TestDensities:
         q[3][first], q[3][second] = -2.5, 2.5
         with pytest.raises(ValueError, match=r"^inadmissible density: \|q\| sqrt\(dt\) "
                                              rf"= 1.25 > 0.999999 at depth 3, node {label}$"):
-            TiltedMeasure(TreeProcess(tree, q))
+            TiltedMeasure(TreeProcess(tree, [v.copy() for v in q]))
         # a shallower bad depth is named first
         q[1][1] = 2.5
         with pytest.raises(ValueError, match="at depth 1, node 1$"):
@@ -120,7 +123,7 @@ class TestDensities:
     def test_tilt_returns_a_measure_as_it_is(self):
         tree = build_tree(1.0, 4, FULL)
         m = tilt(0.5, tree)
-        assert tilt(m) is m and tilt(m, tree) is m
+        assert tilt(m, tree) is m
 
     def test_a_measure_built_on_another_tree_is_refused(self):
         # T=2 and T=1 trees share N=4 and every slice width, so nothing but
@@ -130,7 +133,7 @@ class TestDensities:
         assert expectation(xi, measure=tilt(0.5, t2), tree=t2) == pytest.approx(1.0)
         for wrong in (lambda: expectation(xi, measure=m1, tree=t2),
                       lambda: cond_expect(xi, 2, measure=m1, tree=t2),
-                      lambda: tilt(m1, t2)):
+                      lambda: tilt(m1, t2), lambda: tilt(m1.q, t2)):
             with pytest.raises(ValueError, match=r"^measure and tree disagree$"):
                 wrong()
 
@@ -172,7 +175,7 @@ class TestDensities:
         m = tilt(0.9, tree)
         th = theta(m)
         assert all(np.all(v > 0) for v in th.values)
-        assert expectation(th.terminal, tree=tree) == pytest.approx(1.0, abs=1e-13)
+        assert expectation(th.terminal, tilt(0.0, tree), tree) == pytest.approx(1.0, abs=1e-13)
         # P-martingale: each node value is the plain average of its children
         for k in range(8):
             down, up = tree.split_children(th.values[k + 1])
@@ -190,7 +193,7 @@ class TestDensities:
         xi = call(0.1).evaluate(tree)
         m = tilt(-0.6, tree)
         via_measure = expectation(xi, tree=tree, measure=m)
-        via_theta = expectation(theta(m).terminal * xi, tree=tree)
+        via_theta = expectation(theta(m).terminal * xi, tilt(0.0, tree), tree)
         assert via_theta == pytest.approx(via_measure, abs=1e-13)
 
     def test_adapted_density_from_slices(self):
@@ -235,7 +238,7 @@ class TestDualValue:
         tree = build_tree(1.0, 5, FULL)
         g = quadratic_upper(1.0, 1.0)
         m = tilt(0.5, tree)
-        dv = dual_value(m, np.full(32, 2.0), g, tree)
+        dv = dual_value(m, np.full(32, 2.0), g)
         # f vanishes inside the slope band, so only the sure payoff remains
         assert dv.feasible
         assert dv.root() == pytest.approx(-2.0, abs=1e-12)
@@ -244,7 +247,7 @@ class TestDualValue:
         tree = build_tree(1.0, 16, FULL)
         g = sublinear_interval(-1.0, 1.0)
         m = tilt(1.2, tree)  # outside the slope interval
-        dv = dual_value(m, call(0.0).evaluate(tree), g, tree)
+        dv = dual_value(m, call(0.0).evaluate(tree), g)
         assert not dv.feasible
         assert dv.root() == -math.inf
         assert dv.infeasible_nodes > 0
@@ -253,7 +256,7 @@ class TestDualValue:
         tree = build_tree(1.0, 4, FULL)
         m = tilt(0.3, tree)
         xi = brownian(tree).terminal
-        dv = dual_value(m, xi, lambda t, x: np.zeros_like(x), tree)
+        dv = dual_value(m, xi, lambda t, x: np.zeros_like(x))
         # E_Q[-B_T] = -qT under the constant tilt, no penalty charged
         assert dv.root() == pytest.approx(-0.3, abs=1e-13)
 
@@ -273,7 +276,7 @@ class TestOptimalDensity:
         xi = call(0.0).evaluate(tree)
         s = rho_solved(from_generator(g, tree), xi)
         d = optimal_density(s, generator=g)
-        dv = dual_value(tilt(d, tree), xi, g, tree)
+        dv = dual_value(tilt(d, tree), xi, g)
         # rho(xi) = sup_Q (E_Q[-xi] - penalty), attained by the selection
         assert dv.root() == pytest.approx(s.Y.values[0][0], abs=1e-12)
 
@@ -481,7 +484,7 @@ class TestOnReduction:
         xi = call(0.0).evaluate(tree)
         for g in (quadratic_upper(0.3, 0.5), sublinear_interval(-1.0, 1.0)):
             for m in adapted_tilts(tree):
-                dv = dual_value(m, xi, g, tree)
+                dv = dual_value(m, xi, g)
                 slices, bad = reference_dual_value(
                     m, xi, lambda t, x: conjugate_values(g, t, x))
                 assert_slices_bitwise(dv.process.values, slices)
@@ -517,7 +520,7 @@ class TestOnReduction:
             densities.append(gibbs_density(nu, xi, tree))
         assert len(rep.rows) == len(densities)
         for row, d in zip(rep.rows, densities):
-            m = tilt(d)
+            m = tilt(d, tree)
             want = cond_expect(-xi, 0, measure=m, tree=tree).root() \
                 - relative_entropy(m).discrete.root() / (2 * nu)
             assert np.float64(row["value"]).tobytes() == np.float64(want).tobytes()
@@ -544,7 +547,7 @@ class TestOnReduction:
             assert len(rep.rows) == len(densities)
             infeasible = 0
             for row, d in zip(rep.rows, densities):
-                m = tilt(d)
+                m = tilt(d, tree)
                 dv = dual_value(m, xi, g)
                 assert np.float64(row["value"]).tobytes() == np.float64(dv.root()).tobytes()
                 assert row["feasible"] == dv.feasible
@@ -583,7 +586,7 @@ class TestOnReduction:
         # a second axis would run a batch of reductions: refused like a bad width
         for xi in (np.zeros(8), np.zeros((2, 16))):
             with pytest.raises(ValueError, match="terminal slice"):
-                dual_value(tilt(0.3, tree), xi, quadratic_upper(0.3, 0.5), tree)
+                dual_value(tilt(0.3, tree), xi, quadratic_upper(0.3, 0.5))
             with pytest.raises(ValueError, match="terminal slice"):
                 gibbs_density(0.5, xi, tree)
 
@@ -697,7 +700,7 @@ class TestConstantDensity:
         assert nodes == sum(tree.n_nodes(k) for k in range(N))
         m, g = tilt(1.2, tree), sublinear_interval(-1.0, 1.0)
         xi = call(0.0).evaluate(tree)
-        assert dual_value(m, xi, g, tree).infeasible_nodes == nodes
+        assert dual_value(m, xi, g).infeasible_nodes == nodes
         kernel = _PenalizedKernel(m, g)
         assert _Workspace(tree).root(-xi, kernel) == -math.inf
         assert kernel.infinite == nodes

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gexpect.claims import linear
+from gexpect.dual import tilt
 from gexpect.lattice import (
     FULL,
     FULL_DEPTH_CAP,
@@ -67,10 +68,10 @@ class TestConstruction:
         build_tree(1.0, 23, FULL, depth_cap=23)
 
     def test_auto_layout(self):
-        assert auto_layout(1.0, 10, True).layout == FULL
-        assert auto_layout(1.0, 500, True).layout == RECOMBINING
+        assert auto_layout(1.0, 10, True, None).layout == FULL
+        assert auto_layout(1.0, 500, True, None).layout == RECOMBINING
         with pytest.raises(ValueError, match="path-independent"):
-            auto_layout(1.0, 500, False)
+            auto_layout(1.0, 500, False, None)
 
     def test_equality_and_hash(self):
         a = build_tree(1.0, 4, FULL)
@@ -157,14 +158,14 @@ class TestTreeProcess:
         tree = build_tree(1.0, 2, FULL)
         for make in (lambda n: np.full(n, zero), lambda n: np.broadcast_to(zero, n)):
             slices = [make(tree.n_nodes(k)) for k in range(3)]
-            got = TreeProcess(tree, slices, copy=False).max_abs()
+            got = TreeProcess(tree, slices).max_abs()
             assert got == 0.0 and math.copysign(1.0, got) == 1.0
             # a NaN still wins over the zeros, at any depth
             for depth in range(3):
                 with_nan = list(slices)
                 with_nan[depth] = np.full(tree.n_nodes(depth), zero)
                 with_nan[depth][-1] = np.nan
-                assert np.isnan(TreeProcess(tree, with_nan, copy=False).max_abs())
+                assert np.isnan(TreeProcess(tree, with_nan).max_abs())
 
     def test_wrong_shape_rejected(self):
         tree = build_tree(1.0, 3, FULL)
@@ -182,8 +183,9 @@ class TestTreeProcess:
                                np.ones((3, widths[2]))])
         with pytest.raises(ValueError, match=r"depth 0 has shape \(\), expected \(1,\)"):
             TreeProcess(tree, [np.float64(1.0)])
-        # a reduction read through the public entry points takes one process
-        for reduce in (lambda: cond_expect(batch, 1), lambda: expectation(batch)):
+        # a reduction read through the public entry points takes one slice
+        for reduce in (lambda: cond_expect(batch.terminal, 1, tilt(0.0, tree), tree),
+                       lambda: expectation(batch.terminal, tilt(0.0, tree), tree)):
             with pytest.raises(ValueError, match="terminal slice does not match"):
                 reduce()
 
@@ -194,7 +196,7 @@ class TestConditionalExpectation:
         rng = np.random.default_rng(11)
         x = rng.normal(size=tree.n_nodes(6))
         for depth in (0, 2, 5):
-            got = cond_expect(x, depth, tree=tree)
+            got = cond_expect(x, depth, tilt(0.0, tree), tree)
             np.testing.assert_allclose(
                 got.at(depth), brute_conditional(tree, x, depth), atol=1e-12)
 
@@ -202,9 +204,9 @@ class TestConditionalExpectation:
         tree = build_tree(1.0, 8, FULL)
         rng = np.random.default_rng(3)
         x = rng.normal(size=256)
-        inner = cond_expect(x, 5, tree=tree)
-        outer = cond_expect(inner.at(5), 2, tree=tree)
-        direct = cond_expect(x, 2, tree=tree)
+        inner = cond_expect(x, 5, tilt(0.0, tree), tree)
+        outer = cond_expect(inner.at(5), 2, tilt(0.0, tree), tree)
+        direct = cond_expect(x, 2, tilt(0.0, tree), tree)
         # iterated averaging visits the same float operations: bit-equal
         assert np.array_equal(outer.at(2), direct.at(2))
 
@@ -225,15 +227,15 @@ class TestConditionalExpectation:
         tree = build_tree(1.0, 10, FULL)
         rng = np.random.default_rng(8)
         x = rng.normal(size=1024)
-        assert expectation(x, tree=tree) == pytest.approx(x.mean(), abs=1e-13)
+        assert expectation(x, tilt(0.0, tree), tree) == pytest.approx(x.mean(), abs=1e-13)
 
     def test_recombining_matches_full(self):
         # a path-independent payoff must price identically in both layouts
         for payoff in (lambda b: np.abs(b), lambda b: np.maximum(b - 0.3, 0)):
             full = build_tree(1.0, 10, FULL)
             rec = build_tree(1.0, 10, RECOMBINING)
-            e_full = expectation(payoff(full.brownian_slice(10)), tree=full)
-            e_rec = expectation(payoff(rec.brownian_slice(10)), tree=rec)
+            e_full = expectation(payoff(full.brownian_slice(10)), tilt(0.0, full), full)
+            e_rec = expectation(payoff(rec.brownian_slice(10)), tilt(0.0, rec), rec)
             assert e_full == pytest.approx(e_rec, abs=1e-12)
 
     @pytest.mark.parametrize("layout,N", [(FULL, 10), (RECOMBINING, 200)])
@@ -249,8 +251,8 @@ class TestConditionalExpectation:
                 return p_up[depth]
 
         x = np.cos(3.0 * tree.brownian_slice(N)) + rng.normal(size=tree.n_nodes(N))
-        for measure in (None, Tilt()):
-            for source in (x, brownian(tree)):
+        for measure in (tilt(0.0, tree), Tilt()):
+            for source in (x, brownian(tree).terminal):
                 got = expectation(source, measure=measure, tree=tree)
                 want = cond_expect(source, 0, measure=measure, tree=tree).root()
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -332,9 +334,9 @@ class TestBackwardReduceProperties:
         x = rng.normal(size=64)
         y = rng.normal(size=64)
         a, b = rng.normal(size=2)
-        lhs = cond_expect(a * x + b * y, 3, tree=tree).at(3)
-        rhs = a * cond_expect(x, 3, tree=tree).at(3) \
-            + b * cond_expect(y, 3, tree=tree).at(3)
+        lhs = cond_expect(a * x + b * y, 3, tilt(0.0, tree), tree).at(3)
+        rhs = a * cond_expect(x, 3, tilt(0.0, tree), tree).at(3) \
+            + b * cond_expect(y, 3, tilt(0.0, tree), tree).at(3)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -344,10 +346,10 @@ class TestBackwardReduceProperties:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=64)
         y = x + rng.uniform(0.0, 1.0, size=64)
-        ex = cond_expect(x, 2, tree=tree).at(2)
-        ey = cond_expect(y, 2, tree=tree).at(2)
+        ex = cond_expect(x, 2, tilt(0.0, tree), tree).at(2)
+        ey = cond_expect(y, 2, tilt(0.0, tree), tree).at(2)
         assert (ex <= ey + 1e-12).all()
-        assert expectation(x, tree=tree) == pytest.approx(x.mean(), abs=1e-12)
+        assert expectation(x, tilt(0.0, tree), tree) == pytest.approx(x.mean(), abs=1e-12)
 
     @pytest.mark.parametrize("layout", [FULL, RECOMBINING])
     def test_shapes_checked(self, layout):

@@ -254,7 +254,7 @@ def reference_accumulate(tree, increments):
                     f"{k} (increment spread {hi - lo:.3g}); use the full layout")
             mid = 0.5 * (lo + hi)
             slices.append(np.full(tree.n_nodes(k + 1), slices[k][0] + mid))
-    return TreeProcess(tree, slices, copy=False)
+    return TreeProcess(tree, slices)
 
 
 def reference_penalized(drm, Y, z, n, tol=1e-10):
@@ -273,7 +273,7 @@ def reference_penalized(drm, Y, z, n, tol=1e-10):
         y[k] = (phi + n_dt * Y.values[k]) / (1.0 + n_dt)
     increments = [n_dt * (Y.values[k] - y[k]) for k in range(N)]
     A = reference_accumulate(tree, increments)
-    M = add(TreeProcess(tree, y, copy=False), scale(brownian(tree), z), A)
+    M = add(TreeProcess(tree, y), scale(brownian(tree), z), A)
     worst = 0.0
     for k in range(M.last_depth):
         down, up = tree.split_children(M.values[k + 1])

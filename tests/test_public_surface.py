@@ -20,14 +20,13 @@ MODULES = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
 READERS = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
            ROOT / "tests" / "test_acceptance.py"]
 
-# Defaulted parameters that no reader sets, each with its reason to stay.
+# Defaulted parameters that no reader sets, or that every reader call sets,
+# each with its reason to stay.
 KEPT_DEFAULTS = {
     "penalization.solve_penalized.check":
         "the tests' one way into the certificate's violation path",
     "risk.custom.label": "names a measure built from a raw one-step operator in its reports",
     "risk.custom.bounds": "the domination bounds that represent reads of a custom source",
-    "lattice.cond_expect.measure": "the measure of expectation, conditioned on a depth",
-    "lattice.cond_expect.tree": "the tree of a bare terminal slice, as in expectation",
     "cli.main.argv": "None reads the command line, as the console script calls it",
 }
 
@@ -103,10 +102,11 @@ def _signatures():
 
 
 def _calls() -> dict:
-    """callee name -> (positions, keywords) of every reader's calls to a name
-    or an attribute.  A Starred argument counts as every position, and in the
-    package a ** splat as every keyword ("**") and ``_library_defaults(fn,
-    **kinds)`` as a call of fn by the keywords of ``kinds``."""
+    """callee name -> (positions, keywords, direct) of every reader's calls to
+    a name or an attribute.  A Starred argument counts as every position, and
+    in the package a ** splat as every keyword ("**") and
+    ``_library_defaults(fn, **kinds)`` as a call of fn by the keywords of
+    ``kinds`` that is not direct: it reads their defaults."""
     calls = {}
     for path in READERS:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -115,30 +115,40 @@ def _calls() -> dict:
             callee = getattr(node.func, "id", getattr(node.func, "attr", None))
             args = node.args
             names = {k.arg or "**" for k in node.keywords if k.arg or path in MODULES}
-            if callee == "_library_defaults" and path in MODULES:
+            direct = not (callee == "_library_defaults" and path in MODULES)
+            if not direct:
                 callee, args = args[0].id, []
             starred = any(isinstance(a, ast.Starred) for a in args)
             calls.setdefault(callee, []).append(
-                (float("inf") if starred else len(args), names))
+                (float("inf") if starred else len(args), names, direct))
     return calls
 
 
 def test_every_parameter_is_read_and_every_default_is_set_or_kept():
     # A parameter that no body reads does nothing, and a default that no
-    # reader sets is an option that only the tests use, or nobody.  Every
-    # parameter of a builder of a command-line kind is a config key.
+    # reader sets is an option that only the tests use, or nobody.  A default
+    # that every reader call sets, by position or by name, is one that no
+    # caller relies on: the parameter is required.  Every parameter of a
+    # builder of a command-line kind is a config key.
     calls = _calls()
     builders = {getattr(b, "func", b).__name__
                 for b in (*cli._DRIVERS.values(), *claims.FAMILIES.values())}
-    unread, unset = [], []
+    unread, unset, overridden = [], [], []
     for qual, called_as, params, body in _signatures():
         loads = {n.id for stmt in body for n in ast.walk(stmt)
                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unread += [f"{qual}.{p.name}" for p in params if p.name not in loads]
-        unset += [f"{qual}.{p.name}" for i, p in enumerate(params)
-                  if p.default is not inspect.Parameter.empty and called_as not in builders
-                  and not any(positions > i or p.name in names or "**" in names
-                              for positions, names in calls.get(called_as, []))]
+        callers = calls.get(called_as, [])
+        for i, p in enumerate(params):
+            if p.default is inspect.Parameter.empty or called_as in builders:
+                continue
+            if not any(positions > i or p.name in names or "**" in names
+                       for positions, names, _ in callers):
+                unset.append(f"{qual}.{p.name}")
+            elif all(direct and (positions > i or p.name in names)
+                     for positions, names, direct in callers):
+                overridden.append(f"{qual}.{p.name}")
     assert not unread, f"parameters that no body reads: {unread}"
-    assert sorted(unset) == sorted(KEPT_DEFAULTS), \
-        f"defaulted parameters that no reader sets, against the kept list: {unset}"
+    assert sorted(unset + overridden) == sorted(KEPT_DEFAULTS), (
+        f"defaulted parameters against the kept list: no reader sets {unset}, "
+        f"every reader call sets {overridden}")
