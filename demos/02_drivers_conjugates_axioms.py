@@ -6,8 +6,6 @@ A dynamic risk measure inherits its properties from the driver that
 generates it.  This script evaluates the built-in drivers, takes their
 convex conjugates, and runs the axiom suite on three measures.
 """
-import numpy as np
-
 from gexpect import (
     FULL,
     build_tree,

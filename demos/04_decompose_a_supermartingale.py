@@ -6,8 +6,6 @@ A process dominating its own one-step risk evaluations splits into a
 risk martingale minus an increasing compensator.  The compensator is
 recovered as the monotone limit of penalized equations.
 """
-import numpy as np
-
 from gexpect import (
     FULL,
     RECOMBINING,

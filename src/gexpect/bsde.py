@@ -18,7 +18,9 @@ scheme.  On the children (d, u) it equals (d + u)/2 + dt g_k(z), with
 z = (u - d)/(2 sqrt(dt)) and g_k(z) = op(k, -z sqrt(dt), z sqrt(dt)) / dt
 (``noise_step``), so its measure is exactly the explicit-scheme
 g-expectation of g_k.  For the quadratic recursion
-g_k(z) = log cosh(2 nu z sqrt(dt)) / (2 nu dt), which is nu z^2 up to O(dt).
+g_k(z) = log cosh(2 nu z sqrt(dt)) / (2 nu dt), which is nu z^2 up to O(dt);
+``entropy_step_driver`` gives it with its derivative and its conjugate in
+closed form.
 
 Every solve (``solve_bsde``, ``entropy_exact``, every risk measure's) is
 one ``_solve``: one backward pass.  The explicit step reads z, so its pass
@@ -215,6 +217,64 @@ def entropy_step(nu: float) -> StepFn:
         return y
 
     return step
+
+
+def entropy_step_driver(nu: float, tree: ScenarioTree) -> Generator:
+    """The one-step driver g_k of ``entropy_step`` on ``tree``, in closed form.
+
+    With x = 2 nu z sqrt(dt), g_k(z) = log cosh(x) / (2 nu dt) at every
+    depth (see ``noise_step``), its derivative is tanh(x) / sqrt(dt), and
+    with a = q sqrt(dt) its conjugate is
+    [(1 + a) log(1 + a) + (1 - a) log(1 - a)] / (4 nu dt), the one-step
+    relative entropy over 2 nu dt: +inf for |a| > 1.  It is convex and below
+    nu z^2 (log cosh x <= x^2 / 2), so it has the growth constants and the
+    flags of ``entropy(nu)``, its small-step limit.
+
+    log cosh x is formed as |x| + log1p(expm1(-2|x|) / 2), which cannot
+    overflow, and the conjugate as log1p(-a^2) + 2 a artanh(a).  Like the
+    built-in drivers, each function allocates the array it returns and at
+    most one scratch array, and never writes into its argument.
+    """
+    nu = float(nu)
+    sdt, dt = tree.sqrt_dt, tree.dt
+    x_per_z = 2.0 * nu * sdt
+
+    def fn(t, z):
+        v = np.multiply(z, x_per_z)
+        v = np.abs(v, out=_reuse(v))
+        s = np.multiply(v, -2.0)
+        s = np.expm1(s, out=_reuse(s))
+        s *= 0.5
+        s = np.log1p(s, out=_reuse(s))
+        v += s
+        v /= 2.0 * nu * dt
+        return v
+
+    def subdiff(t, z):
+        q = np.multiply(z, x_per_z)
+        q = np.tanh(q, out=_reuse(q))
+        q /= sdt
+        return q, q  # differentiable: both ends are the one array
+
+    def conj(t, x):
+        a = np.multiply(x, sdt)
+        a = np.abs(a, out=_reuse(a))
+        # only a rate at or past the edge (or a NaN) pays for the masks
+        edges = None if np.max(a, initial=0.0) < 1.0 else (a == 1.0, a > 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.arctanh(a)
+            v *= a
+            v *= 2.0
+            a *= a
+            a = np.negative(a, out=_reuse(a))
+            a = np.log1p(a, out=_reuse(a))
+            v += a
+        v /= 4.0 * nu * dt
+        if edges is not None:
+            v = np.where(edges[1], np.inf, np.where(edges[0], math.log(2.0) / (2.0 * nu * dt), v))
+        return v
+
+    return Generator(fn, 0.0, nu, entropy(nu).flags, "entropy_step", conj, subdiff)
 
 
 def _child_z(tree: ScenarioTree, down, up):

@@ -394,7 +394,6 @@ def _run_dual(cfg: ScenarioConfig, report: RunReport) -> None:
         "source": rep.label, "rho_root": rep.rho_root, "penalty": rep.penalty,
         "optimal_gap": rep.optimal_gap, "weak_duality_ok": rep.weak_duality_ok,
         "passed": rep.passed, "sweep": rep.rows,
-        **({} if rep.gibbs_gap is None else {"gibbs_gap": rep.gibbs_gap}),
     }
     report.summary.append({"check": "weak_duality", "passed": rep.weak_duality_ok})
     report.summary.append({"check": "duality_attained", "passed": rep.passed})

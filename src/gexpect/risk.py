@@ -42,8 +42,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bsde import SolvedBSDE, StepFn, _solve, entropy_step, euler_step, noise_step, \
-    solve_bsde
+from .bsde import SolvedBSDE, StepFn, _solve, entropy_step, entropy_step_driver, euler_step, \
+    noise_step, solve_bsde
 from .claims import Claim, StoppingTime, _terminal_of, sample_claims, stopped_values
 from .generators import CONVEX, DOMINATED, SUBLINEAR, CheckReport, Generator, _GapTracker, \
     entropy, quadratic_lower, quadratic_upper, verify_class
@@ -95,6 +95,15 @@ class DynamicRiskMeasure:
         elif keep is not None:
             raise ValueError("a batch of terminals keeps every depth")
         return _solve(self.tree, xi, self.one_step, keep, self.scheme, self.generator)
+
+    @property
+    def driver(self) -> Generator | None:
+        """g_k of the one-step operator: the explicit scheme's g itself, the
+        exact recursion's log cosh driver (``bsde.entropy_step_driver``);
+        None for a custom operator."""
+        if self.scheme == "entropy_exact":
+            return entropy_step_driver(self.generator.nu, self.tree)
+        return self.generator
 
     def rebind(self, tree: ScenarioTree) -> "DynamicRiskMeasure":
         if self.scheme == "explicit":

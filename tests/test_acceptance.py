@@ -9,7 +9,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from gexpect.bsde import entropy_exact, solve_bsde
 from gexpect.claims import (

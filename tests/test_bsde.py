@@ -9,6 +9,7 @@ from gexpect import bsde, risk
 from gexpect.bsde import (
     entropy_exact,
     entropy_step,
+    entropy_step_driver,
     euler_step,
     noise_step,
     solve_bsde,
@@ -16,7 +17,16 @@ from gexpect.bsde import (
 from gexpect.claims import call, linear, path_maximum, sample_claims
 from gexpect.cli import parse_config, run
 from gexpect.dual import tilt, verify_duality
-from gexpect.generators import BUILTINS, Generator, entropy, quadratic_upper, sublinear_interval
+from gexpect.generators import (
+    BUILTINS,
+    CONVEX,
+    Generator,
+    conjugate,
+    entropy,
+    quadratic_upper,
+    sublinear_interval,
+    verify_class,
+)
 from gexpect.lattice import (
     FULL,
     RECOMBINING,
@@ -182,6 +192,82 @@ class TestRecoverGenerator:
         assert got == pytest.approx(exact, abs=1e-12)
         # first order in dt away from nu z^2
         assert abs(got - nu * z * z) <= 2 * (nu * z) ** 4 * tree.dt
+
+
+class TestEntropyStepDriver:
+    """The closed-form one-step driver of the exact recursion: its value is
+    noise_step's, its derivative and conjugate are the value's."""
+
+    NU = 0.5
+
+    def driver(self, steps=10):
+        tree = build_tree(1.0, steps, FULL)
+        return tree, entropy_step_driver(self.NU, tree)
+
+    def test_value_is_the_steps_noise_step(self):
+        tree, g = self.driver()
+        z = np.array([-800.0, -3.0, -0.4, -1e-9, 0.0, 1e-9, 0.4, 3.0, 800.0])
+        want = noise_step(entropy_step(self.NU), 2, z, tree) / tree.dt
+        np.testing.assert_allclose(g(0.0, z), want, rtol=1e-13, atol=1e-15)
+        # far past where cosh overflows, the value is |z| / sqrt(dt) - log 2 / (2 nu dt)
+        big = g(0.0, np.array([1e300]))[0]
+        assert big == pytest.approx(1e300 / tree.sqrt_dt, rel=1e-15)
+        assert g.scalar(0.0, 0.0) == 0.0 and g(0.0, -0.0)[()] == 0.0
+
+    def test_derivative_is_tanh(self):
+        tree, g = self.driver()
+        z = np.linspace(-4.0, 4.0, 33)
+        lo, hi = g.subdiff_fn(0.0, z)
+        assert lo is hi
+        x = 2.0 * self.NU * z * tree.sqrt_dt
+        np.testing.assert_allclose(lo, np.tanh(x) / tree.sqrt_dt, rtol=1e-15, atol=0.0)
+        h = 1e-6
+        np.testing.assert_allclose(lo, (g(0.0, z + h) - g(0.0, z - h)) / (2 * h),
+                                   rtol=0.0, atol=1e-8)
+
+    def test_conjugate_is_the_grid_supremum(self):
+        tree, g = self.driver()
+        numeric = Generator(g.fn, g.mu, g.nu, g.flags)  # no closed forms
+        for q in (-2.9, -1.0, -0.1, 0.0, 0.5, 2.0, 3.1):
+            point = conjugate(numeric, 0.0, q)
+            assert conjugate(g, 0.0, q).value == pytest.approx(point.value,
+                                                               abs=point.tol + 1e-12)
+
+    def test_fenchel_equality_at_the_derivative(self):
+        tree, g = self.driver()
+        z = np.linspace(-5.0, 5.0, 41)
+        q = g.subdiff_fn(0.0, z)[0]
+        np.testing.assert_allclose(g.conjugate_fn(0.0, q), q * z - g(0.0, z),
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_conjugate_at_and_past_the_edge(self):
+        # |q| sqrt(dt) = 1 is the one-step entropy log 2, past it +inf; no warning
+        tree = build_tree(1.0, 4, FULL)  # sqrt(dt) = 1/2 scales exactly
+        g = entropy_step_driver(self.NU, tree)
+        edge = math.log(2.0) / (2.0 * self.NU * tree.dt)
+        with np.errstate(all="raise"):
+            got = g.conjugate_fn(0.0, np.array([-2.0, 2.0, -2.5, 3.0, np.nan, 1.0]))
+            assert g.conjugate_fn(0.0, 0.0) == 0.0
+            assert g.conjugate_fn(0.0, np.array([])).shape == (0,)
+        assert list(got[:4]) == [edge, edge, math.inf, math.inf]
+        assert math.isnan(got[4]) and 0.0 < got[5] < edge
+
+    def test_flags_hold_on_grids(self):
+        tree, g = self.driver()
+        assert g.is_(CONVEX) and g.flags == entropy(self.NU).flags
+        assert (g.mu, g.nu) == (0.0, self.NU)
+        report = verify_class(g)
+        assert report.passed and set(report.checks) == {"growth", "convexity", "domination"}
+
+    def test_it_is_the_measures_driver(self):
+        tree = build_tree(1.0, 6, FULL)
+        z = np.linspace(-2.0, 2.0, 9)
+        g = entropic(self.NU, tree).driver
+        assert g.kind == "entropy_step"
+        np.testing.assert_array_equal(g(0.0, z), entropy_step_driver(self.NU, tree)(0.0, z))
+        q = quadratic_upper(0.3, 0.5)
+        assert from_generator(q, tree).driver is q
+        assert custom(entropy_step(self.NU), tree).driver is None
 
 
 def overflowing_claim():

@@ -12,7 +12,6 @@ from gexpect.lattice import (
     FULL,
     FULL_DEPTH_CAP,
     RECOMBINING,
-    ScenarioTree,
     TimeGrid,
     TreeProcess,
     auto_layout,

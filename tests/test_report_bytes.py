@@ -23,7 +23,8 @@ sublinear |z| driver on a full N=8 tree.
 
 ``converge_entropic``, ``represent_entropic``, ``dual_entropic`` (the
 entropic sweep on a full N=10 tree, penalized by the discrete relative
-entropy, with its random and Gibbs rows) and ``solve_entropic`` (the
+entropy, with its random rows and the selection of the exact recursion's
+own driver, which attains rho_0 to rounding) and ``solve_entropic`` (the
 profile and certificate of an entropic solve on a recombining N=40 tree,
 ``scheme: entropy_exact``) go through the exact entropic recursion, whose
 exp/log may differ in the last bit between numpy builds; their files must

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gexpect.bsde import noise_step
-from gexpect.claims import call, constant, linear, sample_claims
+from gexpect.claims import call, constant, sample_claims
 from gexpect.dual import verify_duality
 from gexpect.generators import (
     CONVEX,
